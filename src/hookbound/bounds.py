@@ -23,7 +23,7 @@ from .certificates import (
     make_certificate,
     power_compare_bits,
 )
-from .degrees import degree, log_degree
+from .degrees import degree
 from .errors import ConsistencyError, HypothesisError
 from .partitions import Cell, Partition
 
@@ -49,16 +49,15 @@ def _check_width_gates(lam: Partition, alpha: Fraction) -> None:
 
 def _alpha_power_certificate(
     bound_name: str,
-    lam: Partition,
+    f: int,
     alpha: Fraction,
     exponent: Fraction,
     parameters: dict,
     aux: dict,
     cells: tuple | None = None,
 ) -> BoundCertificate:
-    """Certificate for f(lam) >= alpha**exponent."""
-    f = degree(lam)
-    lhs_log = log_degree(lam)
+    """Certificate for f >= alpha**exponent, where f is the exact degree."""
+    lhs_log = math.log(f)
     rhs_log = float(exponent) * log_fraction(alpha)
     exact = None
     if power_compare_bits(alpha, exponent, f.bit_length()) <= exact_bit_budget():
@@ -163,7 +162,7 @@ def strip_bound(lam: Partition, k: int, l: int, alpha: Fraction) -> StripCertifi
     # f >= alpha^n / n^m, exact when the integers fit the budget
     f = degree(lam)
     p, q = alpha.numerator, alpha.denominator
-    lhs_log = log_degree(lam)
+    lhs_log = math.log(f)
     rhs_log = n * log_fraction(alpha) - m * math.log(n)
     bits = (
         f.bit_length()
@@ -221,7 +220,7 @@ def rectangle_bound(a: int, b: int) -> BoundCertificate:
     n = a * b
     shape = Partition((b,) * a)
     f = degree(shape)
-    lhs_log = log_degree(shape)
+    lhs_log = math.log(f)
 
     ln2 = math.log(2)
     est_bits = int(
@@ -305,7 +304,7 @@ def overexponential_bound(
     if f_lam < f_mu:
         raise ConsistencyError("containment monotonicity failed for the square")
 
-    lhs_log = log_degree(mu)
+    lhs_log = math.log(f_mu)
     rhs_log = n * gamma_log
     exact = None
     if gamma_is_exact:
@@ -327,7 +326,7 @@ def overexponential_bound(
         rhs_log,
         exact,
         aux={
-            "input_log_degree": log_degree(lam),
+            "input_log_degree": math.log(f_lam),
             "square_log_degree": lhs_log,
             "beta_log": beta_log,
             "containment_exact": True,
@@ -353,7 +352,7 @@ def strict_bound(lam: Partition, alpha: Fraction) -> BoundCertificate:
         raise ConsistencyError("sharper exponent n - |T4| fell below the claimed one")
     cert = _alpha_power_certificate(
         "strict",
-        lam,
+        degree(lam),
         alpha,
         exponent,
         {
@@ -522,7 +521,7 @@ def general_bound(lam: Partition, alpha: Fraction) -> BoundCertificate:
         )
     cert = _alpha_power_certificate(
         "general",
-        lam,
+        f_lam,
         alpha,
         exponent,
         {
@@ -541,7 +540,7 @@ def general_bound(lam: Partition, alpha: Fraction) -> BoundCertificate:
             "n1": trace.n1,
             "mu": trace.mu.format(),
             "mu_certificate": mu_cert.to_json_dict(),
-            "lifted_margin": log_degree(lam) - mu_cert.rhs_log,
+            "lifted_margin": math.log(f_lam) - mu_cert.rhs_log,
         },
     )
     return cert
@@ -605,7 +604,7 @@ def theorem_classify(lam: Partition, alpha: Fraction, beta: Fraction) -> BoundCe
         sub = general_bound(lam, alpha)
 
     f = degree(lam)
-    lhs_log = log_degree(lam)
+    lhs_log = math.log(f)
     rhs_log = n * log_beta
     expo = Fraction(n)
     exact = None

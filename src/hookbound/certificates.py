@@ -56,10 +56,6 @@ def log_fraction(x: Fraction) -> float:
     return math.log(x.numerator) - math.log(x.denominator)
 
 
-def exact_ge(lhs: Fraction, rhs: Fraction) -> bool:
-    return lhs >= rhs
-
-
 def power_compare_bits(base: Fraction, exponent: Fraction, lhs_bits: int) -> int:
     """Upper estimate of the bits needed to decide lhs >= base**exponent exactly."""
     u, v = exponent.numerator, exponent.denominator

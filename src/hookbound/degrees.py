@@ -1,7 +1,18 @@
 """Exact character degrees and the independent oracles that validate them.
 
-``degree`` is the production path (hook-length formula over exact big
-integers).  ``count_syt_bruteforce`` grows every standard filling with no
+``degree`` is the production path: the hook-length formula
+``f = n!/prod h`` evaluated by prime exponents, with no big division.
+``hook_counts`` reads the multiset of hook lengths off the parts and the
+column lengths (the hook of cell ``(i, j)`` is
+``(lambda_i - j) + (lambda'_j - i) + 1``).  The exponent of each
+``k <= n`` in ``n!/prod h`` is ``1 - counts[k]``; walking ``k`` downward,
+a smallest-prime-factor sieve pushes the exponent of every composite ``k``
+onto its factors, which leaves an exponent on each prime ``q <= n``.  The
+degree is the product tree of the ``q**e_q`` (Borwein, "On the complexity
+of calculating factorials", J. Algorithms 1985).  A negative prime
+exponent would mean the hook product does not divide ``n!``.
+
+``count_syt_bruteforce`` grows every standard filling with no
 memoization and no hooks, so the two share nothing; the identity suites
 (``sum_squares_identity``, the conjugation symmetry, the tableau remark)
 cross-check the whole pipeline against classical facts.
@@ -26,27 +37,66 @@ SUM_SQUARES_GUARD = 12
 Tableau = tuple[tuple[int, ...], ...]
 
 
+def hook_counts(p: Partition) -> list[int]:
+    """``counts[h]`` is the number of cells with hook length ``h``, for 0 <= h <= n."""
+    parts = p.parts
+    counts = [0] * (sum(parts) + 1)
+    cols = p.conjugate().parts
+    for i, row in enumerate(parts, start=1):
+        arm = row - i + 1
+        for j, col in enumerate(cols[:row], start=1):
+            counts[arm + col - j] += 1
+    return counts
+
+
 def hook_product(p: Partition) -> int:
-    prod = 1
-    for h in p.hook_grid().values():
-        prod *= h
-    return prod
+    """Product of the hook lengths of all cells."""
+    return math.prod(h**c for h, c in enumerate(hook_counts(p)) if c)
+
+
+def _smallest_prime_factors(n: int) -> list[int]:
+    """``spf[k]`` is the smallest prime factor of k, for 2 <= k <= n.
+
+    Every ``q`` from ``isqrt(n)`` down to 2 stamps its multiples from ``q*q``
+    on, so the last stamp on a composite is its smallest prime factor.
+    """
+    spf = list(range(n + 1))
+    for q in range(math.isqrt(n), 1, -1):
+        spf[q * q :: q] = [q] * len(range(q * q, n + 1, q))
+    return spf
+
+
+def _product_tree(factors: list[int]) -> int:
+    while len(factors) > 1:
+        paired = [a * b for a, b in zip(factors[::2], factors[1::2])]
+        if len(factors) % 2:
+            paired.append(factors[-1])
+        factors = paired
+    return factors[0] if factors else 1
 
 
 def degree(p: Partition) -> int:
-    """n! divided by the product of all hook lengths; the division is exact.
+    """n! divided by the product of all hook lengths, by prime exponents.
 
     Equals the number of standard tableaux of the shape.  The empty
     partition has degree 1 by convention.
     """
-    if not p:
-        return 1
-    num = factorial(p.n)
-    den = hook_product(p)
-    q, r = divmod(num, den)
-    if r:  # pragma: no cover - the hook formula guarantees exactness
-        raise ArithmeticError(f"hook product does not divide n! for {p}")
-    return q
+    counts = hook_counts(p)
+    n = len(counts) - 1
+    expo = [1 - c for c in counts]
+    spf = _smallest_prime_factors(n)
+    for k in range(n, 3, -1):
+        q = spf[k]
+        if q != k and expo[k]:
+            expo[q] += expo[k]
+            expo[k // q] += expo[k]
+    powers = []
+    for q in range(2, n + 1):
+        if spf[q] == q and expo[q]:
+            if expo[q] < 0:
+                raise ArithmeticError(f"hook product does not divide n! for {p}")
+            powers.append(q ** expo[q])
+    return _product_tree(powers)
 
 
 def log_degree(p: Partition) -> float:

@@ -55,13 +55,11 @@ class TestHypothesisGate:
             check_typing_hypotheses(lam, ALPHA)
 
     def test_width_gate(self):
-        lam = Partition((140, 19, 18, 17, 16, 15, 14, 13, 12, 11))
-        # n = 275 but lambda_1 = 140 > 275/1.1 = 250? no: 140*1.1 = 154 <= 275.
-        # widen: make lambda_1 clearly too long
-        lam = Partition((200, 19, 18, 17, 16, 15, 14, 13, 12, 11))
-        if lam.part(1) * ALPHA > lam.n:
-            with pytest.raises(HypothesisError):
-                check_typing_hypotheses(lam, ALPHA)
+        # n = 1535 and lambda_1 * 11/10 = 1540 > n; every other gate passes
+        lam = Partition((1400, 19, 18, 17, 16, 15, 14, 13, 12, 11))
+        with pytest.raises(HypothesisError) as err:
+            check_typing_hypotheses(lam, ALPHA)
+        assert err.value.condition == "lambda_1 <= n/alpha"
 
     def test_tau_records_strict_column_prefix(self):
         # staircase plus a tall tail makes the first columns distinct
@@ -181,13 +179,11 @@ class TestTypingWithTail:
         assert all(Fraction(v.number) < ALPHA for v in violations)
 
     def test_wide_tail_on_conjugate_side(self):
-        lam = Partition((26, 25, 20, 19, 18, 17, 16, 15, 14, 13, 12, 11)).conjugate()
-        if lam.diagonal() >= 9 * ALPHA:
-            try:
-                ct = cell_typing(lam, ALPHA)
-                assert sum(ct.counts) == lam.n
-            except HypothesisError:
-                pass  # conjugate may break row strictness; the gate decides
+        # two long rows over the staircase are two tall columns of the conjugate
+        lam = Partition((40, 38, 20, 19, 18, 17, 16, 15, 14, 13, 12, 11))
+        ct = cell_typing(lam, ALPHA)
+        assert sum(ct.counts) == lam.n
+        assert ct.counts[1] > 0
 
 
 class TestGridAndJson:

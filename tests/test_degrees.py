@@ -1,12 +1,16 @@
 import math
+from collections import Counter
+from fractions import Fraction
 from math import factorial
 
 import mpmath
 import pytest
 
+import hookbound.degrees
 from hookbound.degrees import (
     count_syt_bruteforce,
     degree,
+    hook_counts,
     hook_product,
     is_standard_tableau,
     log_degree,
@@ -18,6 +22,7 @@ from hookbound.degrees import (
     weak_stirling_log_lower,
 )
 from hookbound.errors import GuardExceededError
+from hookbound.families import balanced, staircase
 from hookbound.partitions import Partition, enumerate_partitions
 
 
@@ -52,6 +57,46 @@ class TestDegree:
             for mu in shapes:
                 if lam.contains(mu):
                     assert degree(mu) <= d_lam
+
+
+class TestPrimeExponentPath:
+    def test_hook_counts_match_hook_grid_up_to_12(self):
+        for n in range(13):
+            for p in enumerate_partitions(n):
+                counts = hook_counts(p)
+                assert len(counts) == n + 1
+                grid = Counter(p.hook_grid().values())
+                assert {h: c for h, c in enumerate(counts) if c} == dict(grid)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            Partition((9,)),
+            Partition((1,) * 9),
+            Partition((7, 1, 1, 1, 1)),
+            Partition((800,) * 20),
+            balanced(2000),
+            staircase(6000, Fraction(11, 10)),
+        ],
+        ids=["row", "column", "hook", "rectangle", "balanced", "staircase"],
+    )
+    def test_matches_factorial_over_hook_product(self, shape):
+        hooks = math.prod(shape.hook_grid().values())
+        ref, rem = divmod(factorial(shape.n), hooks)
+        assert rem == 0
+        assert degree(shape) == ref
+
+    def test_negative_prime_exponent_raises(self, monkeypatch):
+        shape = Partition((3, 3))
+
+        def one_hook_too_many(p):
+            counts = hook_counts(p)
+            counts[6] += 1  # f = 720/144 = 5 holds no factor 2 or 3 to spare
+            return counts
+
+        monkeypatch.setattr(hookbound.degrees, "hook_counts", one_hook_too_many)
+        with pytest.raises(ArithmeticError):
+            degree(shape)
 
 
 class TestLogDegree:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import hookbound.bounds
 from hookbound.bounds import (
     CLASS_M1,
     CLASS_M2,
@@ -210,3 +211,39 @@ class TestTheorem:
         cert = theorem_classify(staircase(21, 20), ALPHA, BETA)
         expected = (math.log(11 / 10) - math.log(21 / 20)) / math.log(11 / 10)
         assert cert.aux["gamma"] == pytest.approx(expected)
+
+
+class TestDegreeReuse:
+    """Each bound evaluates the degree of each shape it touches once."""
+
+    @pytest.fixture
+    def degree_calls(self, monkeypatch):
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return degree(p)
+
+        monkeypatch.setattr(hookbound.bounds, "degree", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "lam, alpha, beta, cls, limit",
+        [
+            (Partition((10,) * 10), Fraction(2), Fraction(3, 2), CLASS_M1, 2),
+            (Partition((500,) * 20), ALPHA, BETA, CLASS_M2, 3),
+            (Partition((600,) * 20), ALPHA, BETA, CLASS_M3, 4),
+        ],
+        ids=["M1", "M2", "M3"],
+    )
+    def test_theorem_classify(self, degree_calls, lam, alpha, beta, cls, limit):
+        cert = theorem_classify(lam, alpha, beta)
+        assert cert.aux["class"] == cls
+        assert len(degree_calls) <= limit
+
+    def test_general_bound(self, degree_calls):
+        general_bound(staircase(21, 20), ALPHA)
+        assert len(degree_calls) <= 3
+
+    def test_bounds_do_not_import_log_degree(self):
+        assert not hasattr(hookbound.bounds, "log_degree")
