@@ -34,6 +34,7 @@ from .degrees import (
 from .errors import (
     CellOutOfDiagramError,
     ConsistencyError,
+    DepthLimitError,
     EmptySampleSpaceError,
     GuardExceededError,
     HookBoundError,
@@ -62,6 +63,7 @@ __all__ = [
     "CellRecord",
     "CellTyping",
     "ConsistencyError",
+    "DepthLimitError",
     "EmptySampleSpaceError",
     "GuardExceededError",
     "HookBoundError",

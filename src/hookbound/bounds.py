@@ -98,6 +98,13 @@ class StripCertificate:
 
 
 def strip_bound(lam: Partition, k: int, l: int, alpha: Fraction) -> StripCertificate:
+    return _strip_bound(lam, k, l, alpha)[0]
+
+
+def _strip_bound(
+    lam: Partition, k: int, l: int, alpha: Fraction
+) -> tuple[StripCertificate, int]:
+    """``strip_bound`` and the degree of ``lam`` it computed."""
     alpha = _require_alpha(alpha)
     if k < 0 or l < 0:
         raise HypothesisError("k, l >= 0", f"k={k}, l={l}")
@@ -186,7 +193,7 @@ def strip_bound(lam: Partition, k: int, l: int, alpha: Fraction) -> StripCertifi
             "sizes": {"A": len(cells_a), "B": len(cells_b), "C": len(cells_c)},
         },
     )
-    return StripCertificate(
+    strip = StripCertificate(
         k=k,
         l=l,
         conjugated=conjugated,
@@ -198,6 +205,7 @@ def strip_bound(lam: Partition, k: int, l: int, alpha: Fraction) -> StripCertifi
         bound_log=rhs_log,
         certificate=cert,
     )
+    return strip, f
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +282,13 @@ def overexponential_bound(
     stored margin determines the verdict; the input's own degree and the
     exact containment comparison live in aux.
     """
+    return _overexponential_bound(lam, eps, gamma)[0]
+
+
+def _overexponential_bound(
+    lam: Partition, eps: Fraction | float, gamma: Fraction | float
+) -> tuple[BoundCertificate, int]:
+    """``overexponential_bound`` and the degree of ``lam`` it computed."""
     n = lam.n
     if n < 1:
         raise HypothesisError("n >= 1", "empty partition")
@@ -312,7 +327,7 @@ def overexponential_bound(
         if power_compare_bits(gamma_f, expo, f_mu.bit_length()) <= exact_bit_budget():
             exact = exact_power_ge(Fraction(f_mu), gamma_f, expo)
     beta_log = gamma_log / float(eps)
-    return make_certificate(
+    cert = make_certificate(
         "overexponential",
         {
             "eps": Fraction(eps) if isinstance(eps, Fraction) else Fraction(eps).limit_denominator(10**12),
@@ -334,6 +349,7 @@ def overexponential_bound(
             "gamma_exact": gamma_is_exact,
         },
     )
+    return cert, f_lam
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +359,11 @@ def overexponential_bound(
 
 def strict_bound(lam: Partition, alpha: Fraction) -> BoundCertificate:
     """Certify f(lam) >= alpha^(n - (delta^2 + alpha*rho)) via the cell typing."""
+    return _strict_bound(lam, alpha)[0]
+
+
+def _strict_bound(lam: Partition, alpha: Fraction) -> tuple[BoundCertificate, int]:
+    """``strict_bound`` and the degree of ``lam`` it computed."""
     alpha = _require_alpha(alpha)
     typing = cell_typing(lam, alpha)
     n = lam.n
@@ -350,9 +371,10 @@ def strict_bound(lam: Partition, alpha: Fraction) -> BoundCertificate:
     sharp_exponent = Fraction(n - typing.counts[3])
     if sharp_exponent < exponent:
         raise ConsistencyError("sharper exponent n - |T4| fell below the claimed one")
+    f = degree(lam)
     cert = _alpha_power_certificate(
         "strict",
-        degree(lam),
+        f,
         alpha,
         exponent,
         {
@@ -371,7 +393,7 @@ def strict_bound(lam: Partition, alpha: Fraction) -> BoundCertificate:
         },
         cells=tuple(tuple(rec.as_list()) for rec in typing.cells),
     )
-    return cert
+    return cert, f
 
 
 # ---------------------------------------------------------------------------
@@ -502,12 +524,16 @@ def reduce_diagram(
 
 def general_bound(lam: Partition, alpha: Fraction) -> BoundCertificate:
     """Certify f(lam) >= alpha^(n - (5/2 delta^2 + alpha rho)) via reduction."""
+    return _general_bound(lam, alpha)[0]
+
+
+def _general_bound(lam: Partition, alpha: Fraction) -> tuple[BoundCertificate, int]:
+    """``general_bound`` and the degree of ``lam`` it computed."""
     alpha = _require_alpha(alpha)
     trace = reduce_diagram(lam, alpha)
-    mu_cert = strict_bound(trace.mu, alpha)
+    mu_cert, f_mu = _strict_bound(trace.mu, alpha)
 
     f_lam = degree(lam)
-    f_mu = degree(trace.mu)
     if f_lam < f_mu:
         raise ConsistencyError("containment monotonicity failed in the reduction")
 
@@ -543,7 +569,7 @@ def general_bound(lam: Partition, alpha: Fraction) -> BoundCertificate:
             "lifted_margin": math.log(f_lam) - mu_cert.rhs_log,
         },
     )
-    return cert
+    return cert, f_lam
 
 
 # ---------------------------------------------------------------------------
@@ -592,18 +618,18 @@ def theorem_classify(lam: Partition, alpha: Fraction, beta: Fraction) -> BoundCe
 
     if cls == CLASS_M1:
         kl = math.ceil(18 * alpha)
-        sub = strip_bound(lam, kl, kl, alpha).certificate
+        strip, f = _strip_bound(lam, kl, kl, alpha)
+        sub = strip.certificate
     elif cls == CLASS_M2:
         if alpha.denominator == 1:
             eps = gamma / float(Fraction(5, 2) + alpha)
         else:
             frac = alpha - math.floor(alpha)
             eps = gamma / float(3 + alpha / frac)
-        sub = overexponential_bound(lam, eps, beta)
+        sub, f = _overexponential_bound(lam, eps, beta)
     else:
-        sub = general_bound(lam, alpha)
+        sub, f = _general_bound(lam, alpha)
 
-    f = degree(lam)
     lhs_log = math.log(f)
     rhs_log = n * log_beta
     expo = Fraction(n)

@@ -35,6 +35,19 @@ class GuardExceededError(HookBoundError):
         super().__init__(f"{what}: n={n} exceeds guard n<={limit}")
 
 
+class DepthLimitError(HookBoundError):
+    """A recursive computation on n ran past the interpreter's recursion limit."""
+
+    def __init__(self, what, n, depth, limit):
+        self.n = n
+        self.depth = depth
+        self.limit = limit
+        super().__init__(
+            f"{what}: n={n} needs recursion depth up to {depth}, "
+            f"past the interpreter's recursion limit {limit}"
+        )
+
+
 class HypothesisError(HookBoundError):
     """A bound was requested on input violating its stated hypotheses.
 

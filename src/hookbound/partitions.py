@@ -10,11 +10,24 @@ Cell coordinates are 1-based ``(row, col)``.  The text formats used by the
 CLI and report files live here too: partitions are comma-separated part
 lists ("9,6,4,2,2,1", empty string for the empty partition) and rationals
 are "p/q" or "p" strings, kept exact via ``fractions.Fraction``.
+
+Counting and exact-uniform sampling share one table of prefix-summed count
+rows, one row per ``(rem, slots)`` with ``slots <= rem``: entry ``c`` counts
+the partitions of ``rem`` into at most ``slots`` parts of size at most
+``c``, and ``row[c] = row[c-1] + count(rem-c, c, slots-1)``, the two-term
+recurrence of partitions in a box (Andrews, *The Theory of Partitions*,
+ch. 3).  Each entry costs O(1) amortised, and unranking bisects one row per
+part.  Rows grow on demand under a lock, so the table is safe to share
+across threads too.  The recursion goes one level per part, so a box past
+the interpreter's recursion limit raises ``DepthLimitError``.
 """
 from __future__ import annotations
 
 import random
 import re
+import sys
+import threading
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -22,6 +35,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     CellOutOfDiagramError,
+    DepthLimitError,
     EmptySampleSpaceError,
     HookBoundError,
     RemovalError,
@@ -104,14 +118,17 @@ class Partition:
     # -- diagram operations -------------------------------------------------
 
     def conjugate(self) -> "Partition":
-        """Transpose of the diagram: part j of the result is the length of column j."""
-        if not self.parts:
-            return Partition(())
-        width = self.parts[0]
-        cols = [0] * width
-        for p in self.parts:
-            for j in range(p):
-                cols[j] += 1
+        """Transpose of the diagram: part j of the result is the length of column j.
+
+        Columns parts[i]+1 .. parts[i-1] all have length i, so the result is
+        filled run by run from the bottom row up.
+        """
+        cols: list[int] = []
+        below = 0
+        for i in range(len(self.parts), 0, -1):
+            p = self.parts[i - 1]
+            cols += [i] * (p - below)
+            below = p
         return Partition(tuple(cols))
 
     def arm(self, cell) -> int:
@@ -268,16 +285,53 @@ def enumerate_partitions(
 
 
 @lru_cache(maxsize=None)
-def _count(rem: int, cap: int, slots: int) -> int:
+def _count(rem: int, slots: int) -> list[int]:
+    """Row ``(rem, slots)`` of the count table, for 1 <= slots <= rem.
+
+    Entry ``c`` is the number of partitions of ``rem`` with parts <= c and
+    at most ``slots`` parts.  A row starts as ``[0]`` and ``_table`` extends
+    it on demand; an entry is appended only once its value is known.
+    """
+    return [0]
+
+
+def _table(rem: int, cap: int, slots: int) -> int:
+    """Partitions of rem with parts <= cap and at most slots parts.
+
+    Entry c of the row adds the partitions whose first part is c:
+    row[c] = row[c-1] + count(rem-c, c, slots-1), where the added count is
+    zero below ceil(rem/slots).  Recurses once per part, so the depth is at
+    most min(rem, slots).
+    """
     if rem == 0:
         return 1
     if cap <= 0 or slots <= 0:
         return 0
-    total = 0
-    low = -(-rem // slots)
-    for p in range(min(cap, rem), low - 1, -1):
-        total += _count(rem - p, p, slots - 1)
-    return total
+    cap = min(cap, rem)
+    slots = min(slots, rem)
+    row = _count(rem, slots)
+    if len(row) <= cap:
+        low = -(-rem // slots)
+        total = row[-1]
+        for c in range(len(row), cap + 1):
+            if c >= low:
+                total += _table(rem - c, c, slots - 1)
+            row.append(total)
+    return row[cap]
+
+
+_TABLE_LOCK = threading.Lock()
+
+
+def _guarded_count(n: int, cap: int, slots: int) -> int:
+    """``_table`` behind a lock, with a named error at the recursion limit."""
+    try:
+        with _TABLE_LOCK:
+            return _table(n, cap, slots)
+    except RecursionError:
+        raise DepthLimitError(
+            "partition count table", n, min(n, slots), sys.getrecursionlimit()
+        ) from None
 
 
 def count_partitions(n: int, max_part: int | None = None, max_parts: int | None = None) -> int:
@@ -286,33 +340,34 @@ def count_partitions(n: int, max_part: int | None = None, max_parts: int | None 
         raise HookBoundError("n must be non-negative")
     cap = n if max_part is None else min(max_part, n)
     slots = n if max_parts is None else max_parts
-    return _count(n, cap, slots)
+    return _guarded_count(n, cap, slots)
 
 
 def unrank_partition(n: int, max_part: int, max_parts: int, rank: int) -> Partition:
     """The rank-th partition of the constrained set in reverse-lexicographic order.
 
     Walks the same count table the enumeration order follows, so unranking
-    the ranks 0..count-1 reproduces ``enumerate_partitions`` exactly.
+    the ranks 0..count-1 reproduces ``enumerate_partitions`` exactly.  The
+    ranks with first part p are a block of ``row[p] - row[p-1]`` counted
+    from the top of the row, so each part is one bisection of its row.
     """
-    cap = min(max_part, n)
-    total = _count(n, cap, max_parts)
+    total = _guarded_count(n, max_part, max_parts)
     if not 0 <= rank < total:
         raise HookBoundError(f"rank {rank} outside 0..{total - 1}")
     parts: list[int] = []
-    rem, slots = n, max_parts
+    rem, cap, slots = n, max_part, max_parts
     while rem > 0:
-        for p in range(min(cap, rem), 0, -1):
-            block = _count(rem - p, p, slots - 1)
-            if rank < block:
-                parts.append(p)
-                rem -= p
-                cap = p
-                slots -= 1
-                break
-            rank -= block
-        else:  # pragma: no cover - unreachable when total was counted consistently
-            raise AssertionError("unranking exhausted the count table")
+        cap = min(cap, rem)
+        slots = min(slots, rem)
+        # counting the total extended every row this walk reads through cap
+        row = _count(rem, slots)
+        above = row[cap] - rank
+        p = bisect_left(row, above, 1, cap + 1)
+        rank = row[p] - above
+        parts.append(p)
+        rem -= p
+        cap = p
+        slots -= 1
     return Partition(tuple(parts))
 
 
@@ -325,7 +380,7 @@ def sample_partition(n: int, max_part: int, max_parts: int, seed: int) -> Partit
     """
     if n < 1:
         raise HookBoundError("n must be positive")
-    total = _count(n, min(max_part, n), max_parts)
+    total = _guarded_count(n, max_part, max_parts)
     if total == 0:
         raise EmptySampleSpaceError(
             f"no partition of {n} with parts <= {max_part} and length <= {max_parts}"

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -102,6 +103,12 @@ class TestConstrainedSample:
     def test_deterministic(self):
         assert constrained_sample(50, ALPHA, 3) == constrained_sample(50, ALPHA, 3)
 
+    def test_pinned_seed(self):
+        assert constrained_sample(240, Fraction(2), 1).parts == (
+            29, 22, 20, 20, 16, 16, 10, 8, 8, 8, 7, 5, 5, 5, 5, 5, 5, 3, 3, 3,
+            3, 3, 3, 3, 3, 3, 2, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+        )
+
 
 class TestSweep:
     def test_balanced_small_range(self):
@@ -139,6 +146,19 @@ class TestSweep:
         b = build_growth_report("sample", Fraction(2), Fraction(3, 2), 30, 34, samples=3, seed=9)
         assert render_csv(a) == render_csv(b)
         assert render_json(a) == render_json(b)
+
+    def test_sample_family_pinned_digest(self):
+        report = build_growth_report(
+            "sample", Fraction(2), Fraction(3, 2), 100, 240, samples=2, seed=7
+        )
+        digest = hashlib.sha256(render_csv(report).encode()).hexdigest()
+        assert digest == "c34872f281750544bea448804263adcc1bb924776bc1cd53fdb92a79c1930982"
+
+    def test_sample_family_skips_n_past_recursion_limit(self):
+        report = build_growth_report("sample", Fraction(2), Fraction(3, 2), 2400, 2400)
+        assert report.rows == ()
+        assert [n for n, _ in report.skipped] == [2400]
+        assert "recursion" in report.skipped[0][1]
 
     def test_csv_schema(self):
         report = build_growth_report("balanced", Fraction(2), Fraction(3, 2), 40, 42)

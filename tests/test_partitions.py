@@ -1,10 +1,17 @@
+import inspect
+import sys
+import threading
+import time
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
 
+import hookbound.partitions
 from hookbound.errors import (
     CellOutOfDiagramError,
+    DepthLimitError,
     EmptySampleSpaceError,
     HookBoundError,
     RemovalError,
@@ -77,6 +84,16 @@ class TestConjugate:
         for n in range(16):
             for p in enumerate_partitions(n):
                 assert p.conjugate().conjugate() == p
+
+    def test_column_counts_all_small(self):
+        # part j of the conjugate counts the rows of length >= j
+        for n in range(15):
+            for p in enumerate_partitions(n):
+                width = p.part(1)
+                cols = tuple(
+                    sum(1 for row in p.parts if row >= j) for j in range(1, width + 1)
+                )
+                assert p.conjugate().parts == cols
 
 
 class TestHooks:
@@ -243,6 +260,88 @@ class TestEnumeration:
         )
 
 
+class TestCountTable:
+    def test_matches_sum_recurrence(self):
+        # the count table's definition: sum over the first part p of the
+        # partitions of rem - p with parts <= p and one slot fewer
+        @lru_cache(maxsize=None)
+        def reference(rem, cap, slots):
+            if rem == 0:
+                return 1
+            if cap <= 0 or slots <= 0:
+                return 0
+            low = -(-rem // slots)
+            return sum(
+                reference(rem - p, p, slots - 1) for p in range(min(cap, rem), low - 1, -1)
+            )
+
+        for r in range(61):
+            for c in range(-1, 63):
+                for s in range(-1, 63):
+                    assert count_partitions(r, c, s) == reference(r, min(c, r), s), (r, c, s)
+
+    def test_unbounded_reference_values(self):
+        assert count_partitions(100) == 190569292
+        assert count_partitions(200) == 3972999029388
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: count_partitions(2400, 1200, 1200),
+            lambda: unrank_partition(2400, 1200, 1200, 0),
+            lambda: sample_partition(2400, 1200, 1200, seed=1),
+        ],
+        ids=["count", "unrank", "sample"],
+    )
+    def test_recursion_extreme_raises_named_error_fast(self, call):
+        start = time.perf_counter()
+        with pytest.raises(DepthLimitError) as err:
+            call()
+        assert time.perf_counter() - start < 1.0
+        assert err.value.n == 2400
+        assert "n=2400" in str(err.value) and str(err.value.limit) in str(err.value)
+
+    def test_table_stays_consistent_after_depth_error(self):
+        # a depth error midway through filling rows leaves only finished
+        # entries behind: the count afterwards equals one on a fresh table
+        hookbound.partitions._count.cache_clear()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 100)
+        try:
+            with pytest.raises(DepthLimitError):
+                count_partitions(300, 150, 150)
+        finally:
+            sys.setrecursionlimit(limit)
+        after_error = count_partitions(300, 150, 150)
+        hookbound.partitions._count.cache_clear()
+        assert after_error == count_partitions(300, 150, 150)
+
+    def test_threads_share_the_table(self):
+        # rows are extended in place; with a tiny switch interval, threads
+        # that filled the same rows without the lock would append twice
+        boxes = [(n, n // 2 + k, n // 2 - k) for n in range(150, 181, 10) for k in (0, 3)]
+        hookbound.partitions._count.cache_clear()
+        results: dict = {}
+
+        def work(tid):
+            results[tid] = [count_partitions(*box) for box in boxes]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        hookbound.partitions._count.cache_clear()
+        expected = [count_partitions(*box) for box in boxes]
+        assert all(results[t] == expected for t in range(4))
+
+
 class TestSampling:
     def test_forced_unique(self):
         assert sample_partition(6, 2, 3, seed=123) == Partition((2, 2, 2))
@@ -268,6 +367,13 @@ class TestSampling:
             total = count_partitions(n, cap, slots)
             unranked = [unrank_partition(n, cap, slots, r) for r in range(total)]
             assert unranked == list(enumerate_partitions(n, cap, slots))
+
+    def test_pinned_seed(self):
+        # recorded from the sum-recurrence table; the row table must keep it
+        assert sample_partition(200, 100, 100, 12345).parts == (
+            24, 20, 19, 13, 12, 12, 12, 10, 8, 6, 6, 6, 5, 5, 5, 4, 4, 4, 4, 4,
+            3, 3, 3, 3, 3, 2,
+        )
 
     def test_unrank_out_of_range(self):
         with pytest.raises(HookBoundError):

@@ -230,9 +230,9 @@ class TestDegreeReuse:
     @pytest.mark.parametrize(
         "lam, alpha, beta, cls, limit",
         [
-            (Partition((10,) * 10), Fraction(2), Fraction(3, 2), CLASS_M1, 2),
-            (Partition((500,) * 20), ALPHA, BETA, CLASS_M2, 3),
-            (Partition((600,) * 20), ALPHA, BETA, CLASS_M3, 4),
+            (Partition((10,) * 10), Fraction(2), Fraction(3, 2), CLASS_M1, 1),
+            (Partition((500,) * 20), ALPHA, BETA, CLASS_M2, 2),
+            (Partition((600,) * 20), ALPHA, BETA, CLASS_M3, 2),
         ],
         ids=["M1", "M2", "M3"],
     )
@@ -243,7 +243,7 @@ class TestDegreeReuse:
 
     def test_general_bound(self, degree_calls):
         general_bound(staircase(21, 20), ALPHA)
-        assert len(degree_calls) <= 3
+        assert len(degree_calls) <= 2
 
     def test_bounds_do_not_import_log_degree(self):
         assert not hasattr(hookbound.bounds, "log_degree")
