@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-from .celltyping import CellTyping, cell_typing, check_typing_hypotheses, rho
+from .celltyping import CellTyping, cell_typing, check_typing_hypotheses, check_widths, rho
 from .certificates import (
     BoundCertificate,
     exact_bit_budget,
@@ -36,15 +36,9 @@ def _require_alpha(alpha: Fraction) -> Fraction:
 
 
 def _check_width_gates(lam: Partition, alpha: Fraction) -> None:
-    n = lam.n
-    if n < 1:
+    if lam.n < 1:
         raise HypothesisError("n >= 1", "empty partition")
-    if lam.part(1) * alpha > n:
-        raise HypothesisError("lambda_1 <= n/alpha", f"lambda_1={lam.part(1)}, n={n}")
-    if lam.conjugate().part(1) * alpha > n:
-        raise HypothesisError(
-            "lambda'_1 <= n/alpha", f"lambda'_1={lam.conjugate().part(1)}, n={n}"
-        )
+    check_widths(lam, alpha)
 
 
 def _alpha_power_certificate(

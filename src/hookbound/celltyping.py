@@ -16,14 +16,20 @@ a type and a number N, 1..n:
            column segment (increasing row);
   type 4   everything else, numbered last in row-major order.
 
-Hooks attached to the records are always hooks of the original diagram.
+The construction works on flat row arrays: a running list of row lengths,
+peeled at the rows that end in a corner, and one list of (type, color, N)
+per row.  Hooks attached to the records are always hooks of the original
+diagram, read off its parts and column lengths.
+
 The returned typing has been checked against the invariants that make the
 peeling argument sound: the counter inequality alpha*h <= N for every
 type-1/2/3 cell numbered N >= alpha, the bound h <= N for every type-1/2/3
 cell, the round lower bounds, the type-1 mass inequality, the type-4
 budget, the type-4 falling-factorial product bound, and the aggregate
 product over type-1/2/3 cells that the degree bound rests on.  A failed
-check raises ConsistencyError.
+check raises ConsistencyError.  Every check is exact in integers: with
+alpha = p/q, alpha*h <= N reads p*h <= q*N, and the products are product
+trees over the cells' numbers and hooks.
 
 The per-cell inequality alpha*h <= N cannot hold for the cells numbered
 below alpha (the very first peeled corner has N = 1 and hook 1, and
@@ -41,8 +47,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .degrees import _product_tree
 from .errors import ConsistencyError, HypothesisError
-from .partitions import Cell, Partition
+from .partitions import Partition, corner_rows
 
 
 def rho(delta: int, alpha: Fraction) -> int:
@@ -131,6 +138,15 @@ class CellTyping:
         }
 
 
+def check_widths(lam: Partition, alpha: Fraction) -> None:
+    """Gate lambda_1 <= n/alpha, then lambda'_1 <= n/alpha (the number of rows)."""
+    n = lam.n
+    if lam.part(1) * alpha > n:
+        raise HypothesisError("lambda_1 <= n/alpha", f"lambda_1={lam.part(1)}, n={n}")
+    if len(lam) * alpha > n:
+        raise HypothesisError("lambda'_1 <= n/alpha", f"lambda'_1={len(lam)}, n={n}")
+
+
 def check_typing_hypotheses(lam: Partition, alpha: Fraction, factor: int = 9) -> tuple[int, int]:
     """Gate for the typing construction; returns (delta, tau).
 
@@ -148,11 +164,8 @@ def check_typing_hypotheses(lam: Partition, alpha: Fraction, factor: int = 9) ->
         raise HypothesisError(
             f"delta >= {factor}*alpha", f"delta={delta}, {factor}*alpha={factor * alpha}"
         )
-    if lam.part(1) * alpha > n:
-        raise HypothesisError("lambda_1 <= n/alpha", f"lambda_1={lam.part(1)}, n={n}")
+    check_widths(lam, alpha)
     conj = lam.conjugate()
-    if conj.part(1) * alpha > n:
-        raise HypothesisError("lambda'_1 <= n/alpha", f"lambda'_1={conj.part(1)}, n={n}")
     if factor == 9:
         for i in range(1, delta):
             if lam.part(i) <= lam.part(i + 1):
@@ -182,87 +195,90 @@ def check_typing_hypotheses(lam: Partition, alpha: Fraction, factor: int = 9) ->
     return delta, tau
 
 
-def _corners_of(parts: list[int]) -> list[Cell]:
-    out = []
-    for i, row in enumerate(parts, start=1):
-        nxt = parts[i] if i < len(parts) else 0
-        if row > 0 and row > nxt:
-            out.append(Cell(i, row))
-    return out
-
-
 def cell_typing(lam: Partition, alpha: Fraction) -> CellTyping:
     alpha = Fraction(alpha)
     delta, tau = check_typing_hypotheses(lam, alpha, factor=9)
     n = lam.n
     rho_val = rho(delta, alpha)
-    hooks = lam.hook_grid()
+    p, q_ = alpha.numerator, alpha.denominator
 
-    assigned: dict[Cell, tuple[int, int, int]] = {}  # cell -> (type, color, N)
+    # marks[i][j] is the (type, color, N) of cell (i+1, j+1); peeling takes
+    # the last cell of row i+1 of the running diagram, at index work[i] - 1
     work = list(lam.parts)
+    marks: list[list[tuple[int, int, int] | None]] = [[None] * row for row in work]
     counter = 0
     color = 0
 
     # type 1: full corner-peeling rounds while at least 2*alpha corners remain
     s_rounds: list[int] = []
     while True:
-        corners = _corners_of(work)
-        if Fraction(len(corners)) < 2 * alpha:
+        corners = corner_rows(work)
+        if len(corners) * q_ < 2 * p:
             break
         color += 1
         s_rounds.append(len(corners))
-        for cell in corners:  # top to bottom
+        for i in corners:  # top to bottom
             counter += 1
-            assigned[cell] = (1, color, counter)
-            work[cell.row - 1] -= 1
+            work[i] -= 1
+            marks[i][work[i]] = (1, color, counter)
     r = len(s_rounds)
 
     # type 2: peel only corners outside the delta x delta square while >= alpha
     t_rounds: list[int] = []
     while True:
-        outside = [c for c in _corners_of(work) if c.row > delta or c.col > delta]
-        if Fraction(len(outside)) < alpha:
+        outside = [i for i in corner_rows(work) if i >= delta or work[i] > delta]
+        if len(outside) * q_ < p:
             break
         color += 1
         t_rounds.append(len(outside))
-        for cell in outside:
+        for i in outside:
             counter += 1
-            assigned[cell] = (2, color, counter)
-            work[cell.row - 1] -= 1
+            work[i] -= 1
+            marks[i][work[i]] = (2, color, counter)
     q = len(t_rounds)
 
-    mu = Partition(tuple(p for p in work if p > 0))
+    mu = Partition(tuple(w for w in work if w > 0))
     mu_conj = mu.conjugate()
 
-    # type 3: shells of mu outside the (delta+rho) square, outermost first
+    # type 3: shells of mu outside the (delta+rho) square, outermost first.
+    # A column segment takes the last cell left in each of its rows: the
+    # outer shells took the columns past m, and no row up to delta is the
+    # row segment of a shell (m > delta).
     k_max = max(mu.part(1), mu_conj.part(1)) if mu else 0
     inner = delta + rho_val
     for m in range(k_max, inner, -1):
-        row_seg = [Cell(m, j) for j in range(1, mu.part(m) + 1)]
-        col_seg = [Cell(i, m) for i in range(1, mu_conj.part(m) + 1)]
-        if any(c.col > delta for c in row_seg) or any(c.row > delta for c in col_seg):
+        row_len, col_len = mu.part(m), mu_conj.part(m)
+        if row_len > delta or col_len > delta:
             raise ConsistencyError(
                 f"shell {m} reaches past column/row delta; diagram has a cell "
                 f"with both coordinates above delta"
             )
-        for cell in row_seg + col_seg:
+        if row_len:
+            marks[m - 1][:row_len] = [(3, m, counter + j) for j in range(1, row_len + 1)]
+            counter += row_len
+            work[m - 1] = 0
+        for i in range(col_len):
             counter += 1
-            assigned[cell] = (3, m, counter)
+            work[i] -= 1
+            marks[i][work[i]] = (3, m, counter)
 
     # type 4: whatever remains, numbered last in row-major order
     t123 = counter
-    for cell in mu.cells():
-        if cell not in assigned:
-            counter += 1
-            assigned[cell] = (4, 0, counter)
+    for i, w in enumerate(work):
+        marks[i][:w] = [(4, 0, counter + j) for j in range(1, w + 1)]
+        counter += w
     if counter != n:
         raise ConsistencyError(f"numbered {counter} cells of {n}")
 
-    records = tuple(
-        CellRecord(cell.row, cell.col, *assigned[cell], hooks[cell])
-        for cell in lam.cells()
-    )
-    counts = tuple(sum(1 for rec in records if rec.cell_type == t) for t in (1, 2, 3, 4))
+    # the hook of cell (i, j) is (lambda_i - i + 1) + lambda'_j - j
+    cols = lam.conjugate().parts
+    counts = [0, 0, 0, 0, 0]  # counts[t] for types t = 1..4
+    records = []
+    for i, (row, row_marks) in enumerate(zip(lam.parts, marks), start=1):
+        arm = row - i + 1
+        for j, (col, (t, c, num)) in enumerate(zip(cols, row_marks), start=1):
+            counts[t] += 1
+            records.append(CellRecord(i, j, t, c, num, arm + col - j))
     typing = CellTyping(
         partition=lam,
         alpha=alpha,
@@ -273,8 +289,8 @@ def cell_typing(lam: Partition, alpha: Fraction) -> CellTyping:
         q=q,
         s_rounds=tuple(s_rounds),
         t_rounds=tuple(t_rounds),
-        counts=counts,
-        cells=records,
+        counts=tuple(counts[1:]),
+        cells=tuple(records),
         mu=mu,
     )
     _check_typing(typing, t123)
@@ -282,7 +298,8 @@ def cell_typing(lam: Partition, alpha: Fraction) -> CellTyping:
 
 
 def _check_typing(ct: CellTyping, t123: int) -> None:
-    lam, alpha, n = ct.partition, ct.alpha, ct.n
+    n = ct.n
+    p, q = ct.alpha.numerator, ct.alpha.denominator
 
     numbers = sorted(rec.number for rec in ct.cells)
     if numbers != list(range(1, n + 1)):
@@ -297,55 +314,50 @@ def _check_typing(ct: CellTyping, t123: int) -> None:
             if max(last_by_type[lo]) >= min(last_by_type[hi]):
                 raise ConsistencyError(f"type-{lo} numbers overlap type-{hi} numbers")
 
+    # alpha = p/q with q > 0, so every test below is cleared to integers
     if ct.s_rounds and ct.s_rounds[0] < ct.delta:
         raise ConsistencyError(f"first round removed {ct.s_rounds[0]} < delta corners")
     for s in ct.s_rounds[1:]:
-        if Fraction(s) < 2 * alpha:
+        if s * q < 2 * p:
             raise ConsistencyError("type-1 round ran with fewer than 2*alpha corners")
     for t in ct.t_rounds:
-        if Fraction(t) < alpha:
+        if t * q < p:
             raise ConsistencyError("type-2 round ran with fewer than alpha corners")
 
     # h <= N for every type-1/2/3 cell, the counter inequality for every one
     # numbered at least alpha, then the aggregate product that the degree
     # bound actually uses
-    prod_n = 1
-    prod_h = 1
+    t123_numbers: list[int] = []
+    t123_hooks: list[int] = []
+    t4_hooks: list[int] = []
     for rec in ct.cells:
         if rec.cell_type not in (1, 2, 3):
+            if rec.cell_type == 4:
+                t4_hooks.append(rec.hook)
             continue
-        if rec.hook > rec.number:
+        num, h = rec.number, rec.hook
+        if h > num:
             raise ConsistencyError(
-                f"h <= N fails at cell ({rec.row},{rec.col}) "
-                f"with N={rec.number}, h={rec.hook}"
+                f"h <= N fails at cell ({rec.row},{rec.col}) with N={num}, h={h}"
             )
-        if Fraction(rec.number) >= alpha and alpha * rec.hook > rec.number:
+        if num * q >= p and p * h > q * num:
             raise ConsistencyError(
-                f"alpha*h <= N fails at cell ({rec.row},{rec.col}) "
-                f"with N={rec.number}, h={rec.hook}"
+                f"alpha*h <= N fails at cell ({rec.row},{rec.col}) with N={num}, h={h}"
             )
-        prod_n *= rec.number
-        prod_h *= rec.hook
-    p, q_ = alpha.numerator, alpha.denominator
-    if prod_n * q_**t123 < p**t123 * prod_h:
+        t123_numbers.append(num)
+        t123_hooks.append(h)
+    if _product_tree(t123_numbers) * q**t123 < p**t123 * _product_tree(t123_hooks):
         raise ConsistencyError("aggregate product over type-1/2/3 cells below alpha^|T123|")
 
     # type-1 mass: |T1| >= 2*alpha*r + alpha*delta
-    if Fraction(ct.counts[0]) < 2 * alpha * ct.r + alpha * ct.delta:
+    if ct.counts[0] * q < p * (2 * ct.r + ct.delta):
         raise ConsistencyError(
             f"|T1|={ct.counts[0]} below 2*alpha*r + alpha*delta with r={ct.r}, delta={ct.delta}"
         )
 
     # type-4 budget and falling-factorial product
     t4 = ct.counts[3]
-    if Fraction(t4) > ct.delta**2 + alpha * ct.rho:
+    if t4 * q > ct.delta**2 * q + p * ct.rho:
         raise ConsistencyError(f"|T4|={t4} exceeds delta^2 + alpha*rho")
-    prod_t4 = 1
-    for rec in ct.cells:
-        if rec.cell_type == 4:
-            prod_t4 *= rec.hook
-    falling = 1
-    for i in range(t4):
-        falling *= n - i
-    if prod_t4 > falling:
+    if _product_tree(t4_hooks) > math.perm(n, t4):
         raise ConsistencyError("type-4 hook product exceeds the falling factorial")

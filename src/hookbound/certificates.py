@@ -123,7 +123,14 @@ class BoundCertificate:
         return json.dumps(self.to_json_dict(), indent=indent)
 
 
+_JSON_SCALARS = frozenset((int, float, str, bool, type(None)))
+
+
 def _jsonify(value):
+    # exact types first: isinstance against Fraction goes through the ABC
+    # machinery, and nested sub-certificates hold one scalar per cell
+    if type(value) in _JSON_SCALARS:
+        return value
     if isinstance(value, Fraction):
         return format_rational(value)
     if isinstance(value, dict):

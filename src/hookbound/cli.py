@@ -173,7 +173,13 @@ def _cmd_sweep(args) -> int:
         samples=args.samples,
         seed=args.seed,
     )
-    text = render_csv(report) if args.format == "csv" else render_json(report)
+    if args.format == "csv":
+        text = render_csv(report)
+        # the CSV has no place for skipped n; JSON lists them under "skipped"
+        for n, reason in report.skipped:
+            print(f"skipped n={n}: {reason}", file=sys.stderr)
+    else:
+        text = render_json(report)
     _emit(text, args.out)
     return EXIT_PASS
 

@@ -31,7 +31,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     CellOutOfDiagramError,
@@ -181,12 +181,7 @@ class Partition:
 
     def corner_cells(self) -> tuple[Cell, ...]:
         """Cells with hook length 1, top to bottom."""
-        out = []
-        for i, row in enumerate(self.parts, start=1):
-            nxt = self.parts[i] if i < len(self.parts) else 0
-            if row > nxt:
-                out.append(Cell(i, row))
-        return tuple(out)
+        return tuple(Cell(i + 1, self.parts[i]) for i in corner_rows(self.parts))
 
     def remove_cells(self, cells: Iterable[Cell]) -> "Partition":
         """Remove a set of cells that peels corners of the running diagram.
@@ -223,6 +218,15 @@ class Partition:
         if len(other.parts) > len(self.parts):
             return False
         return all(o <= s for o, s in zip(other.parts, self.parts))
+
+
+def corner_rows(parts: Sequence[int]) -> list[int]:
+    """0-based indices of the rows that end in a corner, top to bottom.
+
+    A row ends in a corner when it is longer than the row below it.
+    ``parts`` may end in zeros, as the rows of a diagram being peeled do.
+    """
+    return [i for i, (row, below) in enumerate(zip(parts, [*parts[1:], 0])) if row > below]
 
 
 # -- text format for exact rationals ----------------------------------------

@@ -1,15 +1,17 @@
 import dataclasses
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
-from hookbound.bounds import strict_bound
+from hookbound.bounds import reduce_diagram, strict_bound, strip_bound, theorem_classify
 from hookbound.celltyping import _check_typing, cell_typing, check_typing_hypotheses, rho
 from hookbound.certificates import MODE_EXACT, PASS
 from hookbound.degrees import degree
 from hookbound.errors import ConsistencyError, HypothesisError
-from hookbound.partitions import Partition
+from hookbound.families import staircase, staircase_with_tail
+from hookbound.partitions import Cell, Partition
 
 ALPHA = Fraction(11, 10)
 STAIR = Partition(tuple(range(20, 10, -1)))  # (20,...,11) |- 155, delta = 10
@@ -60,6 +62,24 @@ class TestHypothesisGate:
         with pytest.raises(HypothesisError) as err:
             check_typing_hypotheses(lam, ALPHA)
         assert err.value.condition == "lambda_1 <= n/alpha"
+
+    def test_conjugate_width_error_shared_with_the_bounds(self):
+        # a staircase over 1500 rows of one cell: n = 1655, 1510 rows, and
+        # 1510 * 11/10 > n; the typing's delta and strictness gates pass
+        lam = Partition(tuple(range(20, 10, -1)) + (1,) * 1500)
+        errors = []
+        for call in (
+            lambda: strip_bound(lam, 12, 12, ALPHA),
+            lambda: theorem_classify(lam, ALPHA, Fraction(21, 20)),
+            lambda: cell_typing(lam, ALPHA),
+        ):
+            with pytest.raises(HypothesisError) as err:
+                call()
+            errors.append((err.value.condition, str(err.value)))
+        assert errors == [
+            ("lambda'_1 <= n/alpha",
+             "hypothesis violated: lambda'_1 <= n/alpha (lambda'_1=1510, n=1655)")
+        ] * 3
 
     def test_tau_records_strict_column_prefix(self):
         # staircase plus a tall tail makes the first columns distinct
@@ -241,3 +261,204 @@ class TestStrictBound:
         assert cert.mode == "log-domain"
         assert cert.verdict == PASS
         assert cert.margin > 1e-9
+
+
+def _swap_numbers_past_alpha(ct):
+    # a type-1 cell A with hook h >= 2 and number N > h trades numbers with
+    # the cell numbered h: A then has h <= N = h < alpha*h, and the other
+    # cell, now numbered N > h, still meets both per-cell clauses
+    a = next(r for r in ct.cells if r.cell_type == 1 and 2 <= r.hook < r.number)
+    b = ct.by_number()[a.hook]
+    swapped = {
+        a: dataclasses.replace(a, number=b.number),
+        b: dataclasses.replace(b, number=a.number),
+    }
+    return dataclasses.replace(ct, cells=tuple(swapped.get(r, r) for r in ct.cells))
+
+
+def _relabel_last_cell(ct, cell_type):
+    n = ct.n
+    cells = tuple(
+        dataclasses.replace(r, cell_type=cell_type) if r.number == n else r for r in ct.cells
+    )
+    return dataclasses.replace(ct, cells=cells)
+
+
+def _set_hook(ct, cell_type, hook):
+    first = next(r for r in ct.cells if r.cell_type == cell_type)
+    cells = tuple(dataclasses.replace(r, hook=hook) if r is first else r for r in ct.cells)
+    return dataclasses.replace(ct, cells=cells)
+
+
+def _set_number(ct, index, number):
+    cells = list(ct.cells)
+    cells[index] = dataclasses.replace(cells[index], number=number)
+    return dataclasses.replace(ct, cells=tuple(cells))
+
+
+# each corruption of the (20,...,11) typing breaks exactly one clause, by
+# as little as the clause allows where it compares counts
+CORRUPTIONS = {
+    "bijection": (
+        lambda ct: _set_number(ct, 0, ct.cells[1].number),
+        "numbering is not a bijection onto 1..n",
+    ),
+    "types partition": (
+        lambda ct: dataclasses.replace(ct, counts=(152, 0, 0, 4)),
+        "types do not partition the diagram",
+    ),
+    "type overlap": (
+        lambda ct: _relabel_last_cell(ct, 3),
+        "type-3 numbers overlap type-4 numbers",
+    ),
+    "first round": (
+        lambda ct: dataclasses.replace(ct, s_rounds=(9,) + ct.s_rounds[1:]),
+        "first round removed 9 < delta corners",
+    ),
+    "type-1 round": (
+        lambda ct: dataclasses.replace(ct, s_rounds=ct.s_rounds[:1] + (2,) + ct.s_rounds[2:]),
+        "type-1 round ran with fewer than 2*alpha corners",
+    ),
+    "type-2 round": (
+        lambda ct: dataclasses.replace(ct, t_rounds=(1,)),
+        "type-2 round ran with fewer than alpha corners",
+    ),
+    "counter inequality": (
+        _swap_numbers_past_alpha,  # cell (1,3): N = 150, h = 27 becomes N = 27
+        "alpha*h <= N fails at cell (1,3) with N=27, h=27",
+    ),
+    "type-1 mass": (
+        lambda ct: dataclasses.replace(ct, r=65),  # 11/10 * (2*65 + 10) = 154 > 152
+        "|T1|=152 below 2*alpha*r + alpha*delta with r=65, delta=10",
+    ),
+    "type-4 budget": (
+        lambda ct: dataclasses.replace(ct, delta=1, rho=1),  # 1 + 11/10 < 3
+        "|T4|=3 exceeds delta^2 + alpha*rho",
+    ),
+    "type-4 falling factorial": (
+        lambda ct: _set_hook(ct, 4, 10**6),
+        "type-4 hook product exceeds the falling factorial",
+    ),
+}
+
+
+class TestCheckTypingClauses:
+    def test_untouched_typing_passes(self, stair_typing):
+        _check_typing(stair_typing, sum(stair_typing.counts[:3]))
+
+    @pytest.mark.parametrize("clause", list(CORRUPTIONS))
+    def test_each_clause_rejects_its_corruption(self, stair_typing, clause):
+        corrupt, message = CORRUPTIONS[clause]
+        bad = corrupt(stair_typing)
+        assert bad != stair_typing
+        with pytest.raises(ConsistencyError) as err:
+            _check_typing(bad, sum(stair_typing.counts[:3]))
+        assert str(err.value) == message
+
+
+def _reference_typing(lam, alpha):
+    """The Cell-keyed dict construction of cell_typing, without its checks."""
+    delta, _ = check_typing_hypotheses(lam, alpha)
+    rho_val = rho(delta, alpha)
+    hooks = lam.hook_grid()
+
+    def corners_of(parts):
+        out = []
+        for i, row in enumerate(parts, start=1):
+            nxt = parts[i] if i < len(parts) else 0
+            if row > 0 and row > nxt:
+                out.append(Cell(i, row))
+        return out
+
+    assigned = {}
+    work = list(lam.parts)
+    counter = color = 0
+    s_rounds = []
+    while True:
+        corners = corners_of(work)
+        if Fraction(len(corners)) < 2 * alpha:
+            break
+        color += 1
+        s_rounds.append(len(corners))
+        for cell in corners:
+            counter += 1
+            assigned[cell] = (1, color, counter)
+            work[cell.row - 1] -= 1
+    t_rounds = []
+    while True:
+        outside = [c for c in corners_of(work) if c.row > delta or c.col > delta]
+        if Fraction(len(outside)) < alpha:
+            break
+        color += 1
+        t_rounds.append(len(outside))
+        for cell in outside:
+            counter += 1
+            assigned[cell] = (2, color, counter)
+            work[cell.row - 1] -= 1
+    mu = Partition(tuple(p for p in work if p > 0))
+    mu_conj = mu.conjugate()
+    k_max = max(mu.part(1), mu_conj.part(1)) if mu else 0
+    for m in range(k_max, delta + rho_val, -1):
+        row_seg = [Cell(m, j) for j in range(1, mu.part(m) + 1)]
+        col_seg = [Cell(i, m) for i in range(1, mu_conj.part(m) + 1)]
+        for cell in row_seg + col_seg:
+            counter += 1
+            assigned[cell] = (3, m, counter)
+    for cell in mu.cells():
+        if cell not in assigned:
+            counter += 1
+            assigned[cell] = (4, 0, counter)
+    cells = [[c.row, c.col, *assigned[c], hooks[c]] for c in lam.cells()]
+    return tuple(s_rounds), tuple(t_rounds), mu, cells
+
+
+def _arm_shape(delta, arm_row, block_rows, arm_col, width=1):
+    """Staircase (2*delta-1, ..., delta+1) with a long first row, a delta-wide
+    block and ``arm_col`` rows of ``width`` cells below: shells of type 3."""
+    top = (2 * delta + arm_row,) + tuple(range(2 * delta - 1, delta, -1))
+    return Partition(top + (delta,) * block_rows + (width,) * arm_col)
+
+
+REFERENCE_SHAPES = [
+    *[(staircase(n, a), a) for a in (ALPHA, Fraction(3, 2), Fraction(2)) for n in (600, 2000, 5000)],
+    (staircase(300, ALPHA), ALPHA),
+    *[(staircase_with_tail(10, 11, 40 + seed, seed), ALPHA) for seed in range(3)],
+    *[(staircase_with_tail(12, 16, 90, seed), ALPHA) for seed in range(3)],
+    *[(staircase_with_tail(14, 15, 150, seed), Fraction(3, 2)) for seed in range(3)],
+    *[(staircase_with_tail(20, 30, 300, seed), Fraction(2)) for seed in range(3)],
+    (Partition(tuple(range(20, 10, -1)) + (8, 8, 5, 2, 2, 1)), ALPHA),
+    (Partition((40, 38, 20, 19, 18, 17, 16, 15, 14, 13, 12, 11)), ALPHA),
+    (_arm_shape(18, 300, 100, 1200), Fraction(2)),  # all four types
+    (_arm_shape(14, 0, 100, 1200), Fraction(3, 2)),  # type 3 by rows
+    (_arm_shape(27, 1500, 60, 1500), Fraction(3)),  # type 3 by rows and columns
+    (_arm_shape(36, 1500, 60, 1500, width=2), Fraction(4)),  # rows of two cells
+]
+
+
+class TestAgainstCellDictReference:
+    def test_shapes_cover_every_type_and_both_shell_segments(self):
+        typings = [cell_typing(lam, alpha) for lam, alpha in REFERENCE_SHAPES]
+        assert all(any(ct.counts[t] for ct in typings) for t in range(4))
+        # type-3 cells below row delta come from row segments, the rest from
+        # column segments; a row segment of two cells fixes its order
+        type3 = [(rec.row > ct.delta, rec.col) for ct in typings for rec in ct.of_type(3)]
+        assert {below for below, _ in type3} == {True, False}
+        assert (True, 2) in type3
+
+    @pytest.mark.parametrize("index", range(len(REFERENCE_SHAPES)))
+    def test_same_typing_as_reference(self, index):
+        lam, alpha = REFERENCE_SHAPES[index]
+        ct = cell_typing(lam, alpha)
+        s_rounds, t_rounds, mu, cells = _reference_typing(lam, alpha)
+        assert (ct.s_rounds, ct.t_rounds, ct.mu) == (s_rounds, t_rounds, mu)
+        assert (ct.r, ct.q) == (len(s_rounds), len(t_rounds))
+        assert [rec.as_list() for rec in ct.cells] == cells
+        assert ct.counts == tuple(sum(1 for c in cells if c[2] == t) for t in (1, 2, 3, 4))
+
+
+def test_reduced_rectangle_typing_digest():
+    # recorded from the Cell-dict construction: same records, byte for byte
+    alpha = Fraction(11, 10)
+    ct = cell_typing(reduce_diagram(Partition((800,) * 20), alpha).mu, alpha)
+    digest = hashlib.sha256(json.dumps(ct.to_json_dict()).encode()).hexdigest()
+    assert digest == "70d19fb3f85fa867012d0aaa3ae5dd03af6f64880f7e529aae46b1f248f33afb"

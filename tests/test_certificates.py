@@ -98,6 +98,18 @@ class TestSerialization:
         assert data["exponent"] == "7/2"
         assert data["aux"]["frac"] == "1/3"
 
+    def test_aux_values_keep_their_json_types(self):
+        aux = {
+            "flag": True, "off": False, "count": 3, "ratio": 0.5, "none": None,
+            "frac": Fraction(1, 3), "nested": [Fraction(2), (1, True), {"k": Fraction(3, 2)}],
+        }
+        data = make_certificate("demo", {}, None, 5.0, 1.0, None, aux=aux).to_json_dict()
+        assert data["aux"]["flag"] is True and data["aux"]["off"] is False
+        assert json.dumps(data["aux"]) == (
+            '{"flag": true, "off": false, "count": 3, "ratio": 0.5, "none": null, '
+            '"frac": "1/3", "nested": ["2", [1, true], {"k": "3/2"}]}'
+        )
+
     def test_revalidate_accepts_own_output(self):
         for exact in (True, False, None):
             assert revalidate(self._cert(exact).to_json())

@@ -7,6 +7,7 @@ from hookbound.celltyping import cell_typing
 from hookbound.certificates import revalidate
 from hookbound.cli import EXIT_FAIL, EXIT_HYPOTHESIS, EXIT_PASS, EXIT_USAGE, main
 from hookbound.partitions import Partition, parse_rational
+from hookbound.sweep import CSV_COLUMNS
 
 STAIR = "20,19,18,17,16,15,14,13,12,11"
 
@@ -151,6 +152,24 @@ class TestSweepCommand:
         assert code == EXIT_PASS
         assert out == ""
         assert path.read_text().startswith("n,partition")
+
+
+    def test_csv_reports_skipped_n_on_stderr(self, capsys):
+        argv = [
+            "sweep", "sample", "--alpha", "2", "--beta", "3/2",
+            "--n-from", "2400", "--n-to", "2400",
+        ]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_PASS
+        assert out == ",".join(CSV_COLUMNS) + "\n# empirical_n0,not reached\n"
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("skipped n=2400: partition count table")
+        assert "recursion limit" in lines[0]
+        # JSON already carries the reasons under "skipped"
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code == EXIT_PASS and err == ""
+        assert [n for n, _ in json.loads(out)["skipped"]] == [2400]
 
 
 class TestOracleCommand:
