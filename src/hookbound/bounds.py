@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
+from operator import add
 
 from .celltyping import CellTyping, cell_typing, check_typing_hypotheses, check_widths, rho
 from .certificates import (
@@ -23,7 +24,7 @@ from .certificates import (
     make_certificate,
     power_compare_bits,
 )
-from .degrees import degree
+from .degrees import _product_tree, degree
 from .errors import ConsistencyError, HypothesisError
 from .partitions import Cell, Partition
 
@@ -71,8 +72,14 @@ class StripCertificate:
     """Construction record for the strip bound f >= alpha^n / n^m.
 
     ``t`` is the column/row mass sequence of length k+l, ``m`` the bound's
-    polynomial degree, and A/B/C the three cell classes of the working
-    diagram (the conjugate of the input when k < l forced a swap).
+    polynomial degree, and ``diagram`` the working diagram: the input, or
+    its conjugate when k < l forced a swap.  The cell classes go by row
+    segments.  With ``K >= L`` the working parameters and
+    ``mu_i = L + K - i``, row ``i <= K`` starts with ``min(lambda_i, mu_i)``
+    cells of A and ends with ``lambda_i - mu_i`` cells of C (when
+    positive); every row below ``K`` is B.  ``cells_a``, ``cells_b`` and
+    ``cells_c`` list each class in row-major order, derived from
+    ``diagram`` on access; only their sizes reach the JSON.
     """
 
     k: int
@@ -80,15 +87,53 @@ class StripCertificate:
     conjugated: bool
     t: tuple[int, ...]
     m: int
-    cells_a: tuple[Cell, ...]
-    cells_b: tuple[Cell, ...]
-    cells_c: tuple[Cell, ...]
+    diagram: Partition
     bound_log: float
     certificate: BoundCertificate
 
     @property
     def verdict(self) -> str:
         return self.certificate.verdict
+
+    def _rows(self) -> list[tuple[int, int, int, bool]]:
+        return _strip_rows(self.diagram.parts, max(self.k, self.l), min(self.k, self.l))
+
+    @property
+    def cells_a(self) -> tuple[Cell, ...]:
+        return tuple(Cell(i, j) for i, _, a, _ in self._rows() for j in range(1, a + 1))
+
+    @property
+    def cells_b(self) -> tuple[Cell, ...]:
+        return tuple(
+            Cell(i, j)
+            for i, row, _, top in self._rows()
+            if not top
+            for j in range(1, row + 1)
+        )
+
+    @property
+    def cells_c(self) -> tuple[Cell, ...]:
+        return tuple(
+            Cell(i, j)
+            for i, row, a, top in self._rows()
+            if top
+            for j in range(a + 1, row + 1)
+        )
+
+
+def _strip_rows(
+    parts: tuple[int, ...], wk: int, wl: int
+) -> list[tuple[int, int, int, bool]]:
+    """``(i, lambda_i, a_i, i <= wk)`` for each row of the working diagram.
+
+    ``a_i`` is the number of A cells that open row i: ``min(lambda_i, mu_i)``
+    with ``mu_i = wl + wk - i`` for ``i <= wk``, and 0 below.  The rest of
+    the row is C when ``i <= wk`` and B otherwise.
+    """
+    return [
+        (i, row, min(row, wl + wk - i) if i <= wk else 0, i <= wk)
+        for i, row in enumerate(parts, start=1)
+    ]
 
 
 def strip_bound(lam: Partition, k: int, l: int, alpha: Fraction) -> StripCertificate:
@@ -107,57 +152,56 @@ def _strip_bound(
 
     if k >= l:
         work, wk, wl, conjugated = lam, k, l, False
+        cols = lam.conjugate().parts
     else:
         work, wk, wl, conjugated = lam.conjugate(), l, k, True
+        cols = lam.parts
     if work.part(wk + 1) > wl:
         raise HypothesisError(
             "lambda in H(k,l)",
             f"part {wk + 1} of the working diagram is {work.part(wk + 1)} > {wl}",
         )
 
-    conj = work.conjugate()
-    t = tuple(conj.part(s) for s in range(1, wl + 1)) + tuple(
+    t = tuple(cols[s] if s < len(cols) else 0 for s in range(wl)) + tuple(
         max(work.part(s) - wl, 0) for s in range(1, wk + 1)
     )
     if sum(t) != n:
         raise ConsistencyError(f"t-sequence sums to {sum(t)}, not n={n}")
 
-    mu_parts = tuple(p for p in range(wl + wk - 1, wl - 1, -1) if p > 0)
-    mu = Partition(mu_parts)
+    mu_n = sum(range(wl, wl + wk))
     m = (2 * wl + wk - 1) * wk // 2
-    if mu.n != m:
-        raise ConsistencyError(f"|mu|={mu.n} differs from m={m}")
+    if mu_n != m:
+        raise ConsistencyError(f"|mu|={mu_n} differs from m={m}")
 
-    cells_a, cells_b, cells_c = [], [], []
-    hooks = work.hook_grid()
-    prod_bc = 1
-    for cell in work.cells():
-        i, j = cell
-        if cell in mu:
-            cells_a.append(cell)
-        elif i >= wk + 1:
-            cells_b.append(cell)
-            h = hooks[cell]
-            if h > t[j - 1] - (i - wk):
+    # Each hook check holds at every cell of a row segment iff it holds at
+    # the segment's first cell, where its slack is least: in B,
+    # h - (t_j - (i-wk)) = lambda_i - j + 1 - wk falls with j; in C,
+    # h - (t_{wl+i} - joff + 1) = lambda'_j - wk does not rise with j.
+    size_a = size_b = size_c = 0
+    hooks_bc: list[int] = []
+    for i, row, a, top in _strip_rows(work.parts, wk, wl):
+        size_a += a
+        j = a + 1
+        if j > row:
+            continue
+        h = (row - j) + (cols[j - 1] - i) + 1
+        if top:
+            size_c += row - a
+            if cols[j - 1] > wk:
                 raise ConsistencyError(
-                    f"column-hook check fails at {tuple(cell)}: h={h} > t_{j}-{i - wk}"
+                    f"row-hook check fails at {(i, j)}: h={h} > t_{wl + i}-1+1"
                 )
-            prod_bc *= h
         else:
-            cells_c.append(cell)
-            h = hooks[cell]
-            joff = j - mu.part(i)
-            if h > t[wl + i - 1] - joff + 1:
+            size_b += row
+            if row > wk:
                 raise ConsistencyError(
-                    f"row-hook check fails at {tuple(cell)}: h={h} > t_{wl + i}-{joff}+1"
+                    f"column-hook check fails at {(i, j)}: h={h} > t_{j}-{i - wk}"
                 )
-            prod_bc *= h
-    if len(cells_a) > m:
-        raise ConsistencyError(f"|A|={len(cells_a)} exceeds m={m}")
-    fact_t = 1
-    for ti in t:
-        fact_t *= factorial(ti)
-    if prod_bc > fact_t:
+        # hooks (row - j') + (lambda'_j' - i) + 1 for j' = j..row
+        hooks_bc += map(add, range(row - i + 1 - j, -i, -1), cols[j - 1 : row])
+    if size_a > m:
+        raise ConsistencyError(f"|A|={size_a} exceeds m={m}")
+    if _product_tree(hooks_bc) > _product_tree([factorial(ti) for ti in t]):
         raise ConsistencyError("product of B and C hooks exceeds the t-factorial product")
 
     # f >= alpha^n / n^m, exact when the integers fit the budget
@@ -184,7 +228,7 @@ def _strip_bound(
         aux={
             "conjugated": conjugated,
             "t": list(t),
-            "sizes": {"A": len(cells_a), "B": len(cells_b), "C": len(cells_c)},
+            "sizes": {"A": size_a, "B": size_b, "C": size_c},
         },
     )
     strip = StripCertificate(
@@ -193,9 +237,7 @@ def _strip_bound(
         conjugated=conjugated,
         t=t,
         m=m,
-        cells_a=tuple(cells_a),
-        cells_b=tuple(cells_b),
-        cells_c=tuple(cells_c),
+        diagram=work,
         bound_log=rhs_log,
         certificate=cert,
     )

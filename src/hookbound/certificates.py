@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -35,13 +36,21 @@ _DEFAULT_BUDGET = 1 << 20
 
 
 def exact_bit_budget() -> int:
-    """Bit budget for exact-mode comparisons, overridable via the environment."""
+    """Bit budget for exact-mode comparisons, overridable via the environment.
+
+    A value that is not an integer falls back to the default with a
+    ``RuntimeWarning``; the default warning filter shows it once a process.
+    """
     raw = os.environ.get(_BUDGET_ENV)
     if raw is None:
         return _DEFAULT_BUDGET
     try:
         return int(raw)
     except ValueError:
+        warnings.warn(
+            f"{_BUDGET_ENV}={raw!r} is not an integer; using {_DEFAULT_BUDGET}",
+            RuntimeWarning,
+        )
         return _DEFAULT_BUDGET
 
 

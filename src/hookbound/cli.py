@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .bounds import (
@@ -27,7 +28,6 @@ from .degrees import (
     SYT_COUNT_GUARD,
     count_syt_bruteforce,
     degree,
-    log_degree,
     sum_squares_identity,
     verify_remark_N_ge_h,
 )
@@ -112,8 +112,9 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _cmd_degree(args) -> int:
     lam = Partition.parse(args.partition)
-    print(degree(lam))
-    print(format(log_degree(lam), ".15g"))
+    f = degree(lam)
+    print(f)
+    print(format(math.log(f), ".15g"))
     return EXIT_PASS
 
 

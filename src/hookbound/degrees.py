@@ -4,13 +4,13 @@
 ``f = n!/prod h`` evaluated by prime exponents, with no big division.
 ``hook_counts`` reads the multiset of hook lengths off the parts and the
 column lengths (the hook of cell ``(i, j)`` is
-``(lambda_i - j) + (lambda'_j - i) + 1``).  The exponent of each
-``k <= n`` in ``n!/prod h`` is ``1 - counts[k]``; walking ``k`` downward,
-a smallest-prime-factor sieve pushes the exponent of every composite ``k``
-onto its factors, which leaves an exponent on each prime ``q <= n``.  The
-degree is the product tree of the ``q**e_q`` (Borwein, "On the complexity
-of calculating factorials", J. Algorithms 1985).  A negative prime
-exponent would mean the hook product does not divide ``n!``.
+``(lambda_i - j) + (lambda'_j - i) + 1``).  For each prime ``q <= n``
+(from a bytearray sieve) the exponent of ``q`` in ``n!/prod h`` is
+``sum_j (n // q**j - sum(counts[q**j::q**j]))``: Legendre's formula for
+``n!`` less the hooks divisible by each power of ``q``, one slice sum per
+power.  The degree is the product tree of the ``q**e_q`` (Borwein, "On the
+complexity of calculating factorials", J. Algorithms 1985).  A negative
+prime exponent would mean the hook product does not divide ``n!``.
 
 ``count_syt_bruteforce`` grows every standard filling with no
 memoization and no hooks, so the two share nothing; the identity suites
@@ -24,6 +24,7 @@ rows and down columns.
 from __future__ import annotations
 
 import math
+from itertools import compress
 from math import factorial
 from typing import Iterator
 
@@ -54,16 +55,13 @@ def hook_product(p: Partition) -> int:
     return math.prod(h**c for h, c in enumerate(hook_counts(p)) if c)
 
 
-def _smallest_prime_factors(n: int) -> list[int]:
-    """``spf[k]`` is the smallest prime factor of k, for 2 <= k <= n.
-
-    Every ``q`` from ``isqrt(n)`` down to 2 stamps its multiples from ``q*q``
-    on, so the last stamp on a composite is its smallest prime factor.
-    """
-    spf = list(range(n + 1))
-    for q in range(math.isqrt(n), 1, -1):
-        spf[q * q :: q] = [q] * len(range(q * q, n + 1, q))
-    return spf
+def _primes_upto(n: int) -> list[int]:
+    """The primes ``q <= n``, by a bytearray sieve of Eratosthenes."""
+    is_prime = bytearray([0, 0]) + bytearray([1]) * (n - 1)
+    for q in range(2, math.isqrt(n) + 1):
+        if is_prime[q]:
+            is_prime[q * q :: q] = bytes(len(range(q * q, n + 1, q)))
+    return list(compress(range(n + 1), is_prime))
 
 
 def _product_tree(factors: list[int]) -> int:
@@ -83,19 +81,17 @@ def degree(p: Partition) -> int:
     """
     counts = hook_counts(p)
     n = len(counts) - 1
-    expo = [1 - c for c in counts]
-    spf = _smallest_prime_factors(n)
-    for k in range(n, 3, -1):
-        q = spf[k]
-        if q != k and expo[k]:
-            expo[q] += expo[k]
-            expo[k // q] += expo[k]
     powers = []
-    for q in range(2, n + 1):
-        if spf[q] == q and expo[q]:
-            if expo[q] < 0:
+    for q in _primes_upto(n):
+        e = 0
+        qj = q
+        while qj <= n:
+            e += n // qj - sum(counts[qj::qj])
+            qj *= q
+        if e:
+            if e < 0:
                 raise ArithmeticError(f"hook product does not divide n! for {p}")
-            powers.append(q ** expo[q])
+            powers.append(q**e)
     return _product_tree(powers)
 
 

@@ -70,7 +70,7 @@ def staircase(n: int, alpha: Fraction) -> Partition:
         parts.append(row)
         rest -= row
     lam = Partition(tuple(parts))
-    if lam.part(1) * alpha > n or lam.conjugate().part(1) * alpha > n:
+    if lam.part(1) * alpha > n or len(lam) * alpha > n:
         raise HookBoundError(
             f"staircase family for n={n} violates the width constraint at alpha={alpha}"
         )

@@ -23,6 +23,7 @@ the interpreter's recursion limit raises ``DepthLimitError``.
 """
 from __future__ import annotations
 
+import operator
 import random
 import re
 import sys
@@ -54,8 +55,11 @@ class Partition:
     parts: tuple[int, ...] = ()
 
     def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
+        parts = tuple(map(int, self.parts))
         object.__setattr__(self, "parts", parts)
+        if not parts or (parts[-1] >= 1 and all(map(operator.ge, parts, parts[1:]))):
+            return
+        # only an invalid input gets here: find its first bad part for the message
         prev = None
         for p in parts:
             if p < 1:
@@ -161,17 +165,12 @@ class Partition:
         }
 
     def diagonal(self) -> int:
-        """Side of the largest square diagram contained in this one."""
-        conj = self.conjugate().parts
-        d = 0
-        while (
-            d < len(self.parts)
-            and d < len(conj)
-            and self.parts[d] >= d + 1
-            and conj[d] >= d + 1
-        ):
-            d += 1
-        return d
+        """Side of the largest square diagram contained in this one.
+
+        The Durfee side: ``lambda_i - i`` strictly decreases, so the rows with
+        ``lambda_i >= i`` are exactly the square's rows.
+        """
+        return sum(map(operator.ge, self.parts, range(1, len(self.parts) + 1)))
 
     def in_hook_class(self, k: int, l: int) -> bool:
         """True iff part k+1 is at most l (diagram fits the k-row, l-column hook)."""

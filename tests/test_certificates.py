@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -63,6 +64,24 @@ class TestBudget:
     def test_bad_env_falls_back(self, monkeypatch):
         monkeypatch.setenv("HOOKBOUND_EXACT_BITS", "zap")
         assert exact_bit_budget() == 1 << 20
+
+    def test_bad_env_warns_with_name_and_value(self, monkeypatch):
+        monkeypatch.setenv("HOOKBOUND_EXACT_BITS", "zap")
+        with pytest.warns(RuntimeWarning) as record:
+            assert exact_bit_budget() == 1 << 20
+        assert len(record) == 1
+        assert "HOOKBOUND_EXACT_BITS" in str(record[0].message)
+        assert "'zap'" in str(record[0].message)
+
+    @pytest.mark.parametrize("value", ["4096", None], ids=["set", "unset"])
+    def test_valid_env_does_not_warn(self, monkeypatch, value):
+        if value is None:
+            monkeypatch.delenv("HOOKBOUND_EXACT_BITS", raising=False)
+        else:
+            monkeypatch.setenv("HOOKBOUND_EXACT_BITS", value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exact_bit_budget()
 
 
 class TestSerialization:

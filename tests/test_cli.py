@@ -3,8 +3,11 @@ import math
 
 import pytest
 
+import hookbound.cli
+import hookbound.degrees
 from hookbound.celltyping import cell_typing
 from hookbound.certificates import revalidate
+from hookbound.degrees import degree
 from hookbound.cli import EXIT_FAIL, EXIT_HYPOTHESIS, EXIT_PASS, EXIT_USAGE, main
 from hookbound.partitions import Partition, parse_rational
 from hookbound.sweep import CSV_COLUMNS
@@ -30,6 +33,21 @@ class TestDegreeCommand:
         code, out, _ = run(capsys, "degree", "5")
         assert code == EXIT_PASS
         assert out.splitlines()[0] == "1"
+
+    def test_degree_computed_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return degree(p)
+
+        monkeypatch.setattr(hookbound.cli, "degree", counted)
+        monkeypatch.setattr(hookbound.degrees, "degree", counted)
+        code, out, _ = run(capsys, "degree", "9,6,4,2,2,1")
+        assert code == EXIT_PASS
+        f = degree(Partition((9, 6, 4, 2, 2, 1)))
+        assert out == f"{f}\n{format(math.log(f), '.15g')}\n"
+        assert len(calls) == 1
 
     def test_parse_failure(self, capsys):
         code, out, err = run(capsys, "degree", "2,x")

@@ -8,6 +8,7 @@ import pytest
 
 import hookbound.degrees
 from hookbound.degrees import (
+    _primes_upto,
     count_syt_bruteforce,
     degree,
     hook_counts,
@@ -85,6 +86,11 @@ class TestPrimeExponentPath:
         ref, rem = divmod(factorial(shape.n), hooks)
         assert rem == 0
         assert degree(shape) == ref
+
+    def test_sieve_against_trial_division(self):
+        for n in range(200):
+            expected = [q for q in range(2, n + 1) if all(q % d for d in range(2, q))]
+            assert _primes_upto(n) == expected, n
 
     def test_negative_prime_exponent_raises(self, monkeypatch):
         shape = Partition((3, 3))

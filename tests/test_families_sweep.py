@@ -154,6 +154,26 @@ class TestSweep:
         digest = hashlib.sha256(render_csv(report).encode()).hexdigest()
         assert digest == "c34872f281750544bea448804263adcc1bb924776bc1cd53fdb92a79c1930982"
 
+    @pytest.mark.parametrize(
+        "family, alpha, beta, n_from, n_to, digest",
+        [
+            (
+                "balanced", Fraction(2), Fraction(3, 2), 1285, 1300,
+                "d44991693e93476f9d37322e344d5d8c6a5bec38bad86927957e84983782dd7f",
+            ),
+            (
+                "staircase", Fraction(11, 10), Fraction(21, 20), 600, 620,
+                "f6c9971b1ff7ef0a08b05a12d89ed9e25b18d0b35a822ce97469fd772447da5f",
+            ),
+        ],
+        ids=["balanced", "staircase"],
+    )
+    def test_family_pinned_digest(self, family, alpha, beta, n_from, n_to, digest):
+        # each range crosses from the strip dispatch (M1) to the square one (M2)
+        report = build_growth_report(family, alpha, beta, n_from, n_to)
+        assert {r.cls for r in report.rows} == {"M1", "M2"}
+        assert hashlib.sha256(render_csv(report).encode()).hexdigest() == digest
+
     def test_sample_family_skips_n_past_recursion_limit(self):
         report = build_growth_report("sample", Fraction(2), Fraction(3, 2), 2400, 2400)
         assert report.rows == ()

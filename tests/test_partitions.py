@@ -53,6 +53,26 @@ class TestConstruction:
         with pytest.raises(HookBoundError):
             Partition((3, 0))
 
+    @pytest.mark.parametrize(
+        "parts, message",
+        [
+            ((3, 0), "parts must be positive, got 0 in (3, 0)"),
+            ((0,), "parts must be positive, got 0 in (0,)"),
+            ((1, 2), "parts must be weakly decreasing, got (1, 2)"),
+            ((2, -1, 3), "parts must be positive, got -1 in (2, -1, 3)"),
+            ((3, 4, 0), "parts must be weakly decreasing, got (3, 4, 0)"),
+        ],
+    )
+    def test_error_names_the_first_bad_part(self, parts, message):
+        with pytest.raises(HookBoundError) as err:
+            Partition(parts)
+        assert str(err.value) == message
+
+    def test_parts_converted_to_int(self):
+        lam = Partition([3.0, 2, True])
+        assert lam.parts == (3, 2, 1)
+        assert all(type(p) is int for p in lam.parts)
+
     def test_parse_format_roundtrip(self):
         assert Partition.parse("9,6,4,2,2,1") == LAM
         assert LAM.format() == "9,6,4,2,2,1"
@@ -138,6 +158,16 @@ class TestDiagonal:
 
     def test_empty(self):
         assert Partition(()).diagonal() == 0
+
+    def test_durfee_side_matches_conjugate_definition(self):
+        # the side is the largest d with lambda_d >= d and lambda'_d >= d
+        for n in range(17):
+            for lam in enumerate_partitions(n):
+                conj = lam.conjugate()
+                d = 0
+                while lam.part(d + 1) >= d + 1 and conj.part(d + 1) >= d + 1:
+                    d += 1
+                assert lam.diagonal() == d, lam
 
 
 class TestHookClass:

@@ -4,10 +4,12 @@ from math import factorial
 
 import pytest
 
-from hookbound.bounds import overexponential_bound, rectangle_bound, strip_bound
+import hookbound.bounds
+from hookbound.bounds import overexponential_bound, rectangle_bound, strip_bound, theorem_classify
 from hookbound.certificates import FAIL, MODE_EXACT, PASS
-from hookbound.degrees import count_syt_bruteforce, degree
+from hookbound.degrees import _product_tree, count_syt_bruteforce, degree
 from hookbound.errors import HypothesisError
+from hookbound.families import balanced, staircase
 from hookbound.partitions import Partition, enumerate_partitions
 
 LAM = Partition.parse("9,6,4,2,2,1")
@@ -76,6 +78,85 @@ class TestStripConstruction:
                 assert sc.verdict == PASS, (lam, sc.certificate.margin)
                 checked += 1
         assert checked > 50
+
+
+def _per_cell_strip(lam, k, l):
+    """The per-cell construction the row segments replaced: t, A, B, C, prod_bc."""
+    if k >= l:
+        work, wk, wl = lam, k, l
+    else:
+        work, wk, wl = lam.conjugate(), l, k
+    conj = work.conjugate()
+    t = tuple(conj.part(s) for s in range(1, wl + 1)) + tuple(
+        max(work.part(s) - wl, 0) for s in range(1, wk + 1)
+    )
+    mu = Partition(tuple(p for p in range(wl + wk - 1, wl - 1, -1) if p > 0))
+    hooks = work.hook_grid()
+    cells_a, cells_b, cells_c, prod_bc = [], [], [], 1
+    for cell in work.cells():
+        i, j = cell
+        if cell in mu:
+            cells_a.append(cell)
+        elif i >= wk + 1:
+            cells_b.append(cell)
+            assert hooks[cell] <= t[j - 1] - (i - wk)
+            prod_bc *= hooks[cell]
+        else:
+            cells_c.append(cell)
+            assert hooks[cell] <= t[wl + i - 1] - (j - mu.part(i)) + 1
+            prod_bc *= hooks[cell]
+    return t, tuple(cells_a), tuple(cells_b), tuple(cells_c), prod_bc
+
+
+class TestStripRowSegments:
+    def test_matches_per_cell_construction(self, monkeypatch):
+        trees = []
+
+        def recorded(factors):
+            trees.append(list(factors))
+            return _product_tree(factors)
+
+        monkeypatch.setattr(hookbound.bounds, "_product_tree", recorded)
+        seen = {"conjugated": 0, "B": 0, "C": 0, "B and C": 0}
+        for n in range(1, 15):
+            for lam in enumerate_partitions(n):
+                for k in range(5):
+                    for l in range(5):
+                        trees.clear()
+                        try:
+                            sc = strip_bound(lam, k, l, ALPHA2)
+                        except HypothesisError:
+                            continue
+                        t, a, b, c, prod_bc = _per_cell_strip(lam, k, l)
+                        assert sc.t == t
+                        assert (sc.cells_a, sc.cells_b, sc.cells_c) == (a, b, c)
+                        sizes = sc.certificate.aux["sizes"]
+                        assert sizes == {"A": len(a), "B": len(b), "C": len(c)}
+                        assert sc.diagram == (lam.conjugate() if k < l else lam)
+                        # the first product tree is prod_bc, the second prod t_i!
+                        assert math.prod(trees[0]) == prod_bc
+                        assert trees[1] == [factorial(ti) for ti in t]
+                        seen["conjugated"] += sc.conjugated
+                        seen["B"] += bool(b)
+                        seen["C"] += bool(c)
+                        seen["B and C"] += bool(b and c)
+        assert min(seen.values()) > 0, seen
+
+    def test_m1_dispatch_never_builds_hook_grid(self, monkeypatch):
+        def forbidden(self):
+            raise AssertionError("hook_grid called")
+
+        monkeypatch.setattr(Partition, "hook_grid", forbidden)
+        for lam, alpha, beta in [
+            (balanced(400), Fraction(2), Fraction(3, 2)),
+            (Partition((40000, 40000)), Fraction(2), Fraction(3, 2)),
+            (staircase(600, Fraction(11, 10)), Fraction(11, 10), Fraction(21, 20)),
+        ]:
+            cert = theorem_classify(lam, alpha, beta)
+            assert cert.aux["class"] == "M1"
+            assert cert.aux["sub_certificate"]["bound_name"] == "strip"
+        sc = strip_bound(LAM, 4, 3, ALPHA2)
+        assert len(sc.cells_b) == 3 and len(sc.cells_c) == 4
 
 
 class TestRectangle:
