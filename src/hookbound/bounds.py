@@ -24,7 +24,7 @@ from .certificates import (
     make_certificate,
     power_compare_bits,
 )
-from .degrees import _product_tree, degree
+from .degrees import _degree, _hook_counts, _product_tree, degree
 from .errors import ConsistencyError, HypothesisError
 from .partitions import Cell, Partition
 
@@ -205,7 +205,7 @@ def _strip_bound(
         raise ConsistencyError("product of B and C hooks exceeds the t-factorial product")
 
     # f >= alpha^n / n^m, exact when the integers fit the budget
-    f = degree(lam)
+    f = _degree(lam, _hook_counts(lam.parts, work.parts if conjugated else cols))
     p, q = alpha.numerator, alpha.denominator
     lhs_log = math.log(f)
     rhs_log = n * log_fraction(alpha) - m * math.log(n)
@@ -427,7 +427,7 @@ def _strict_bound(lam: Partition, alpha: Fraction) -> tuple[BoundCertificate, in
             "rounds_type2": typing.q,
             "counts": list(typing.counts),
         },
-        cells=tuple(tuple(rec.as_list()) for rec in typing.cells),
+        cells=typing.cells,
     )
     return cert, f
 

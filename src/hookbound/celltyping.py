@@ -17,9 +17,13 @@ a type and a number N, 1..n:
   type 4   everything else, numbered last in row-major order.
 
 The construction works on flat row arrays: a running list of row lengths,
-peeled at the rows that end in a corner, and one list of (type, color, N)
-per row.  Hooks attached to the records are always hooks of the original
-diagram, read off its parts and column lengths.
+peeled at the rows that end in a corner, and one list of numbers N per
+row.  Every round, shell and the type-4 block takes consecutive numbers, so
+the type and color of a cell are read off its number.  Hooks attached to
+the records are always hooks of the original diagram, read off its parts
+and column lengths.  A record is a ``CellRecord``, a ``typing.NamedTuple``:
+it compares equal to the plain tuple ``(row, col, cell_type, color, number,
+hook)``, and a modified copy comes from ``rec._replace(number=...)``.
 
 The returned typing has been checked against the invariants that make the
 peeling argument sound: the counter inequality alpha*h <= N for every
@@ -29,7 +33,13 @@ budget, the type-4 falling-factorial product bound, and the aggregate
 product over type-1/2/3 cells that the degree bound rests on.  A failed
 check raises ConsistencyError.  Every check is exact in integers: with
 alpha = p/q, alpha*h <= N reads p*h <= q*N, and the products are product
-trees over the cells' numbers and hooks.
+trees over the cells' numbers and hooks.  The checks run on the columns of
+the records; only a failed per-cell clause walks the cells, to name the
+first bad one.  The aggregate product ``prod N * q^t >= p^t * prod h`` is
+first decided from certified log2 brackets (``math.fsum`` of the exact
+``math.log2`` of every number and hook, each with the radius
+``(log2(x) + 1) * 2**-40`` of ``certificates.log2_bracket``); the product
+trees are built only when the two brackets overlap.
 
 The per-cell inequality alpha*h <= N cannot hold for the cells numbered
 below alpha (the very first peeled corner has N = 1 and hook 1, and
@@ -46,7 +56,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count, repeat
+from operator import add, eq, itemgetter, le, mul
+from typing import NamedTuple
 
+from .certificates import LOG2_SLACK, log2_bracket
 from .degrees import _product_tree
 from .errors import ConsistencyError, HypothesisError
 from .partitions import Partition, corner_rows
@@ -65,8 +79,9 @@ def rho(delta: int, alpha: Fraction) -> int:
     return math.floor(Fraction(delta * delta) / frac) + 1
 
 
-@dataclass(frozen=True)
-class CellRecord:
+class CellRecord(NamedTuple):
+    """One cell's typing: a plain tuple, so it compares equal to one."""
+
     row: int
     col: int
     cell_type: int
@@ -75,7 +90,7 @@ class CellRecord:
     hook: int
 
     def as_list(self) -> list[int]:
-        return [self.row, self.col, self.cell_type, self.color, self.number, self.hook]
+        return list(self)
 
 
 @dataclass(frozen=True)
@@ -202,12 +217,15 @@ def cell_typing(lam: Partition, alpha: Fraction) -> CellTyping:
     rho_val = rho(delta, alpha)
     p, q_ = alpha.numerator, alpha.denominator
 
-    # marks[i][j] is the (type, color, N) of cell (i+1, j+1); peeling takes
-    # the last cell of row i+1 of the running diagram, at index work[i] - 1
+    # nums[i][j] is the number N of cell (i+1, j+1); peeling takes the last
+    # cell of row i+1 of the running diagram, at index work[i] - 1.  Each
+    # round, shell and the type-4 block takes consecutive numbers, so
+    # type_of[N] and color_of[N] (index 0 unused) grow a run at a time.
     work = list(lam.parts)
-    marks: list[list[tuple[int, int, int] | None]] = [[None] * row for row in work]
+    nums: list[list[int]] = [[0] * row for row in work]
+    type_of = [0]
+    color_of = [0]
     counter = 0
-    color = 0
 
     # type 1: full corner-peeling rounds while at least 2*alpha corners remain
     s_rounds: list[int] = []
@@ -215,12 +233,13 @@ def cell_typing(lam: Partition, alpha: Fraction) -> CellTyping:
         corners = corner_rows(work)
         if len(corners) * q_ < 2 * p:
             break
-        color += 1
         s_rounds.append(len(corners))
+        type_of += [1] * len(corners)
+        color_of += [len(s_rounds)] * len(corners)
         for i in corners:  # top to bottom
             counter += 1
             work[i] -= 1
-            marks[i][work[i]] = (1, color, counter)
+            nums[i][work[i]] = counter
     r = len(s_rounds)
 
     # type 2: peel only corners outside the delta x delta square while >= alpha
@@ -229,12 +248,13 @@ def cell_typing(lam: Partition, alpha: Fraction) -> CellTyping:
         outside = [i for i in corner_rows(work) if i >= delta or work[i] > delta]
         if len(outside) * q_ < p:
             break
-        color += 1
         t_rounds.append(len(outside))
+        type_of += [2] * len(outside)
+        color_of += [r + len(t_rounds)] * len(outside)
         for i in outside:
             counter += 1
             work[i] -= 1
-            marks[i][work[i]] = (2, color, counter)
+            nums[i][work[i]] = counter
     q = len(t_rounds)
 
     mu = Partition(tuple(w for w in work if w > 0))
@@ -253,32 +273,40 @@ def cell_typing(lam: Partition, alpha: Fraction) -> CellTyping:
                 f"shell {m} reaches past column/row delta; diagram has a cell "
                 f"with both coordinates above delta"
             )
+        type_of += [3] * (row_len + col_len)
+        color_of += [m] * (row_len + col_len)
         if row_len:
-            marks[m - 1][:row_len] = [(3, m, counter + j) for j in range(1, row_len + 1)]
+            nums[m - 1][:row_len] = range(counter + 1, counter + row_len + 1)
             counter += row_len
             work[m - 1] = 0
         for i in range(col_len):
             counter += 1
             work[i] -= 1
-            marks[i][work[i]] = (3, m, counter)
+            nums[i][work[i]] = counter
 
     # type 4: whatever remains, numbered last in row-major order
     t123 = counter
     for i, w in enumerate(work):
-        marks[i][:w] = [(4, 0, counter + j) for j in range(1, w + 1)]
+        nums[i][:w] = range(counter + 1, counter + w + 1)
         counter += w
     if counter != n:
         raise ConsistencyError(f"numbered {counter} cells of {n}")
+    type_of += [4] * (n - t123)
+    color_of += [0] * (n - t123)
 
-    # the hook of cell (i, j) is (lambda_i - i + 1) + lambda'_j - j
+    # the hook of cell (i, j) is (lambda_i - j) + (lambda'_j - i) + 1
     cols = lam.conjugate().parts
-    counts = [0, 0, 0, 0, 0]  # counts[t] for types t = 1..4
-    records = []
-    for i, (row, row_marks) in enumerate(zip(lam.parts, marks), start=1):
-        arm = row - i + 1
-        for j, (col, (t, c, num)) in enumerate(zip(cols, row_marks), start=1):
-            counts[t] += 1
-            records.append(CellRecord(i, j, t, c, num, arm + col - j))
+    types: list[int] = []
+    records: list[CellRecord] = []
+    for i, (row, row_nums) in enumerate(zip(lam.parts, nums), start=1):
+        row_types = list(map(type_of.__getitem__, row_nums))
+        types += row_types
+        colors = map(color_of.__getitem__, row_nums)
+        hooks = map(add, range(row - i, -i, -1), cols[:row])
+        # tuple.__new__ is what CellRecord._make calls, minus a Python-level
+        # call per record
+        fields = zip(repeat(i), count(1), row_types, colors, row_nums, hooks)
+        records += map(tuple.__new__, repeat(CellRecord), fields)
     typing = CellTyping(
         partition=lam,
         alpha=alpha,
@@ -289,7 +317,7 @@ def cell_typing(lam: Partition, alpha: Fraction) -> CellTyping:
         q=q,
         s_rounds=tuple(s_rounds),
         t_rounds=tuple(t_rounds),
-        counts=tuple(counts[1:]),
+        counts=tuple(map(types.count, (1, 2, 3, 4))),
         cells=tuple(records),
         mu=mu,
     )
@@ -300,19 +328,17 @@ def cell_typing(lam: Partition, alpha: Fraction) -> CellTyping:
 def _check_typing(ct: CellTyping, t123: int) -> None:
     n = ct.n
     p, q = ct.alpha.numerator, ct.alpha.denominator
+    # the cell_type, number and hook columns
+    types, numbers, hooks = (list(map(itemgetter(k), ct.cells)) for k in (2, 4, 5))
 
-    numbers = sorted(rec.number for rec in ct.cells)
-    if numbers != list(range(1, n + 1)):
+    if sorted(numbers) != list(range(1, n + 1)):
         raise ConsistencyError("numbering is not a bijection onto 1..n")
     if sum(ct.counts) != n:
         raise ConsistencyError("types do not partition the diagram")
-    last_by_type = {}
-    for rec in ct.cells:
-        last_by_type.setdefault(rec.cell_type, []).append(rec.number)
+    by_type = {t: list(compress(numbers, map(eq, types, repeat(t)))) for t in (1, 2, 3, 4)}
     for lo, hi in ((1, 2), (2, 3), (3, 4)):
-        if lo in last_by_type and hi in last_by_type:
-            if max(last_by_type[lo]) >= min(last_by_type[hi]):
-                raise ConsistencyError(f"type-{lo} numbers overlap type-{hi} numbers")
+        if by_type[lo] and by_type[hi] and max(by_type[lo]) >= min(by_type[hi]):
+            raise ConsistencyError(f"type-{lo} numbers overlap type-{hi} numbers")
 
     # alpha = p/q with q > 0, so every test below is cleared to integers
     if ct.s_rounds and ct.s_rounds[0] < ct.delta:
@@ -325,28 +351,26 @@ def _check_typing(ct: CellTyping, t123: int) -> None:
             raise ConsistencyError("type-2 round ran with fewer than alpha corners")
 
     # h <= N for every type-1/2/3 cell, the counter inequality for every one
-    # numbered at least alpha, then the aggregate product that the degree
-    # bound actually uses
-    t123_numbers: list[int] = []
-    t123_hooks: list[int] = []
-    t4_hooks: list[int] = []
-    for rec in ct.cells:
-        if rec.cell_type not in (1, 2, 3):
-            if rec.cell_type == 4:
-                t4_hooks.append(rec.hook)
-            continue
-        num, h = rec.number, rec.hook
-        if h > num:
-            raise ConsistencyError(
-                f"h <= N fails at cell ({rec.row},{rec.col}) with N={num}, h={h}"
+    # numbered at least alpha (N*q >= p, i.e. N >= ceil(p/q)), then the
+    # aggregate product that the degree bound actually uses.  The per-cell
+    # clauses run on columns; a failure reruns them cell by cell to name the
+    # first bad cell.
+    in_t123 = list(map(_T123.__contains__, types))
+    numbers123 = list(compress(numbers, in_t123))
+    hooks123 = list(compress(hooks, in_t123))
+    counted = list(map(le, repeat(-(-p // q)), numbers123))
+    if not (
+        all(map(le, hooks123, numbers123))
+        and all(
+            map(
+                le,
+                map(mul, repeat(p), compress(hooks123, counted)),
+                map(mul, repeat(q), compress(numbers123, counted)),
             )
-        if num * q >= p and p * h > q * num:
-            raise ConsistencyError(
-                f"alpha*h <= N fails at cell ({rec.row},{rec.col}) with N={num}, h={h}"
-            )
-        t123_numbers.append(num)
-        t123_hooks.append(h)
-    if _product_tree(t123_numbers) * q**t123 < p**t123 * _product_tree(t123_hooks):
+        )
+    ):
+        _raise_first_bad_cell(ct.cells, p, q)
+    if not _aggregate_ge(numbers123, hooks123, t123, p, q):
         raise ConsistencyError("aggregate product over type-1/2/3 cells below alpha^|T123|")
 
     # type-1 mass: |T1| >= 2*alpha*r + alpha*delta
@@ -359,5 +383,46 @@ def _check_typing(ct: CellTyping, t123: int) -> None:
     t4 = ct.counts[3]
     if t4 * q > ct.delta**2 * q + p * ct.rho:
         raise ConsistencyError(f"|T4|={t4} exceeds delta^2 + alpha*rho")
+    t4_hooks = list(compress(hooks, map(eq, types, repeat(4))))
     if _product_tree(t4_hooks) > math.perm(n, t4):
         raise ConsistencyError("type-4 hook product exceeds the falling factorial")
+
+
+_T123 = frozenset((1, 2, 3))
+
+
+def _raise_first_bad_cell(cells: tuple[CellRecord, ...], p: int, q: int) -> None:
+    """Raise for the first type-1/2/3 cell, in cell order, with h > N or alpha*h > N >= alpha."""
+    for rec in cells:
+        if rec.cell_type not in _T123:
+            continue
+        num, h = rec.number, rec.hook
+        if h > num:
+            raise ConsistencyError(
+                f"h <= N fails at cell ({rec.row},{rec.col}) with N={num}, h={h}"
+            )
+        if num * q >= p and p * h > q * num:
+            raise ConsistencyError(
+                f"alpha*h <= N fails at cell ({rec.row},{rec.col}) with N={num}, h={h}"
+            )
+
+
+def _aggregate_ge(numbers: list[int], hooks: list[int], t: int, p: int, q: int) -> bool:
+    """Decide ``prod(numbers) * q**t >= p**t * prod(hooks)`` for t >= 0.
+
+    The log2 of each side is bracketed first and the product trees are
+    built only when the brackets overlap.  Every number and hook lies below
+    2**53, so ``math.log2`` sees it exactly; ``log2_bracket`` gives each such
+    term the radius ``(log2(x) + 1) * LOG2_SLACK``, and the radii of the
+    ``math.fsum`` of the terms add up.  Rounding in the few float operations
+    after that is below 2**-52 relative, far inside the radius.
+    """
+    p_lo, p_hi = log2_bracket(p)
+    q_lo, q_hi = log2_bracket(q)
+    num, den = math.fsum(map(math.log2, numbers)), math.fsum(map(math.log2, hooks))
+    rad = (num + den + len(numbers) + len(hooks)) * LOG2_SLACK
+    if num - den - rad + t * (q_lo - p_hi) > 0:
+        return True
+    if num - den + rad + t * (q_hi - p_lo) < 0:
+        return False
+    return _product_tree(numbers) * q**t >= p**t * _product_tree(hooks)

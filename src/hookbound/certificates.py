@@ -7,9 +7,21 @@ the comparison runs in the log domain where verdicts within a 1e-9 relative
 band are MARGINAL.  lhs_log/rhs_log/margin are always recorded so a reader
 can re-derive the verdict from the serialized object.
 
+An exact comparison ``lhs**v >= base**u`` (``exact_power_ge``) is first
+filtered through certified brackets of ``log2`` of both sides.
+``log2_bracket`` brackets an integer from its bit length and its top 53
+bits, with a radius of ``2**-40`` relative to the midpoint (plus
+``2**-40``), thousands of times the real rounding error.  Disjoint brackets
+decide the comparison; only a near-tie computes the powers, so every
+verdict stays exact.  The cell typing's aggregate product clause uses the
+same brackets.
+
 JSON field names (bound_name, parameters, exponent, lhs_log, rhs_log,
 margin, mode, verdict, and cells for typing-backed certificates) are a
-stable contract shared with the CLI.
+stable contract shared with the CLI.  The ``cells`` of a typing-backed
+certificate are the typing's ``CellRecord`` named tuples, which compare
+equal to plain tuples and serialize as ``[row, col, type, color, N,
+hook]``.
 """
 from __future__ import annotations
 
@@ -30,6 +42,8 @@ MODE_EXACT = "exact"
 MODE_LOG = "log-domain"
 
 LOG_REL_TOL = 1e-9
+
+LOG2_SLACK = 2.0**-40
 
 _BUDGET_ENV = "HOOKBOUND_EXACT_BITS"
 _DEFAULT_BUDGET = 1 << 20
@@ -71,13 +85,49 @@ def power_compare_bits(base: Fraction, exponent: Fraction, lhs_bits: int) -> int
     return v * lhs_bits + abs(u) * fraction_bits(base)
 
 
+def log2_bracket(x: int) -> tuple[float, float]:
+    """Certified bracket ``lo <= log2(x) <= hi`` of an integer ``x >= 1``.
+
+    The midpoint is ``log2`` of the top 53 bits of ``x`` (an exact float)
+    plus the number of bits below them.  Its error has three parts: the
+    dropped bits move ``log2(x)`` by less than 2**-51, ``math.log2`` is off
+    by at most an ulp (2**-52 of its value), and adding the shift rounds by
+    2**-53 of the midpoint.  The radius ``(midpoint + 1) * LOG2_SLACK``,
+    with ``LOG2_SLACK = 2**-40``, is thousands of times their sum.
+    """
+    shift = max(x.bit_length() - 53, 0)
+    mid = math.log2(x >> shift) + shift
+    rad = (mid + 1.0) * LOG2_SLACK
+    return mid - rad, mid + rad
+
+
+def _log2_power(x: Fraction, k: int) -> tuple[float, float]:
+    """Certified bracket of ``k * log2(x)`` for a rational ``x > 0``.
+
+    The subtraction and the product round by 2**-53 of their result, far
+    inside the radii of the two brackets they combine.
+    """
+    num_lo, num_hi = log2_bracket(x.numerator)
+    den_lo, den_hi = log2_bracket(x.denominator)
+    lo, hi = k * (num_lo - den_hi), k * (num_hi - den_lo)
+    return (lo, hi) if k >= 0 else (hi, lo)
+
+
 def exact_power_ge(lhs: Fraction, base: Fraction, exponent: Fraction) -> bool:
     """Decide lhs >= base**exponent exactly (lhs > 0, base > 0).
 
-    With exponent u/v in lowest terms this is lhs**v >= base**u, an exact
-    big-rational comparison.
+    With exponent u/v in lowest terms this is lhs**v >= base**u.  The
+    certified brackets of ``v*log2(lhs)`` and ``u*log2(base)`` decide it
+    when they are disjoint; only a near-tie computes the two powers and
+    compares them as exact rationals.
     """
     u, v = exponent.numerator, exponent.denominator
+    lhs_lo, lhs_hi = _log2_power(lhs, v)
+    rhs_lo, rhs_hi = _log2_power(base, u)
+    if lhs_lo > rhs_hi:
+        return True
+    if lhs_hi < rhs_lo:
+        return False
     return lhs**v >= base**u
 
 
@@ -137,7 +187,7 @@ _JSON_SCALARS = frozenset((int, float, str, bool, type(None)))
 
 def _jsonify(value):
     # exact types first: isinstance against Fraction goes through the ABC
-    # machinery, and nested sub-certificates hold one scalar per cell
+    # machinery, and nested sub-certificates hold one list of scalars per cell
     if type(value) in _JSON_SCALARS:
         return value
     if isinstance(value, Fraction):
@@ -145,6 +195,8 @@ def _jsonify(value):
     if isinstance(value, dict):
         return {k: _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
+        if all(map(_JSON_SCALARS.__contains__, map(type, value))):
+            return list(value)
         return [_jsonify(v) for v in value]
     return value
 

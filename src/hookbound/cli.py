@@ -9,6 +9,7 @@ nothing is written to disk unless --out is given.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import math
 import sys
@@ -113,7 +114,10 @@ def _emit(text: str, out_path: str | None) -> None:
 def _cmd_degree(args) -> int:
     lam = Partition.parse(args.partition)
     f = degree(lam)
-    print(f)
+    # an exact decimal context prints every digit, past CPython's int-to-str
+    # digit limit, without touching that interpreter-wide limit
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
+    print(exact.create_decimal(f))
     print(format(math.log(f), ".15g"))
     return EXIT_PASS
 

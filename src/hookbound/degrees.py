@@ -40,9 +40,12 @@ Tableau = tuple[tuple[int, ...], ...]
 
 def hook_counts(p: Partition) -> list[int]:
     """``counts[h]`` is the number of cells with hook length ``h``, for 0 <= h <= n."""
-    parts = p.parts
+    return _hook_counts(p.parts, p.conjugate().parts)
+
+
+def _hook_counts(parts: tuple[int, ...], cols: tuple[int, ...]) -> list[int]:
+    """``hook_counts`` from the parts and the column lengths of the shape."""
     counts = [0] * (sum(parts) + 1)
-    cols = p.conjugate().parts
     for i, row in enumerate(parts, start=1):
         arm = row - i + 1
         for j, col in enumerate(cols[:row], start=1):
@@ -79,7 +82,11 @@ def degree(p: Partition) -> int:
     Equals the number of standard tableaux of the shape.  The empty
     partition has degree 1 by convention.
     """
-    counts = hook_counts(p)
+    return _degree(p, hook_counts(p))
+
+
+def _degree(p: Partition, counts: list[int]) -> int:
+    """``degree(p)`` from the hook counts of ``p``."""
     n = len(counts) - 1
     powers = []
     for q in _primes_upto(n):

@@ -1,12 +1,22 @@
 import dataclasses
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import hookbound.celltyping
 from hookbound.bounds import reduce_diagram, strict_bound, strip_bound, theorem_classify
-from hookbound.celltyping import _check_typing, cell_typing, check_typing_hypotheses, rho
+from hookbound.celltyping import (
+    _aggregate_ge,
+    _check_typing,
+    cell_typing,
+    check_typing_hypotheses,
+    rho,
+)
 from hookbound.certificates import MODE_EXACT, PASS
 from hookbound.degrees import degree
 from hookbound.errors import ConsistencyError, HypothesisError
@@ -148,7 +158,7 @@ class TestTypingStructure:
         ct = stair_typing
         last = ct.counts[0]
         rotated = tuple(
-            dataclasses.replace(rec, number=rec.number % last + 1)
+            rec._replace(number=rec.number % last + 1)
             if rec.cell_type == 1
             else rec
             for rec in ct.cells
@@ -187,6 +197,38 @@ class TestTypingStructure:
                 t123 += 1
         p, q = ALPHA.numerator, ALPHA.denominator
         assert num * q**t123 >= p**t123 * den
+
+
+class TestAggregateFilter:
+    @given(
+        st.lists(st.integers(1, 60), max_size=30),
+        st.lists(st.integers(1, 60), max_size=30),
+        st.integers(0, 40),
+        st.fractions(min_value=Fraction(11, 10), max_value=5, max_denominator=12),
+    )
+    def test_matches_plain_products(self, numbers, hooks, t, alpha):
+        p, q = alpha.numerator, alpha.denominator
+        expected = math.prod(numbers) * q**t >= p**t * math.prod(hooks)
+        assert _aggregate_ge(numbers, hooks, t, p, q) == expected
+
+    @pytest.mark.parametrize(
+        "numbers, hooks, t, expected",
+        [
+            ([11] * 500, [10] * 500, 500, True),  # 11^500 10^500 on both sides
+            ([10**12 + 1], [10**12], 0, True),  # logs 1.4e-12 apart
+            ([10**12], [10**12 + 1], 0, False),
+        ],
+    )
+    def test_near_ties_build_the_products(self, monkeypatch, numbers, hooks, t, expected):
+        trees = []
+
+        def counted(factors):
+            trees.append(len(factors))
+            return math.prod(factors)
+
+        monkeypatch.setattr(hookbound.celltyping, "_product_tree", counted)
+        assert _aggregate_ge(numbers, hooks, t, 11, 10) is expected
+        assert trees == [len(numbers), len(hooks)]
 
 
 class TestTypingWithTail:
@@ -270,8 +312,8 @@ def _swap_numbers_past_alpha(ct):
     a = next(r for r in ct.cells if r.cell_type == 1 and 2 <= r.hook < r.number)
     b = ct.by_number()[a.hook]
     swapped = {
-        a: dataclasses.replace(a, number=b.number),
-        b: dataclasses.replace(b, number=a.number),
+        a: a._replace(number=b.number),
+        b: b._replace(number=a.number),
     }
     return dataclasses.replace(ct, cells=tuple(swapped.get(r, r) for r in ct.cells))
 
@@ -279,20 +321,20 @@ def _swap_numbers_past_alpha(ct):
 def _relabel_last_cell(ct, cell_type):
     n = ct.n
     cells = tuple(
-        dataclasses.replace(r, cell_type=cell_type) if r.number == n else r for r in ct.cells
+        r._replace(cell_type=cell_type) if r.number == n else r for r in ct.cells
     )
     return dataclasses.replace(ct, cells=cells)
 
 
 def _set_hook(ct, cell_type, hook):
     first = next(r for r in ct.cells if r.cell_type == cell_type)
-    cells = tuple(dataclasses.replace(r, hook=hook) if r is first else r for r in ct.cells)
+    cells = tuple(r._replace(hook=hook) if r is first else r for r in ct.cells)
     return dataclasses.replace(ct, cells=cells)
 
 
 def _set_number(ct, index, number):
     cells = list(ct.cells)
-    cells[index] = dataclasses.replace(cells[index], number=number)
+    cells[index] = cells[index]._replace(number=number)
     return dataclasses.replace(ct, cells=tuple(cells))
 
 
@@ -354,6 +396,30 @@ class TestCheckTypingClauses:
         with pytest.raises(ConsistencyError) as err:
             _check_typing(bad, sum(stair_typing.counts[:3]))
         assert str(err.value) == message
+
+
+def _swap_numbers(ct, m, k):
+    recs = ct.by_number()
+    swapped = {recs[m]: recs[m]._replace(number=k), recs[k]: recs[k]._replace(number=m)}
+    return dataclasses.replace(ct, cells=tuple(swapped.get(r, r) for r in ct.cells))
+
+
+class TestCheckTypingBoundaries:
+    def test_counter_inequality_binds_from_the_first_number_at_least_alpha(self, stair_typing):
+        # N = 2 = ceil(11/10) is held to alpha*h <= N: cell (10,10) with
+        # h = 2 takes N = 2 (h <= N still holds), cell (2,19) takes N = 20
+        bad = _swap_numbers(stair_typing, 2, 20)
+        with pytest.raises(ConsistencyError) as err:
+            _check_typing(bad, sum(stair_typing.counts[:3]))
+        assert str(err.value) == "alpha*h <= N fails at cell (10,10) with N=2, h=2"
+
+    def test_overlap_by_one_number(self):
+        # the last type-3 cell and the first type-4 cell trade numbers
+        ct = cell_typing(_arm_shape(18, 300, 100, 1200), Fraction(2))
+        t123 = sum(ct.counts[:3])
+        with pytest.raises(ConsistencyError) as err:
+            _check_typing(_swap_numbers(ct, t123, t123 + 1), t123)
+        assert str(err.value) == "type-3 numbers overlap type-4 numbers"
 
 
 def _reference_typing(lam, alpha):

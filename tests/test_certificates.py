@@ -1,9 +1,13 @@
 import json
 import math
+import random
+import time
 import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hookbound.certificates import (
     FAIL,
@@ -14,6 +18,7 @@ from hookbound.certificates import (
     certificate_from_json,
     exact_bit_budget,
     exact_power_ge,
+    log2_bracket,
     log_fraction,
     make_certificate,
     power_compare_bits,
@@ -35,10 +40,84 @@ class TestExactPower:
     def test_negative_exponent(self):
         assert exact_power_ge(Fraction(1), Fraction(11, 10), Fraction(-5))
 
+    @given(
+        st.fractions(min_value=Fraction(1, 50), max_value=50, max_denominator=50),
+        st.fractions(min_value=Fraction(1, 50), max_value=50, max_denominator=50),
+        st.fractions(min_value=-30, max_value=30, max_denominator=6),
+    )
+    def test_matches_plain_powers(self, lhs, base, exponent):
+        u, v = exponent.numerator, exponent.denominator
+        assert exact_power_ge(lhs, base, exponent) == (lhs**v >= base**u)
+
+    @staticmethod
+    def _count_powers(monkeypatch):
+        calls = []
+        real_pow = Fraction.__pow__
+
+        def counted_pow(a, b, *rest):
+            calls.append(b)
+            return real_pow(a, b, *rest)
+
+        monkeypatch.setattr(Fraction, "__pow__", counted_pow)
+        return calls
+
+    @pytest.mark.parametrize(
+        "base", [Fraction(2), Fraction(3, 2), Fraction(11, 10), Fraction(7, 9)]
+    )
+    @pytest.mark.parametrize("k", [1, 5, -64, 1001])
+    def test_exact_tie_reaches_the_powers(self, monkeypatch, base, k):
+        power = base**k
+        calls = self._count_powers(monkeypatch)
+        assert exact_power_ge(power, base, Fraction(k))
+        assert calls == [1, k]
+
+    @pytest.mark.parametrize(
+        "base, k",
+        [
+            (Fraction(2), 1001),
+            (Fraction(3, 2), 1001),
+            (Fraction(11, 10), 1001),
+            (Fraction(7, 9), -1001),
+        ],
+    )
+    def test_power_plus_or_minus_one_reaches_the_powers(self, monkeypatch, base, k):
+        power = base**k
+        calls = self._count_powers(monkeypatch)
+        assert exact_power_ge(power + 1, base, Fraction(k))
+        assert not exact_power_ge(power - 1, base, Fraction(k))
+        assert calls == [1, k, 1, k]
+
+    def test_separated_huge_exponent_needs_no_power(self):
+        start = time.perf_counter()
+        assert not exact_power_ge(Fraction(10**100), Fraction(11, 10), Fraction(10**12))
+        assert exact_power_ge(Fraction(10**100), Fraction(11, 10), Fraction(-(10**12)))
+        assert exact_power_ge(Fraction(3, 2), Fraction(2), Fraction(-(10**12), 7))
+        assert time.perf_counter() - start < 1.0
+
     def test_bit_estimate_scales_with_exponent(self):
         small = power_compare_bits(Fraction(11, 10), Fraction(10), 100)
         big = power_compare_bits(Fraction(11, 10), Fraction(10000), 100)
         assert big > small
+
+
+class TestLog2Bracket:
+    def test_random_big_integers(self):
+        rng = random.Random(7)
+        for _ in range(500):
+            x = rng.getrandbits(rng.randrange(1, 5000)) | 1
+            lo, hi = log2_bracket(x)
+            # bit_length - 1 <= log2(x) < bit_length
+            assert lo < x.bit_length() and hi >= x.bit_length() - 1
+            assert lo <= math.log2(x) <= hi
+            assert hi - lo <= 2.0**-38 * (abs(math.log2(x)) + 1)
+
+    @pytest.mark.parametrize("k", [0, 1, 52, 53, 54, 200, 4321])
+    def test_powers_of_two_and_neighbours(self, k):
+        lo, hi = log2_bracket(2**k)
+        assert lo <= k <= hi
+        for x in (2**k + 1, 2**(k + 1) - 1):
+            lo, hi = log2_bracket(x)
+            assert lo < k + 1 and hi >= k
 
 
 class TestVerdictRules:

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,7 @@ from hookbound.celltyping import cell_typing
 from hookbound.certificates import revalidate
 from hookbound.degrees import degree
 from hookbound.cli import EXIT_FAIL, EXIT_HYPOTHESIS, EXIT_PASS, EXIT_USAGE, main
+from hookbound.families import balanced
 from hookbound.partitions import Partition, parse_rational
 from hookbound.sweep import CSV_COLUMNS
 
@@ -53,6 +58,35 @@ class TestDegreeCommand:
         code, out, err = run(capsys, "degree", "2,x")
         assert code == EXIT_USAGE
         assert out == "" and err
+
+    def test_degree_past_int_str_digit_limit(self, capsys):
+        # balanced(4000) has a degree of more than 4300 digits, CPython's
+        # default int-to-str limit; rebuild it from 1000-digit chunks
+        lam = balanced(4000)
+        code, out, _ = run(capsys, "degree", lam.format())
+        assert code == EXIT_PASS
+        first = out.splitlines()[0]
+        assert len(first) > 4300 and first.isdigit()
+        value = 0
+        for start in range(0, len(first), 1000):
+            chunk = first[start : start + 1000]
+            value = value * 10 ** len(chunk) + int(chunk)
+        assert value == degree(lam)
+
+
+def test_python_dash_m_matches_cli_module():
+    env = dict(os.environ)
+    src = str(Path(hookbound.cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", module, "degree", "3,2,1"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        for module in ("hookbound", "hookbound.cli")
+    ]
+    assert runs[0].returncode == runs[1].returncode == EXIT_PASS
+    assert runs[0].stdout == runs[1].stdout == f"16\n{format(math.log(16), '.15g')}\n"
 
 
 class TestCertifyCommand:
