@@ -24,7 +24,7 @@ from .certificates import (
     make_certificate,
     power_compare_bits,
 )
-from .degrees import _degree, _hook_counts, _product_tree, degree
+from .degrees import _product_tree, degree
 from .errors import ConsistencyError, HypothesisError
 from .partitions import Cell, Partition
 
@@ -205,7 +205,7 @@ def _strip_bound(
         raise ConsistencyError("product of B and C hooks exceeds the t-factorial product")
 
     # f >= alpha^n / n^m, exact when the integers fit the budget
-    f = _degree(lam, _hook_counts(lam.parts, work.parts if conjugated else cols))
+    f = degree(lam)
     p, q = alpha.numerator, alpha.denominator
     lhs_log = math.log(f)
     rhs_log = n * log_fraction(alpha) - m * math.log(n)

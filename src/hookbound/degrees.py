@@ -2,15 +2,34 @@
 
 ``degree`` is the production path: the hook-length formula
 ``f = n!/prod h`` evaluated by prime exponents, with no big division.
-``hook_counts`` reads the multiset of hook lengths off the parts and the
-column lengths (the hook of cell ``(i, j)`` is
-``(lambda_i - j) + (lambda'_j - i) + 1``).  For each prime ``q <= n``
-(from a bytearray sieve) the exponent of ``q`` in ``n!/prod h`` is
+
+``hook_counts`` gives the multiset of hook lengths as a list indexed by
+length.  On a fat shape, one whose largest hook ``top = lambda_1 + k - 1``
+has ``top*top <= 64*n``, it reads only the parts: with beta numbers
+``l_i = lambda_i + k - i``, row ``i`` holds the hooks ``{1..l_i}`` less
+``{l_i - l_j : j > i}`` (James and Kerber, *The Representation Theory of
+the Symmetric Group*, 2.7), so ``counts[h]`` is ``#{i : l_i >= h}`` less
+the number of pairs of beta numbers ``h`` apart.  That histogram is one
+big-integer product of two bead strings, one slot per position (Kronecker
+substitution; Schoenhage 1982), which costs about ``M(top)``.  A thin shape
+such as a long hook or a column would pay more for that product than for a
+walk over its cells, so it keeps the walk, with the hook of cell
+``(i, j)`` read as ``(lambda_i - j) + (lambda'_j - i) + 1``.  Balanced
+shapes (``top`` about ``2*sqrt(n)``) and staircases are fat, and so is a
+20 x 800 rectangle (``top*top`` about ``42*n``).
+
+For each prime ``q <= top`` the exponent of ``q`` in ``n!/prod h`` is
 ``sum_j (n // q**j - sum(counts[q**j::q**j]))``: Legendre's formula for
 ``n!`` less the hooks divisible by each power of ``q``, one slice sum per
-power.  The degree is the product tree of the ``q**e_q`` (Borwein, "On the
-complexity of calculating factorials", J. Algorithms 1985).  A negative
-prime exponent would mean the hook product does not divide ``n!``.
+power.  A prime ``q > top`` divides no hook, and ``top >= 2*sqrt(n) - 1``
+makes ``q*q > n``, so its exponent is ``n // q``; the primes that share
+one ``v = n // q`` enter as one ``prod(q) ** v``, at most ``n/top`` powers
+in all.  The primes come from one bytearray sieve per process, re-run to
+twice its reach when a larger ``n`` arrives.  The degree is the product
+tree of these powers (Borwein, "On the complexity of calculating
+factorials", J. Algorithms 1985).  A negative prime exponent would mean the
+hook product does not divide ``n!``; a hook count past ``top``, on which
+both steps rely there being none, raises ``ArithmeticError`` as well.
 
 ``count_syt_bruteforce`` grows every standard filling with no
 memoization and no hooks, so the two share nothing; the identity suites
@@ -24,8 +43,11 @@ rows and down columns.
 from __future__ import annotations
 
 import math
-from itertools import compress
+import sys
+from bisect import bisect_right
+from itertools import accumulate, compress
 from math import factorial
+from operator import add, sub
 from typing import Iterator
 
 from .errors import GuardExceededError
@@ -39,12 +61,52 @@ Tableau = tuple[tuple[int, ...], ...]
 
 
 def hook_counts(p: Partition) -> list[int]:
-    """``counts[h]`` is the number of cells with hook length ``h``, for 0 <= h <= n."""
-    return _hook_counts(p.parts, p.conjugate().parts)
+    """``counts[h]`` is the number of cells with hook length ``h``, for 0 <= h <= n.
+
+    Fat shapes (largest hook ``top`` with ``top*top <= 64*n``) are counted
+    from their beta numbers; thin ones walk their cells, where the pair
+    product of ``_beta_hook_counts`` would cost more than the walk.
+    """
+    top = _largest_hook(p.parts)
+    if top * top <= 64 * p.n:
+        return _beta_hook_counts(p.parts)
+    return _cell_hook_counts(p.parts, p.conjugate().parts)
 
 
-def _hook_counts(parts: tuple[int, ...], cols: tuple[int, ...]) -> list[int]:
-    """``hook_counts`` from the parts and the column lengths of the shape."""
+def _largest_hook(parts: tuple[int, ...]) -> int:
+    """The hook of the corner cell (1, 1), ``lambda_1 + k - 1``; 0 for no parts."""
+    return parts[0] + len(parts) - 1 if parts else 0
+
+
+def _beta_hook_counts(parts: tuple[int, ...]) -> list[int]:
+    """``hook_counts`` from the beta numbers ``l_i = lambda_i + k - i`` of ``k`` parts.
+
+    Row ``i`` holds the hooks ``{1..l_i}`` less ``{l_i - l_j : j > i}``, so
+    ``counts[h] = #{i : l_i >= h} - #{i < j : l_i - l_j = h}``.  The pair
+    differences are the slots of one product ``fwd * rev``: ``fwd`` holds a 1
+    in slot ``l_i`` and ``rev`` a 1 in slot ``top - l_i``, so slot
+    ``top + d`` counts the pairs with difference ``d``.  No slot exceeds
+    ``k``, so a slot wide enough for ``k`` never carries into the next.
+    """
+    k = len(parts)
+    betas = map(add, parts, range(k - 1, -1, -1))
+    top = _largest_hook(parts)
+    width, code = (1, "B") if k < 1 << 8 else (2, "H") if k < 1 << 16 else (4, "I")
+    beads = bytearray((top + 1) * width)
+    for b in betas:
+        beads[b * width] = 1
+    fwd = int.from_bytes(beads, "little")
+    rev = int.from_bytes(beads, "big") >> 8 * (width - 1)
+    # slot top + d equals slot top - d, so either byte order reads it in place
+    pairs = (fwd * rev).to_bytes((2 * top + 1) * width, sys.byteorder)
+    at_least = list(accumulate(reversed(beads[::width])))  # [top - h]: #{l_i >= h}
+    counts = [0] * (sum(parts) + 1)
+    counts[: top + 1] = map(sub, reversed(at_least), memoryview(pairs).cast(code)[top:])
+    return counts
+
+
+def _cell_hook_counts(parts: tuple[int, ...], cols: tuple[int, ...]) -> list[int]:
+    """``hook_counts`` by a walk over the cells, given the column lengths."""
     counts = [0] * (sum(parts) + 1)
     for i, row in enumerate(parts, start=1):
         arm = row - i + 1
@@ -67,6 +129,25 @@ def _primes_upto(n: int) -> list[int]:
     return list(compress(range(n + 1), is_prime))
 
 
+# (reach, the primes <= reach): rebound whole, never mutated, so threads may share it
+_sieved: tuple[int, list[int]] = (1, [])
+
+
+def _prime_list(n: int) -> list[int]:
+    """The ascending primes through at least ``n``, sieved once per process.
+
+    A larger ``n`` re-sieves to at least twice the old reach; callers cut
+    the list at ``n`` with ``bisect``.
+    """
+    global _sieved
+    reach, primes = _sieved
+    if n > reach:
+        reach = max(n, 2 * reach)
+        primes = _primes_upto(reach)
+        _sieved = (reach, primes)
+    return primes
+
+
 def _product_tree(factors: list[int]) -> int:
     while len(factors) > 1:
         paired = [a * b for a, b in zip(factors[::2], factors[1::2])]
@@ -82,14 +163,19 @@ def degree(p: Partition) -> int:
     Equals the number of standard tableaux of the shape.  The empty
     partition has degree 1 by convention.
     """
-    return _degree(p, hook_counts(p))
-
-
-def _degree(p: Partition, counts: list[int]) -> int:
-    """``degree(p)`` from the hook counts of ``p``."""
+    counts = hook_counts(p)
     n = len(counts) - 1
+    top = _largest_hook(p.parts)
+    # No hook exceeds the corner hook top, so the slice sums below read only
+    # up to it and the primes above it divide no hook.
+    if any(counts[top + 1 :]):
+        raise ArithmeticError(f"hook counts of {p} reach past its largest hook {top}")
+    counts = counts[: top + 1]
+    primes = _prime_list(n)
+    mid = bisect_right(primes, top)
+    end = bisect_right(primes, n, mid)
     powers = []
-    for q in _primes_upto(n):
+    for q in primes[:mid]:
         e = 0
         qj = q
         while qj <= n:
@@ -99,6 +185,14 @@ def _degree(p: Partition, counts: list[int]) -> int:
             if e < 0:
                 raise ArithmeticError(f"hook product does not divide n! for {p}")
             powers.append(q**e)
+    # A prime q > top divides no hook, and top >= 2*sqrt(n) - 1 makes q*q > n,
+    # so the exponent of q is n // q: one power per run of equal n // q.
+    i = mid
+    while i < end:
+        v = n // primes[i]
+        j = bisect_right(primes, n // v, i, end)
+        powers.append(math.prod(primes[i:j]) ** v)
+        i = j
     return _product_tree(powers)
 
 

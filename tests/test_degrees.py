@@ -1,13 +1,21 @@
 import math
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import factorial
+from operator import sub
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hookbound.degrees
 from hookbound.degrees import (
+    _beta_hook_counts,
+    _cell_hook_counts,
+    _prime_list,
     _primes_upto,
     count_syt_bruteforce,
     degree,
@@ -103,6 +111,102 @@ class TestPrimeExponentPath:
         monkeypatch.setattr(hookbound.degrees, "hook_counts", one_hook_too_many)
         with pytest.raises(ArithmeticError):
             degree(shape)
+
+
+def determinantal_degree(parts):
+    """``n! * prod_{i<j} (l_i - l_j) / prod_i l_i!`` with ``l_i = lambda_i + k - i``.
+
+    Every factor is tallied by value, so the products cancel before any big
+    integer is formed; ``l_i!`` contributes ``m`` once per ``l_i >= m``.
+    """
+    k = len(parts)
+    ell = [x + k - 1 - i for i, x in enumerate(parts)]
+    tally = Counter(range(1, sum(parts) + 1))
+    for i, li in enumerate(ell):
+        tally.update(map(sub, repeat(li), ell[i + 1 :]))
+    beads = Counter(ell)
+    top_down = range(ell[0] if ell else 0, 0, -1)
+    tally.subtract(dict(zip(top_down, accumulate(beads[m] for m in top_down))))
+    num = math.prod(m**e for m, e in tally.items() if e > 0)
+    den = math.prod(m**-e for m, e in tally.items() if e < 0)
+    f, rem = divmod(num, den)
+    assert rem == 0
+    return f
+
+
+@st.composite
+def shapes(draw, max_n=300):
+    """Partitions of n <= max_n from random compositions: fat, thin and in between."""
+    budget = draw(st.integers(0, max_n))
+    parts = []
+    while budget:
+        parts.append(draw(st.integers(1, budget)))
+        budget -= parts[-1]
+    return Partition(tuple(sorted(parts, reverse=True)))
+
+
+def grid_counts(p):
+    grid = Counter(p.hook_grid().values())
+    return [grid[h] for h in range(p.n + 1)]
+
+
+class TestHookCountRoutines:
+    def test_both_routines_match_hook_grid_up_to_14(self):
+        for n in range(15):
+            for p in enumerate_partitions(n):
+                expected = grid_counts(p)
+                assert _beta_hook_counts(p.parts) == expected, p
+                assert _cell_hook_counts(p.parts, p.conjugate().parts) == expected, p
+
+    @pytest.mark.parametrize("n, rows", [(65025, 255), (65536, 256)])
+    def test_pair_product_slot_width_boundary(self, n, rows):
+        # one-byte slots hold up to 255 rows; 256 rows take two-byte slots
+        p = balanced(n)
+        assert len(p) == rows
+        assert _beta_hook_counts(p.parts) == grid_counts(p)
+
+
+class TestDeterminantalFormula:
+    @settings(max_examples=150, deadline=None)
+    @given(shapes())
+    def test_degree_matches_formula(self, p):
+        assert degree(p) == determinantal_degree(p.parts)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [Partition((3000,) + (1,) * 3000), Partition((1,) * 5000), Partition((3000, 2999))],
+        ids=["hook", "column", "two-row"],
+    )
+    def test_thin_shapes(self, shape):
+        top = shape.part(1) + len(shape) - 1
+        assert top * top > 64 * shape.n  # counted by the cell walk
+        # the degree is invariant under conjugation, so the side with fewer
+        # rows gives the formula fewer pairs
+        fewer_rows = min(shape, shape.conjugate(), key=len)
+        assert degree(shape) == determinantal_degree(fewer_rows.parts)
+
+    def test_extra_hook_within_largest_gives_negative_exponent(self, monkeypatch):
+        shape = Partition((3, 3))
+
+        def one_hook_too_many(p):
+            counts = hook_counts(p)
+            counts[4] += 1  # the corner hook again: two more factors of 2, and f = 5 has none
+            return counts
+
+        monkeypatch.setattr(hookbound.degrees, "hook_counts", one_hook_too_many)
+        with pytest.raises(ArithmeticError, match="does not divide"):
+            degree(shape)
+
+
+class TestPrimeList:
+    def test_matches_sieve_after_growing_then_shrinking_n(self, monkeypatch):
+        monkeypatch.setattr(hookbound.degrees, "_sieved", (1, []))
+        for n in [10, 15, 1000, 1500, 1999, 300, 2]:
+            degree(balanced(n))
+            primes = _prime_list(n)
+            assert primes[: bisect_right(primes, n)] == _primes_upto(n), n
+        # 1500 re-sieved to 2000, twice the reach of 1000; nothing since has
+        assert _prime_list(2000) is _prime_list(2) == _primes_upto(2000)
 
 
 class TestLogDegree:
