@@ -4,19 +4,20 @@
 ``f = n!/prod h`` evaluated by prime exponents, with no big division.
 
 ``hook_counts`` gives the multiset of hook lengths as a list indexed by
-length.  On a fat shape, one whose largest hook ``top = lambda_1 + k - 1``
-has ``top*top <= 64*n``, it reads only the parts: with beta numbers
+length, read from the parts alone: with beta numbers
 ``l_i = lambda_i + k - i``, row ``i`` holds the hooks ``{1..l_i}`` less
 ``{l_i - l_j : j > i}`` (James and Kerber, *The Representation Theory of
 the Symmetric Group*, 2.7), so ``counts[h]`` is ``#{i : l_i >= h}`` less
-the number of pairs of beta numbers ``h`` apart.  That histogram is one
-big-integer product of two bead strings, one slot per position (Kronecker
-substitution; Schoenhage 1982), which costs about ``M(top)``.  A thin shape
-such as a long hook or a column would pay more for that product than for a
-walk over its cells, so it keeps the walk, with the hook of cell
-``(i, j)`` read as ``(lambda_i - j) + (lambda'_j - i) + 1``.  Balanced
-shapes (``top`` about ``2*sqrt(n)``) and staircases are fat, and so is a
-20 x 800 rectangle (``top*top`` about ``42*n``).
+the number of pairs of beta numbers ``h`` apart.  That histogram is the
+product of two bead strings, one slot per position (Kronecker
+substitution; Schoenhage 1982).  A block of equal parts is a run of
+consecutive beta numbers, and a run of beads times ``X - 1`` (``X`` the
+slot base) has two terms, so the product is a sum of two shifted copies of
+one bead string per block, divided once by ``X - 1``.  The cost is one
+big-integer shift per block end: a few on a long hook, a column or a
+rectangle, where a full product would cost about ``M(top)`` for the
+largest hook ``top = lambda_1 + k - 1``, and two per row on a staircase,
+whose parts are distinct.
 
 For each prime ``q <= top`` the exponent of ``q`` in ``n!/prod h`` is
 ``sum_j (n // q**j - sum(counts[q**j::q**j]))``: Legendre's formula for
@@ -45,9 +46,9 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
-from itertools import accumulate, compress
+from itertools import compress
 from math import factorial
-from operator import add, sub
+from operator import add, mul, ne
 from typing import Iterator
 
 from .errors import GuardExceededError
@@ -63,56 +64,47 @@ Tableau = tuple[tuple[int, ...], ...]
 def hook_counts(p: Partition) -> list[int]:
     """``counts[h]`` is the number of cells with hook length ``h``, for 0 <= h <= n.
 
-    Fat shapes (largest hook ``top`` with ``top*top <= 64*n``) are counted
-    from their beta numbers; thin ones walk their cells, where the pair
-    product of ``_beta_hook_counts`` would cost more than the walk.
+    ``counts[h] = #{i : l_i >= h} - #{i < j : l_i - l_j = h}`` for the beta
+    numbers ``l_i = lambda_i + k - i`` of the ``k`` parts.  In base
+    ``X = 2**shift``, ``fwd`` holds ``X**l_i`` and ``rev`` holds
+    ``X**(top - l_i)``, and slot ``top + d`` of ``fwd * rev`` counts the
+    pairs ``d`` apart, the diagonal ``d = 0`` included.  Each block of equal
+    parts is a run ``low..high-1`` of beta numbers, and ``fwd * (X - 1)`` is
+    ``sum X**high - X**low`` over the runs, so ``fwd * rev`` is two shifted
+    copies of ``rev`` per block, summed and divided by ``X - 1``.
+    ``(X*fwd - k) / (X - 1)`` holds ``#{i : l_i >= h}`` in slot ``h``.  A
+    slot of ``width`` bytes holds ``k``, so no slot carries into the next
+    and the counts are the slots of one difference, read in native byte
+    order and turned around on a big-endian machine.
     """
-    top = _largest_hook(p.parts)
-    if top * top <= 64 * p.n:
-        return _beta_hook_counts(p.parts)
-    return _cell_hook_counts(p.parts, p.conjugate().parts)
+    parts = p.parts
+    k = len(parts)
+    top = _largest_hook(parts)
+    width, code = (1, "B") if k < 1 << 8 else (2, "H") if k < 1 << 16 else (4, "I")
+    shift = 8 * width
+    slot = (1 << shift) - 1
+    betas = list(map(add, parts, range(k - 1, -1, -1)))
+    beads = bytearray((top + 1) * width)
+    for b in betas:
+        beads[b * width] = 1
+    fwd = int.from_bytes(beads, "little")
+    rev = int.from_bytes(beads, "big") >> shift - 8
+    # a block's first row ends its run at l_i + 1, its last row starts it at l_i
+    offsets = [shift * b for b in betas]
+    highs = compress(offsets, map(ne, parts, (0,) + parts[:-1]))
+    lows = compress(offsets, map(ne, parts, parts[1:] + (0,)))
+    ends = (sum(map(rev.__lshift__, highs)) << shift) - sum(map(rev.__lshift__, lows))
+    pairs = ends // slot
+    slots = ((fwd << shift) - k) // slot - (pairs >> shift * top)
+    view = memoryview(slots.to_bytes((top + 1) * width, sys.byteorder)).cast(code)
+    counts = view.tolist() if sys.byteorder == "little" else view[::-1].tolist()
+    counts += [0] * (sum(parts) - top)
+    return counts
 
 
 def _largest_hook(parts: tuple[int, ...]) -> int:
     """The hook of the corner cell (1, 1), ``lambda_1 + k - 1``; 0 for no parts."""
     return parts[0] + len(parts) - 1 if parts else 0
-
-
-def _beta_hook_counts(parts: tuple[int, ...]) -> list[int]:
-    """``hook_counts`` from the beta numbers ``l_i = lambda_i + k - i`` of ``k`` parts.
-
-    Row ``i`` holds the hooks ``{1..l_i}`` less ``{l_i - l_j : j > i}``, so
-    ``counts[h] = #{i : l_i >= h} - #{i < j : l_i - l_j = h}``.  The pair
-    differences are the slots of one product ``fwd * rev``: ``fwd`` holds a 1
-    in slot ``l_i`` and ``rev`` a 1 in slot ``top - l_i``, so slot
-    ``top + d`` counts the pairs with difference ``d``.  No slot exceeds
-    ``k``, so a slot wide enough for ``k`` never carries into the next.
-    """
-    k = len(parts)
-    betas = map(add, parts, range(k - 1, -1, -1))
-    top = _largest_hook(parts)
-    width, code = (1, "B") if k < 1 << 8 else (2, "H") if k < 1 << 16 else (4, "I")
-    beads = bytearray((top + 1) * width)
-    for b in betas:
-        beads[b * width] = 1
-    fwd = int.from_bytes(beads, "little")
-    rev = int.from_bytes(beads, "big") >> 8 * (width - 1)
-    # slot top + d equals slot top - d, so either byte order reads it in place
-    pairs = (fwd * rev).to_bytes((2 * top + 1) * width, sys.byteorder)
-    at_least = list(accumulate(reversed(beads[::width])))  # [top - h]: #{l_i >= h}
-    counts = [0] * (sum(parts) + 1)
-    counts[: top + 1] = map(sub, reversed(at_least), memoryview(pairs).cast(code)[top:])
-    return counts
-
-
-def _cell_hook_counts(parts: tuple[int, ...], cols: tuple[int, ...]) -> list[int]:
-    """``hook_counts`` by a walk over the cells, given the column lengths."""
-    counts = [0] * (sum(parts) + 1)
-    for i, row in enumerate(parts, start=1):
-        arm = row - i + 1
-        for j, col in enumerate(cols[:row], start=1):
-            counts[arm + col - j] += 1
-    return counts
 
 
 def hook_product(p: Partition) -> int:
@@ -150,7 +142,8 @@ def _prime_list(n: int) -> list[int]:
 
 def _product_tree(factors: list[int]) -> int:
     while len(factors) > 1:
-        paired = [a * b for a, b in zip(factors[::2], factors[1::2])]
+        pairs = iter(factors)
+        paired = list(map(mul, pairs, pairs))
         if len(factors) % 2:
             paired.append(factors[-1])
         factors = paired
@@ -167,10 +160,13 @@ def degree(p: Partition) -> int:
     n = len(counts) - 1
     top = _largest_hook(p.parts)
     # No hook exceeds the corner hook top, so the slice sums below read only
-    # up to it and the primes above it divide no hook.
-    if any(counts[top + 1 :]):
+    # up to it and the primes above it divide no hook.  The n - top counts
+    # past top are all zero when the zeros of the whole list outnumber those
+    # up to top by n - top.
+    head = counts[: top + 1]
+    if counts.count(0) - head.count(0) != n - top:
         raise ArithmeticError(f"hook counts of {p} reach past its largest hook {top}")
-    counts = counts[: top + 1]
+    counts = head
     primes = _prime_list(n)
     mid = bisect_right(primes, top)
     end = bisect_right(primes, n, mid)

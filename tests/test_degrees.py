@@ -13,8 +13,6 @@ from hypothesis import strategies as st
 
 import hookbound.degrees
 from hookbound.degrees import (
-    _beta_hook_counts,
-    _cell_hook_counts,
     _prime_list,
     _primes_upto,
     count_syt_bruteforce,
@@ -86,8 +84,21 @@ class TestPrimeExponentPath:
             Partition((800,) * 20),
             balanced(2000),
             staircase(6000, Fraction(11, 10)),
+            Partition((3000,) + (1,) * 3000),
+            Partition((1,) * 5000),
+            Partition((3000, 2999)),
         ],
-        ids=["row", "column", "hook", "rectangle", "balanced", "staircase"],
+        ids=[
+            "row",
+            "column",
+            "hook",
+            "rectangle",
+            "balanced",
+            "staircase",
+            "long-hook",
+            "long-column",
+            "two-row",
+        ],
     )
     def test_matches_factorial_over_hook_product(self, shape):
         hooks = math.prod(shape.hook_grid().values())
@@ -150,20 +161,25 @@ def grid_counts(p):
     return [grid[h] for h in range(p.n + 1)]
 
 
-class TestHookCountRoutines:
-    def test_both_routines_match_hook_grid_up_to_14(self):
-        for n in range(15):
-            for p in enumerate_partitions(n):
-                expected = grid_counts(p)
-                assert _beta_hook_counts(p.parts) == expected, p
-                assert _cell_hook_counts(p.parts, p.conjugate().parts) == expected, p
-
-    @pytest.mark.parametrize("n, rows", [(65025, 255), (65536, 256)])
-    def test_pair_product_slot_width_boundary(self, n, rows):
-        # one-byte slots hold up to 255 rows; 256 rows take two-byte slots
-        p = balanced(n)
-        assert len(p) == rows
-        assert _beta_hook_counts(p.parts) == grid_counts(p)
+class TestSlotWidth:
+    @pytest.mark.parametrize(
+        "shape, rows",
+        [
+            (balanced(65025), 255),
+            (balanced(65536), 256),
+            (Partition((1,) * 65535), 65535),
+            (Partition((1,) * 65536), 65536),
+            (Partition((1,) * 65537), 65537),
+        ],
+        ids=["square-255", "square-256", "column-65535", "column-65536", "column-65537"],
+    )
+    def test_boundaries(self, shape, rows):
+        # A slot holds counts up to k, the number of rows: one byte below 256
+        # rows, two below 65536, then four.  The 256 x 256 square has 256
+        # cells of hook 256.  A column's counts are at most 1, but its pairs
+        # one apart number k - 1, which needs the four-byte slots at 65537 rows.
+        assert len(shape) == rows
+        assert hook_counts(shape) == grid_counts(shape)
 
 
 class TestDeterminantalFormula:
@@ -171,19 +187,6 @@ class TestDeterminantalFormula:
     @given(shapes())
     def test_degree_matches_formula(self, p):
         assert degree(p) == determinantal_degree(p.parts)
-
-    @pytest.mark.parametrize(
-        "shape",
-        [Partition((3000,) + (1,) * 3000), Partition((1,) * 5000), Partition((3000, 2999))],
-        ids=["hook", "column", "two-row"],
-    )
-    def test_thin_shapes(self, shape):
-        top = shape.part(1) + len(shape) - 1
-        assert top * top > 64 * shape.n  # counted by the cell walk
-        # the degree is invariant under conjugation, so the side with fewer
-        # rows gives the formula fewer pairs
-        fewer_rows = min(shape, shape.conjugate(), key=len)
-        assert degree(shape) == determinantal_degree(fewer_rows.parts)
 
     def test_extra_hook_within_largest_gives_negative_exponent(self, monkeypatch):
         shape = Partition((3, 3))
