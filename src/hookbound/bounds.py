@@ -18,8 +18,10 @@ from operator import add
 from .celltyping import CellTyping, cell_typing, check_typing_hypotheses, check_widths, rho
 from .certificates import (
     BoundCertificate,
+    _log2_power,
     exact_bit_budget,
     exact_power_ge,
+    log2_bracket,
     log_fraction,
     make_certificate,
     power_compare_bits,
@@ -140,6 +142,25 @@ def strip_bound(lam: Partition, k: int, l: int, alpha: Fraction) -> StripCertifi
     return _strip_bound(lam, k, l, alpha)[0]
 
 
+def _strip_ge(f: int, alpha: Fraction, n: int, m: int) -> bool:
+    """Decide ``f * q**n * n**m >= p**n`` exactly, for alpha = p/q.
+
+    The certified brackets of ``log2(f) + m*log2(n)`` and ``n*log2(alpha)``
+    decide it when they are disjoint; only a near-tie builds the powers
+    (``n**m`` alone has about ``m*log2(n)`` bits).  Adding the two left
+    brackets rounds by 2**-53 of the sum, far inside their radii.
+    """
+    f_lo, f_hi = log2_bracket(f)
+    nm_lo, nm_hi = _log2_power(Fraction(n), m)
+    rhs_lo, rhs_hi = _log2_power(alpha, n)
+    if f_lo + nm_lo > rhs_hi:
+        return True
+    if f_hi + nm_hi < rhs_lo:
+        return False
+    p, q = alpha.numerator, alpha.denominator
+    return f * q**n * n**m >= p**n
+
+
 def _strip_bound(
     lam: Partition, k: int, l: int, alpha: Fraction
 ) -> tuple[StripCertificate, int]:
@@ -217,7 +238,7 @@ def _strip_bound(
     )
     exact = None
     if bits <= exact_bit_budget():
-        exact = f * q**n * n**m >= p**n
+        exact = _strip_ge(f, alpha, n, m)
     cert = make_certificate(
         "strip",
         {"alpha": alpha, "k": k, "l": l, "m": m, "n": n},

@@ -302,9 +302,12 @@ def _table(rem: int, cap: int, slots: int) -> int:
     """Partitions of rem with parts <= cap and at most slots parts.
 
     Entry c of the row adds the partitions whose first part is c:
-    row[c] = row[c-1] + count(rem-c, c, slots-1), where the added count is
-    zero below ceil(rem/slots).  Recurses once per part, so the depth is at
-    most min(rem, slots).
+    row[c] = row[c-1] + count(rem-c, c, slots-1).  The added count is zero
+    below ceil(rem/slots), so those entries are appended in one step, and
+    one at c = rem.  Every other one is entry ``min(c, r)`` of the sub-row
+    ``(r, min(slots-1, r))``, r = rem-c, normalised inline and read straight
+    from that row; only a sub-row too short to hold it recurses, once per
+    part, so the depth is at most min(rem, slots).
     """
     if rem == 0:
         return 1
@@ -314,12 +317,20 @@ def _table(rem: int, cap: int, slots: int) -> int:
     slots = min(slots, rem)
     row = _count(rem, slots)
     if len(row) <= cap:
-        low = -(-rem // slots)
         total = row[-1]
-        for c in range(len(row), cap + 1):
-            if c >= low:
-                total += _table(rem - c, c, slots - 1)
+        low = -(-rem // slots)
+        if len(row) < low:
+            row.extend([total] * (min(low, cap + 1) - len(row)))
+        # with slots == 1, low == rem leaves only the entry c == rem
+        s = slots - 1
+        for c in range(len(row), cap + 1 if cap < rem else rem):
+            r = rem - c
+            sub = _count(r, s if s < r else r)
+            k = c if c < r else r
+            total += sub[k] if k < len(sub) else _table(r, k, s)
             row.append(total)
+        if cap == rem:
+            row.append(total + 1)
     return row[cap]
 
 

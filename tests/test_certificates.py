@@ -142,7 +142,8 @@ class TestBudget:
 
     def test_bad_env_falls_back(self, monkeypatch):
         monkeypatch.setenv("HOOKBOUND_EXACT_BITS", "zap")
-        assert exact_bit_budget() == 1 << 20
+        with pytest.warns(RuntimeWarning):
+            assert exact_bit_budget() == 1 << 20
 
     def test_bad_env_warns_with_name_and_value(self, monkeypatch):
         monkeypatch.setenv("HOOKBOUND_EXACT_BITS", "zap")

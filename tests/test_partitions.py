@@ -346,6 +346,48 @@ class TestCountTable:
         hookbound.partitions._count.cache_clear()
         assert after_error == count_partitions(300, 150, 150)
 
+    def test_out_of_order_fill_matches_cold_table(self):
+        # rows grown by many callers, larger boxes first, hold the same
+        # entries as rows grown by one call on a fresh table
+        table = hookbound.partitions._count
+        grid = [
+            (n, cap, slots)
+            for n in (17, 50, 99, 150, 240)
+            for cap in (1, 5, n // 3, n // 2, n)
+            for slots in (2, n // 3, n // 2, n)
+        ]
+        cold = []
+        for box in grid:
+            table.cache_clear()
+            cold.append(count_partitions(*box))
+        table.cache_clear()
+        for n in range(240, 99, -1):
+            count_partitions(n, n // 2, n // 2)
+        for n in range(60, 241, 30):
+            for cap, slots in ((n, 3), (7, n), (n // 4, n // 3), (n // 3, n // 4)):
+                count_partitions(n, cap, slots)
+        assert [count_partitions(*box) for box in grid] == cold
+        table.cache_clear()
+
+    def test_benchmark_boxes_rows_and_calls(self, monkeypatch):
+        # the fill recurses only into a sub-row too short for its entry, so
+        # the ~302k entries of these boxes take one call per row extension
+        calls = []
+        table_fn = hookbound.partitions._table
+
+        def counted(*args):
+            calls.append(args)
+            return table_fn(*args)
+
+        monkeypatch.setattr(hookbound.partitions, "_table", counted)
+        table = hookbound.partitions._count
+        table.cache_clear()
+        for n in range(100, 241):
+            count_partitions(n, n // 2, n // 2)
+        assert table.cache_info().currsize <= 7329
+        assert len(calls) <= 15380
+        table.cache_clear()
+
     def test_threads_share_the_table(self):
         # rows are extended in place; with a tiny switch interval, threads
         # that filled the same rows without the lock would append twice

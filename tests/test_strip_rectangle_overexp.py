@@ -3,9 +3,17 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import hookbound.bounds
-from hookbound.bounds import overexponential_bound, rectangle_bound, strip_bound, theorem_classify
+from hookbound.bounds import (
+    _strip_ge,
+    overexponential_bound,
+    rectangle_bound,
+    strip_bound,
+    theorem_classify,
+)
 from hookbound.certificates import FAIL, MODE_EXACT, PASS
 from hookbound.degrees import _product_tree, count_syt_bruteforce, degree
 from hookbound.errors import HypothesisError
@@ -157,6 +165,55 @@ class TestStripRowSegments:
             assert cert.aux["sub_certificate"]["bound_name"] == "strip"
         sc = strip_bound(LAM, 4, 3, ALPHA2)
         assert len(sc.cells_b) == 3 and len(sc.cells_c) == 4
+
+
+class TestStripExactFilter:
+    def test_balanced_sweep_matches_direct_comparison(self):
+        # the strip of every M1 row of the alpha = 2 balanced sweep
+        for n in range(43, 404):
+            lam = balanced(n)
+            sc = strip_bound(lam, 36, 36, ALPHA2)
+            assert sc.m == 1926 and sc.certificate.mode == MODE_EXACT
+            direct = degree(lam) * n**sc.m >= 2**n
+            assert sc.verdict == (PASS if direct else FAIL), n
+
+    @pytest.mark.parametrize("alpha", [Fraction(2), Fraction(3, 2), Fraction(11, 10)])
+    @pytest.mark.parametrize("n, m", [(64, 10), (60, 2), (3000, 20), (5000, 1)])
+    def test_near_ties(self, alpha, n, m):
+        # the least f with f * q**n * n**m >= p**n and its neighbours (an exact
+        # tie at alpha = 2, n = 64, m = 10); the brackets overlap there, so
+        # only the powers can decide
+        p, q = alpha.numerator, alpha.denominator
+        least = -(-(p**n) // (q**n * n**m))
+        for f in (least - 1, least, least + 1):
+            if f >= 1:
+                assert _strip_ge(f, alpha, n, m) == (f * q**n * n**m >= p**n)
+
+    def test_separated_sides_build_no_powers(self):
+        products = []
+
+        class Spy(int):
+            # the powers are built only as f * q**n * n**m
+            def __mul__(self, other):
+                products.append(other)
+                return int(self) * other
+
+        for n in range(43, 404):
+            assert _strip_ge(Spy(degree(balanced(n))), ALPHA2, n, 1926)
+            assert _strip_ge(Spy(1), ALPHA2, n, 1926)
+            assert not _strip_ge(Spy(1), ALPHA2, n, 0)
+        assert products == []
+        assert _strip_ge(Spy(16), ALPHA2, 64, 10) and len(products) == 1
+
+    @given(
+        st.integers(min_value=1, max_value=2**400),
+        st.fractions(min_value=Fraction(21, 20), max_value=9, max_denominator=30),
+        st.integers(min_value=1, max_value=400),
+        st.integers(min_value=0, max_value=60),
+    )
+    def test_matches_direct_comparison(self, f, alpha, n, m):
+        p, q = alpha.numerator, alpha.denominator
+        assert _strip_ge(f, alpha, n, m) == (f * q**n * n**m >= p**n)
 
 
 class TestRectangle:
