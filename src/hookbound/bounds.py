@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from operator import add
 
@@ -32,7 +33,8 @@ from .partitions import Cell, Partition
 
 
 def _require_alpha(alpha: Fraction) -> Fraction:
-    alpha = Fraction(alpha)
+    if type(alpha) is not Fraction:
+        alpha = Fraction(alpha)
     if alpha <= 1:
         raise HypothesisError("alpha > 1", f"got {alpha}")
     return alpha
@@ -342,36 +344,54 @@ def overexponential_bound(
     return _overexponential_bound(lam, eps, gamma)[0]
 
 
+@lru_cache(maxsize=64)
+def _square_degree(delta: int) -> int:
+    """Degree of the square ``delta^delta``, kept for the last 64 sides.
+
+    ``degree`` is looked up in this module at each miss, so a wrapper put
+    in its place sees every evaluation.
+    """
+    return degree(Partition((delta,) * delta))
+
+
+@lru_cache(maxsize=64)
+def _limited(x: float) -> Fraction:
+    """The rational a float parameter is recorded as in a certificate."""
+    return Fraction(x).limit_denominator(10**12)
+
+
 def _overexponential_bound(
     lam: Partition, eps: Fraction | float, gamma: Fraction | float
 ) -> tuple[BoundCertificate, int]:
-    """``overexponential_bound`` and the degree of ``lam`` it computed."""
+    """``overexponential_bound`` and the degree of ``lam`` it computed.
+
+    The square's degree comes from ``_square_degree``, so a run of shapes
+    with the same Durfee side evaluates it once.
+    """
     n = lam.n
     if n < 1:
         raise HypothesisError("n >= 1", "empty partition")
+    delta = lam.diagonal()
     if isinstance(eps, Fraction):
         if eps <= 0:
             raise HypothesisError("eps > 0", f"got {eps}")
-        hyp_ok = Fraction(lam.diagonal() ** 2, n) >= eps
+        hyp_ok = Fraction(delta**2, n) >= eps
     else:
         if eps <= 0:
             raise HypothesisError("eps > 0", f"got {eps}")
-        hyp_ok = lam.diagonal() ** 2 / n >= eps * (1 - 1e-9)
+        hyp_ok = delta**2 / n >= eps * (1 - 1e-9)
     if not hyp_ok:
-        raise HypothesisError(
-            "delta^2/n >= eps", f"delta={lam.diagonal()}, n={n}, eps={eps}"
-        )
+        raise HypothesisError("delta^2/n >= eps", f"delta={delta}, n={n}, eps={eps}")
     gamma_is_exact = isinstance(gamma, Fraction)
     if gamma <= 0:
         raise HypothesisError("gamma > 0", f"got {gamma}")
-    gamma_f = Fraction(gamma) if gamma_is_exact else None
+    gamma_f = gamma if gamma_is_exact else None
     gamma_log = log_fraction(gamma_f) if gamma_is_exact else math.log(gamma)
 
-    delta = lam.diagonal()
     mu = Partition((delta,) * delta)
     if not lam.contains(mu):
         raise ConsistencyError("diagonal square does not fit inside the diagram")
-    f_mu = degree(mu)
+    f_mu = _square_degree(delta)
     f_lam = degree(lam)
     if f_lam < f_mu:
         raise ConsistencyError("containment monotonicity failed for the square")
@@ -387,8 +407,8 @@ def _overexponential_bound(
     cert = make_certificate(
         "overexponential",
         {
-            "eps": Fraction(eps) if isinstance(eps, Fraction) else Fraction(eps).limit_denominator(10**12),
-            "gamma": gamma_f if gamma_is_exact else Fraction(gamma).limit_denominator(10**12),
+            "eps": eps if isinstance(eps, Fraction) else _limited(eps),
+            "gamma": gamma_f if gamma_is_exact else _limited(gamma),
             "delta": delta,
             "k_n": delta * delta,
             "n": n,
@@ -640,16 +660,53 @@ CLASS_M3 = "M3"
 _CLASS_TIE_TOL = 1e-9
 
 
-def classify(lam: Partition, alpha: Fraction, gamma_log_ratio: float) -> str:
-    """Place n into M1/M2/M3 from delta, rho and the exponent fraction gamma."""
-    delta = lam.diagonal()
-    if Fraction(delta) < 18 * alpha:
-        return CLASS_M1
-    threshold = float(Fraction(5, 2) * delta**2 + alpha * rho(delta, alpha))
-    gn = gamma_log_ratio * lam.n
+@lru_cache(maxsize=64)
+def _dispatch_constants(alpha: Fraction, beta: Fraction) -> tuple[float, float, float, int]:
+    """``(log beta, gamma, eps, ceil(18*alpha))`` for one pair (alpha, beta).
+
+    gamma = (ln alpha - ln beta)/ln alpha is the maximal exponent fraction
+    and eps the M2 square's density gate; both are log-domain floats.
+    """
+    if not (1 < beta < alpha):
+        raise HypothesisError("1 < beta < alpha", f"beta={beta}, alpha={alpha}")
+    log_alpha = log_fraction(alpha)
+    log_beta = log_fraction(beta)
+    gamma = (log_alpha - log_beta) / log_alpha
+    if alpha.denominator == 1:
+        eps = gamma / float(Fraction(5, 2) + alpha)
+    else:
+        frac = alpha - math.floor(alpha)
+        eps = gamma / float(3 + alpha / frac)
+    return log_beta, gamma, eps, math.ceil(18 * alpha)
+
+
+def _class_rule(
+    delta: int, n: int, alpha: Fraction, gamma: float
+) -> tuple[str, int, float]:
+    """The class of n, ``rho(delta)`` and the threshold ``5/2 delta^2 + alpha*rho``.
+
+    M1 when delta < 18*alpha, decided as ``delta*q < 18*p`` for alpha = p/q.
+    Otherwise M2 when gamma*n <= threshold, else M3.  The threshold is the
+    correctly rounded float ``(5*q*delta^2 + 2*p*rho) / (2*q)``; rho is 0
+    on the empty diagram.
+    """
+    p, q = alpha.numerator, alpha.denominator
+    rho_val = rho(delta, alpha) if delta >= 1 else 0
+    threshold = (5 * q * delta * delta + 2 * p * rho_val) / (2 * q)
+    if delta * q < 18 * p:
+        return CLASS_M1, rho_val, threshold
+    gn = gamma * n
     if gn <= threshold + _CLASS_TIE_TOL * max(abs(gn), abs(threshold)):
-        return CLASS_M2
-    return CLASS_M3
+        return CLASS_M2, rho_val, threshold
+    return CLASS_M3, rho_val, threshold
+
+
+def classify(lam: Partition, alpha: Fraction, gamma_log_ratio: float) -> str:
+    """Place n into M1/M2/M3 from delta, rho and the exponent fraction gamma.
+
+    The rule is ``_class_rule``, the one ``theorem_classify`` applies.
+    """
+    return _class_rule(lam.diagonal(), lam.n, _require_alpha(alpha), gamma_log_ratio)[0]
 
 
 def theorem_classify(lam: Partition, alpha: Fraction, beta: Fraction) -> BoundCertificate:
@@ -659,30 +716,25 @@ def theorem_classify(lam: Partition, alpha: Fraction, beta: Fraction) -> BoundCe
     carried as a log-domain float.  The dispatched sub-certificate is
     recorded in aux; the final verdict always compares the exact degree
     against beta^n.
+
+    What depends only on (alpha, beta) -- log beta, gamma, the M2 gate eps
+    and the strip parameter ceil(18*alpha) -- is computed once per pair;
+    each row computes rho and the class threshold once, and the width and
+    M1 gates are integer tests.
     """
     alpha = _require_alpha(alpha)
-    beta = Fraction(beta)
-    if not (1 < beta < alpha):
-        raise HypothesisError("1 < beta < alpha", f"beta={beta}, alpha={alpha}")
+    if type(beta) is not Fraction:
+        beta = Fraction(beta)
+    log_beta, gamma, eps, kl = _dispatch_constants(alpha, beta)
     _check_width_gates(lam, alpha)
     n = lam.n
     delta = lam.diagonal()
-
-    log_alpha = log_fraction(alpha)
-    log_beta = log_fraction(beta)
-    gamma = (log_alpha - log_beta) / log_alpha
-    cls = classify(lam, alpha, gamma)
+    cls, rho_val, threshold = _class_rule(delta, n, alpha, gamma)
 
     if cls == CLASS_M1:
-        kl = math.ceil(18 * alpha)
         strip, f = _strip_bound(lam, kl, kl, alpha)
         sub = strip.certificate
     elif cls == CLASS_M2:
-        if alpha.denominator == 1:
-            eps = gamma / float(Fraction(5, 2) + alpha)
-        else:
-            frac = alpha - math.floor(alpha)
-            eps = gamma / float(3 + alpha / frac)
         sub, f = _overexponential_bound(lam, eps, beta)
     else:
         sub, f = _general_bound(lam, alpha)
@@ -693,7 +745,6 @@ def theorem_classify(lam: Partition, alpha: Fraction, beta: Fraction) -> BoundCe
     exact = None
     if power_compare_bits(beta, expo, f.bit_length()) <= exact_bit_budget():
         exact = exact_power_ge(Fraction(f), beta, expo)
-    rho_val = rho(delta, alpha) if delta >= 1 else 0
     cert = make_certificate(
         "theorem",
         {"alpha": alpha, "beta": beta, "n": n, "delta": delta, "rho": rho_val},
@@ -704,7 +755,7 @@ def theorem_classify(lam: Partition, alpha: Fraction, beta: Fraction) -> BoundCe
         aux={
             "class": cls,
             "gamma": gamma,
-            "class_threshold": float(Fraction(5, 2) * delta**2 + alpha * rho_val),
+            "class_threshold": threshold,
             "sub_certificate": sub.to_json_dict(),
         },
     )

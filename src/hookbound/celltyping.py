@@ -67,16 +67,21 @@ from .partitions import Partition, corner_rows
 
 
 def rho(delta: int, alpha: Fraction) -> int:
-    """Correction term: delta^2 for integer alpha, else floor(delta^2/frac(alpha)) + 1."""
-    alpha = Fraction(alpha)
+    """Correction term: delta^2 for integer alpha, else floor(delta^2/frac(alpha)) + 1.
+
+    With alpha = p/q, frac(alpha) = (p mod q)/q, so the quotient is the
+    integer ``delta^2 * q // (p mod q)``.
+    """
+    if type(alpha) is not Fraction:
+        alpha = Fraction(alpha)
     if alpha <= 1:
         raise HypothesisError("alpha > 1", f"got {alpha}")
     if delta < 1:
         raise HypothesisError("delta >= 1", f"got {delta}")
-    if alpha.denominator == 1:
+    p, q = alpha.numerator, alpha.denominator
+    if q == 1:
         return delta * delta
-    frac = alpha - math.floor(alpha)
-    return math.floor(Fraction(delta * delta) / frac) + 1
+    return delta * delta * q // (p % q) + 1
 
 
 class CellRecord(NamedTuple):
@@ -154,11 +159,15 @@ class CellTyping:
 
 
 def check_widths(lam: Partition, alpha: Fraction) -> None:
-    """Gate lambda_1 <= n/alpha, then lambda'_1 <= n/alpha (the number of rows)."""
+    """Gate lambda_1 <= n/alpha, then lambda'_1 <= n/alpha (the number of rows).
+
+    With alpha = p/q each gate is the integer test ``width * p > n * q``.
+    """
     n = lam.n
-    if lam.part(1) * alpha > n:
+    p, q = alpha.numerator, alpha.denominator
+    if lam.part(1) * p > n * q:
         raise HypothesisError("lambda_1 <= n/alpha", f"lambda_1={lam.part(1)}, n={n}")
-    if len(lam) * alpha > n:
+    if len(lam) * p > n * q:
         raise HypothesisError("lambda'_1 <= n/alpha", f"lambda'_1={len(lam)}, n={n}")
 
 

@@ -31,6 +31,7 @@ import os
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 from .partitions import format_rational, parse_rational
 
@@ -183,11 +184,13 @@ class BoundCertificate:
 
 
 _JSON_SCALARS = frozenset((int, float, str, bool, type(None)))
+_JSON_ROWS = frozenset((list, tuple))
 
 
 def _jsonify(value):
     # exact types first: isinstance against Fraction goes through the ABC
-    # machinery, and nested sub-certificates hold one list of scalars per cell
+    # machinery, and nested sub-certificates hold one list of scalars per
+    # cell, copied row by row without a Python call per cell
     if type(value) in _JSON_SCALARS:
         return value
     if isinstance(value, Fraction):
@@ -197,6 +200,10 @@ def _jsonify(value):
     if isinstance(value, (list, tuple)):
         if all(map(_JSON_SCALARS.__contains__, map(type, value))):
             return list(value)
+        if set(map(type, value)) <= _JSON_ROWS and all(
+            map(_JSON_SCALARS.__contains__, map(type, chain.from_iterable(value)))
+        ):
+            return list(map(list, value))
         return [_jsonify(v) for v in value]
     return value
 
@@ -220,8 +227,12 @@ def make_certificate(
         verdict = PASS if exact_result else FAIL
     return BoundCertificate(
         bound_name=bound_name,
-        parameters={k: Fraction(v) for k, v in parameters.items()},
-        exponent=None if exponent is None else Fraction(exponent),
+        parameters={
+            k: v if type(v) is Fraction else Fraction(v) for k, v in parameters.items()
+        },
+        exponent=(
+            exponent if exponent is None or type(exponent) is Fraction else Fraction(exponent)
+        ),
         lhs_log=lhs_log,
         rhs_log=rhs_log,
         mode=mode,

@@ -242,7 +242,8 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction | int) -> str:
-    value = Fraction(value)
+    if type(value) is not Fraction:
+        value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"

@@ -209,6 +209,16 @@ class TestSerialization:
             '"frac": "1/3", "nested": ["2", [1, true], {"k": "3/2"}]}'
         )
 
+    def test_rows_of_scalars_are_copied(self):
+        cells = [[1, 2, 3], (4, True, None), [], [0.5, "x"]]
+        aux = {"mu_certificate": {"cells": cells}, "mixed": [[1, Fraction(1, 2)], [2]]}
+        data = make_certificate("demo", {}, None, 5.0, 1.0, None, aux=aux).to_json_dict()
+        out = data["aux"]["mu_certificate"]["cells"]
+        assert out == [[1, 2, 3], [4, True, None], [], [0.5, "x"]]
+        assert all(type(row) is list for row in out)
+        assert all(a is not b for a, b in zip(out, cells))
+        assert data["aux"]["mixed"] == [[1, "1/2"], [2]]
+
     def test_revalidate_accepts_own_output(self):
         for exact in (True, False, None):
             assert revalidate(self._cert(exact).to_json())

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -8,6 +9,9 @@ from hookbound.bounds import (
     CLASS_M1,
     CLASS_M2,
     CLASS_M3,
+    _check_width_gates,
+    _class_rule,
+    _square_degree,
     classify,
     general_bound,
     reduce_diagram,
@@ -17,7 +21,10 @@ from hookbound.bounds import (
 from hookbound.certificates import PASS, certificate_from_json, revalidate
 from hookbound.degrees import degree, log_degree
 from hookbound.errors import HypothesisError
+from hookbound.families import balanced
+from hookbound.families import staircase as family_staircase
 from hookbound.partitions import Partition
+from hookbound.sweep import build_growth_report
 
 ALPHA = Fraction(11, 10)
 BETA = Fraction(21, 20)
@@ -247,3 +254,133 @@ class TestDegreeReuse:
 
     def test_bounds_do_not_import_log_degree(self):
         assert not hasattr(hookbound.bounds, "log_degree")
+
+
+class TestDispatchCaches:
+    def test_square_degree_matches_degree(self):
+        _square_degree.cache_clear()
+        for d in range(1, 61):
+            assert _square_degree(d) == degree(Partition((d,) * d))
+
+    def test_square_cache_is_bounded(self):
+        maxsize = _square_degree.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 256
+
+    def test_sweep_evaluates_each_square_once(self, monkeypatch):
+        # one degree per row, plus one per distinct Durfee side of the M2 rows
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return degree(p)
+
+        _square_degree.cache_clear()
+        monkeypatch.setattr(hookbound.bounds, "degree", counted)
+        report = build_growth_report("staircase", ALPHA, BETA, 403, 1203)
+        m2_sides = {r.partition.diagonal() for r in report.rows if r.cls == CLASS_M2}
+        assert {r.cls for r in report.rows} == {CLASS_M1, CLASS_M2}
+        assert len(report.rows) == 801 and len(m2_sides) > 1
+        assert len(calls) == len(report.rows) + len(m2_sides)
+
+
+class TestIntegerGates:
+    @pytest.mark.parametrize(
+        "parts, alpha",
+        [
+            ((4, 2, 1, 1), Fraction(2)),  # lambda_1 * alpha == n == rows * alpha
+            ((10, 1), Fraction(11, 10)),  # lambda_1 * alpha == n
+            ((2,) + (1,) * 9, Fraction(11, 10)),  # rows * alpha == n
+            ((6, 1, 1, 1), Fraction(3, 2)),  # lambda_1 * alpha == n
+        ],
+    )
+    def test_width_gates_pass_at_equality(self, parts, alpha):
+        lam = Partition(parts)
+        assert max(lam.part(1), len(lam)) * alpha == lam.n
+        _check_width_gates(lam, alpha)
+        assert theorem_classify(lam, alpha, (1 + alpha) / 2).aux["class"] == CLASS_M1
+
+    @pytest.mark.parametrize(
+        "parts, alpha, message",
+        [
+            ((5, 2, 1), Fraction(2), "lambda_1 <= n/alpha (lambda_1=5, n=8)"),
+            ((11, 1), Fraction(11, 10), "lambda_1 <= n/alpha (lambda_1=11, n=12)"),
+            ((7, 1, 1), Fraction(3, 2), "lambda_1 <= n/alpha (lambda_1=7, n=9)"),
+            ((2,) + (1,) * 10, Fraction(11, 10), "lambda'_1 <= n/alpha (lambda'_1=11, n=12)"),
+            ((3, 1, 1, 1, 1), Fraction(2), "lambda'_1 <= n/alpha (lambda'_1=5, n=7)"),
+        ],
+    )
+    def test_one_cell_over_raises(self, parts, alpha, message):
+        # the message of the old Fraction gates ``width * alpha > n``
+        lam = Partition(parts)
+        with pytest.raises(HypothesisError) as err:
+            _check_width_gates(lam, alpha)
+        assert str(err.value) == "hypothesis violated: " + message
+        with pytest.raises(HypothesisError) as err:
+            theorem_classify(lam, alpha, (1 + alpha) / 2)
+        assert str(err.value) == "hypothesis violated: " + message
+
+    def test_m1_gate_at_three_halves(self):
+        alpha = Fraction(3, 2)
+        gamma = 0.5
+        assert _class_rule(26, 26 * 26, alpha, gamma)[0] == CLASS_M1
+        assert _class_rule(27, 27 * 27, alpha, gamma)[0] != CLASS_M1
+
+    @pytest.mark.parametrize(
+        "alpha",
+        [Fraction(3, 2), Fraction(11, 10), Fraction(2), Fraction(7, 3), Fraction(101, 100)],
+    )
+    def test_class_rule_matches_fraction_rules(self, alpha):
+        # the old M1 test, threshold and rho, all in Fraction arithmetic
+        gamma = 0.3
+        for delta in range(1, 3 * 18 * math.ceil(alpha)):
+            frac = alpha - math.floor(alpha)
+            old_rho = (
+                delta * delta if frac == 0 else math.floor(Fraction(delta * delta) / frac) + 1
+            )
+            cls, rho_val, threshold = _class_rule(delta, 4 * delta * delta, alpha, gamma)
+            assert (cls == CLASS_M1) == (Fraction(delta) < 18 * alpha)
+            assert rho_val == old_rho == rho(delta, alpha)
+            assert threshold == float(Fraction(5, 2) * delta**2 + alpha * old_rho)
+
+    def test_classify_and_dispatch_share_the_rule(self):
+        for n in range(600, 621):
+            lam = family_staircase(n, ALPHA)
+            cert = theorem_classify(lam, ALPHA, BETA)
+            assert classify(lam, ALPHA, cert.aux["gamma"]) == cert.aux["class"]
+
+
+def _digest(certs) -> str:
+    return hashlib.sha256("\n".join(c.to_json() for c in certs).encode()).hexdigest()
+
+
+class TestPinnedCertificateJson:
+    """Digests of whole certificates, nested sub-certificates included."""
+
+    def test_staircase_m1_to_m2(self):
+        certs = [
+            theorem_classify(family_staircase(n, ALPHA), ALPHA, BETA) for n in range(600, 621)
+        ]
+        assert {c.aux["class"] for c in certs} == {CLASS_M1, CLASS_M2}
+        assert _digest(certs) == "26c6a20b0a8b20b15b02f7df8e5e46b8d2db1201b7cadd478a89d3859f088c0d"
+
+    def test_balanced_m1_to_m2(self):
+        alpha, beta = Fraction(2), Fraction(3, 2)
+        certs = [theorem_classify(balanced(n), alpha, beta) for n in range(1285, 1301)]
+        assert {c.aux["class"] for c in certs} == {CLASS_M1, CLASS_M2}
+        assert _digest(certs) == "2c66a568adf6b5e153b03f26db418ec27cc2eed29c9c47b78414b9a7b3e9761a"
+
+    @pytest.mark.parametrize(
+        "width, digest",
+        [
+            (600, "93e7d0dd53dd0423962dc7a9902c77504d5220de50194533dcec1e2d60cdb84a"),
+            (800, "9def01e766e143c090e81d25891f876bf5210af3231595d1715981f3a3285151"),
+        ],
+    )
+    def test_rectangle_m3(self, width, digest):
+        cert = theorem_classify(Partition((width,) * 20), ALPHA, BETA)
+        assert cert.aux["class"] == CLASS_M3
+        assert _digest([cert]) == digest
+
+    def test_general_staircase(self):
+        cert = general_bound(family_staircase(2000, ALPHA), ALPHA)
+        assert _digest([cert]) == "44af9eea64c17b871a4c0b80089e42b2f851d033875c199c16f738fdf691ba85"
