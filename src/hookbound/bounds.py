@@ -46,21 +46,21 @@ def _check_width_gates(lam: Partition, alpha: Fraction) -> None:
     check_widths(lam, alpha)
 
 
-def _alpha_power_certificate(
+def _power_certificate(
     bound_name: str,
     f: int,
-    alpha: Fraction,
+    base: Fraction,
     exponent: Fraction,
     parameters: dict,
     aux: dict,
     cells: tuple | None = None,
 ) -> BoundCertificate:
-    """Certificate for f >= alpha**exponent, where f is the exact degree."""
+    """Certificate for f >= base**exponent, where f is an exact degree."""
     lhs_log = math.log(f)
-    rhs_log = float(exponent) * log_fraction(alpha)
+    rhs_log = float(exponent) * log_fraction(base)
     exact = None
-    if power_compare_bits(alpha, exponent, f.bit_length()) <= exact_bit_budget():
-        exact = exact_power_ge(Fraction(f), alpha, exponent)
+    if power_compare_bits(base, exponent, f.bit_length()) <= exact_bit_budget():
+        exact = exact_power_ge(f, base, exponent)
     return make_certificate(
         bound_name, parameters, exponent, lhs_log, rhs_log, exact, aux, cells
     )
@@ -153,7 +153,7 @@ def _strip_ge(f: int, alpha: Fraction, n: int, m: int) -> bool:
     brackets rounds by 2**-53 of the sum, far inside their radii.
     """
     f_lo, f_hi = log2_bracket(f)
-    nm_lo, nm_hi = _log2_power(Fraction(n), m)
+    nm_lo, nm_hi = _log2_power(n, m)
     rhs_lo, rhs_hi = _log2_power(alpha, n)
     if f_lo + nm_lo > rhs_hi:
         return True
@@ -331,17 +331,31 @@ def rectangle_bound(a: int, b: int) -> BoundCertificate:
 
 
 def overexponential_bound(
-    lam: Partition, eps: Fraction | float, gamma: Fraction | float
+    lam: Partition, eps: Fraction | int, gamma: Fraction | int
 ) -> BoundCertificate:
     """Certify the square route f(lam) >= f(delta^delta) >= gamma^n.
 
-    The hypothesis delta^2/n >= eps gates the call; the verdict reports
-    whether the square's degree clears gamma^n at this n (legitimately FAIL
-    for small n).  The recorded lhs is the square's log degree so the
-    stored margin determines the verdict; the input's own degree and the
-    exact containment comparison live in aux.
+    ``eps`` and ``gamma`` are taken as exact rationals (an int or a float
+    becomes the ``Fraction`` of its value).  The hypothesis delta^2/n >= eps
+    gates the call, decided exactly; the verdict reports whether the
+    square's degree clears gamma^n at this n (legitimately FAIL for small
+    n).  The recorded lhs is the square's log degree so the stored margin
+    determines the verdict; the input's own degree and the exact
+    containment comparison live in aux.
     """
-    return _overexponential_bound(lam, eps, gamma)[0]
+    eps, gamma = Fraction(eps), Fraction(gamma)
+    n = lam.n
+    if n < 1:
+        raise HypothesisError("n >= 1", "empty partition")
+    delta = lam.diagonal()
+    if eps <= 0:
+        raise HypothesisError("eps > 0", f"got {eps}")
+    if Fraction(delta**2, n) < eps:
+        raise HypothesisError("delta^2/n >= eps", f"delta={delta}, n={n}, eps={eps}")
+    if gamma <= 0:
+        raise HypothesisError("gamma > 0", f"got {gamma}")
+    beta_log = log_fraction(gamma) / float(eps)
+    return _square_bound(lam, delta, gamma, eps, True, beta_log)[0]
 
 
 @lru_cache(maxsize=64)
@@ -354,40 +368,22 @@ def _square_degree(delta: int) -> int:
     return degree(Partition((delta,) * delta))
 
 
-@lru_cache(maxsize=64)
-def _limited(x: float) -> Fraction:
-    """The rational a float parameter is recorded as in a certificate."""
-    return Fraction(x).limit_denominator(10**12)
-
-
-def _overexponential_bound(
-    lam: Partition, eps: Fraction | float, gamma: Fraction | float
+def _square_bound(
+    lam: Partition,
+    delta: int,
+    gamma: Fraction,
+    eps: Fraction,
+    eps_exact: bool,
+    beta_log: float,
 ) -> tuple[BoundCertificate, int]:
-    """``overexponential_bound`` and the degree of ``lam`` it computed.
+    """The square construction of ``overexponential_bound``, gates passed.
 
-    The square's degree comes from ``_square_degree``, so a run of shapes
-    with the same Durfee side evaluates it once.
+    Returns the certificate and the degree of ``lam`` it computed.  ``eps``
+    is the gate as recorded (``eps_exact`` says whether it is the exact
+    gate or a rational near a float one) and ``beta_log`` the recorded
+    ``ln(gamma)/eps``.  The square's degree comes from ``_square_degree``,
+    so a run of shapes with the same Durfee side evaluates it once.
     """
-    n = lam.n
-    if n < 1:
-        raise HypothesisError("n >= 1", "empty partition")
-    delta = lam.diagonal()
-    if isinstance(eps, Fraction):
-        if eps <= 0:
-            raise HypothesisError("eps > 0", f"got {eps}")
-        hyp_ok = Fraction(delta**2, n) >= eps
-    else:
-        if eps <= 0:
-            raise HypothesisError("eps > 0", f"got {eps}")
-        hyp_ok = delta**2 / n >= eps * (1 - 1e-9)
-    if not hyp_ok:
-        raise HypothesisError("delta^2/n >= eps", f"delta={delta}, n={n}, eps={eps}")
-    gamma_is_exact = isinstance(gamma, Fraction)
-    if gamma <= 0:
-        raise HypothesisError("gamma > 0", f"got {gamma}")
-    gamma_f = gamma if gamma_is_exact else None
-    gamma_log = log_fraction(gamma_f) if gamma_is_exact else math.log(gamma)
-
     mu = Partition((delta,) * delta)
     if not lam.contains(mu):
         raise ConsistencyError("diagonal square does not fit inside the diagram")
@@ -395,35 +391,20 @@ def _overexponential_bound(
     f_lam = degree(lam)
     if f_lam < f_mu:
         raise ConsistencyError("containment monotonicity failed for the square")
-
-    lhs_log = math.log(f_mu)
-    rhs_log = n * gamma_log
-    exact = None
-    if gamma_is_exact:
-        expo = Fraction(n)
-        if power_compare_bits(gamma_f, expo, f_mu.bit_length()) <= exact_bit_budget():
-            exact = exact_power_ge(Fraction(f_mu), gamma_f, expo)
-    beta_log = gamma_log / float(eps)
-    cert = make_certificate(
+    n = lam.n
+    cert = _power_certificate(
         "overexponential",
-        {
-            "eps": eps if isinstance(eps, Fraction) else _limited(eps),
-            "gamma": gamma_f if gamma_is_exact else _limited(gamma),
-            "delta": delta,
-            "k_n": delta * delta,
-            "n": n,
-        },
+        f_mu,
+        gamma,
         Fraction(n),
-        lhs_log,
-        rhs_log,
-        exact,
+        {"eps": eps, "gamma": gamma, "delta": delta, "k_n": delta * delta, "n": n},
         aux={
             "input_log_degree": math.log(f_lam),
-            "square_log_degree": lhs_log,
+            "square_log_degree": math.log(f_mu),
             "beta_log": beta_log,
             "containment_exact": True,
-            "eps_exact": isinstance(eps, Fraction),
-            "gamma_exact": gamma_is_exact,
+            "eps_exact": eps_exact,
+            "gamma_exact": True,
         },
     )
     return cert, f_lam
@@ -449,7 +430,7 @@ def _strict_bound(lam: Partition, alpha: Fraction) -> tuple[BoundCertificate, in
     if sharp_exponent < exponent:
         raise ConsistencyError("sharper exponent n - |T4| fell below the claimed one")
     f = degree(lam)
-    cert = _alpha_power_certificate(
+    cert = _power_certificate(
         "strict",
         f,
         alpha,
@@ -622,7 +603,7 @@ def _general_bound(lam: Partition, alpha: Fraction) -> tuple[BoundCertificate, i
         raise ConsistencyError(
             "chained exponent on mu fell below the claimed general exponent"
         )
-    cert = _alpha_power_certificate(
+    cert = _power_certificate(
         "general",
         f_lam,
         alpha,
@@ -657,15 +638,19 @@ CLASS_M1 = "M1"
 CLASS_M2 = "M2"
 CLASS_M3 = "M3"
 
-_CLASS_TIE_TOL = 1e-9
-
 
 @lru_cache(maxsize=64)
-def _dispatch_constants(alpha: Fraction, beta: Fraction) -> tuple[float, float, float, int]:
-    """``(log beta, gamma, eps, ceil(18*alpha))`` for one pair (alpha, beta).
+def _dispatch_constants(
+    alpha: Fraction, beta: Fraction
+) -> tuple[float, Fraction, float, int]:
+    """``(gamma, eps, beta_log, ceil(18*alpha))`` for one pair (alpha, beta).
 
     gamma = (ln alpha - ln beta)/ln alpha is the maximal exponent fraction
-    and eps the M2 square's density gate; both are log-domain floats.
+    and eps the M2 square's density gate, both log-domain floats kept for
+    the record: the dispatch decides its class exactly (``_class_rule``)
+    and never tests eps.  ``eps`` is returned as the rational a certificate
+    records, ``Fraction(eps).limit_denominator(10**12)``, and ``beta_log``
+    is ``log beta / eps`` on the float eps.
     """
     if not (1 < beta < alpha):
         raise HypothesisError("1 < beta < alpha", f"beta={beta}, alpha={alpha}")
@@ -677,81 +662,93 @@ def _dispatch_constants(alpha: Fraction, beta: Fraction) -> tuple[float, float, 
     else:
         frac = alpha - math.floor(alpha)
         eps = gamma / float(3 + alpha / frac)
-    return log_beta, gamma, eps, math.ceil(18 * alpha)
+    eps_record = Fraction(eps).limit_denominator(10**12)
+    return gamma, eps_record, log_beta / eps, math.ceil(18 * alpha)
 
 
 def _class_rule(
-    delta: int, n: int, alpha: Fraction, gamma: float
+    delta: int, n: int, alpha: Fraction, beta: Fraction
 ) -> tuple[str, int, float]:
-    """The class of n, ``rho(delta)`` and the threshold ``5/2 delta^2 + alpha*rho``.
+    """The class of n, ``rho(delta)`` and the threshold T = 5/2 delta^2 + alpha*rho.
 
     M1 when delta < 18*alpha, decided as ``delta*q < 18*p`` for alpha = p/q.
-    Otherwise M2 when gamma*n <= threshold, else M3.  The threshold is the
-    correctly rounded float ``(5*q*delta^2 + 2*p*rho) / (2*q)``; rho is 0
-    on the empty diagram.
+    Otherwise M2 when gamma*n <= T, else M3, with gamma = (ln alpha -
+    ln beta)/ln alpha.  Since T > 0 once delta >= 18*alpha, gamma*n <= T is
+    the rational power comparison ``alpha**T >= (alpha/beta)**n``, decided
+    exactly by ``exact_power_ge`` with exponent ``n/T``; its certified
+    filter builds powers only on a near-tie.  The threshold is returned as
+    the correctly rounded float ``(5*q*delta^2 + 2*p*rho) / (2*q)``, for
+    the record; rho is 0 on the empty diagram.
     """
     p, q = alpha.numerator, alpha.denominator
     rho_val = rho(delta, alpha) if delta >= 1 else 0
-    threshold = (5 * q * delta * delta + 2 * p * rho_val) / (2 * q)
+    twice_qt = 5 * q * delta * delta + 2 * p * rho_val
+    threshold = twice_qt / (2 * q)
     if delta * q < 18 * p:
         return CLASS_M1, rho_val, threshold
-    gn = gamma * n
-    if gn <= threshold + _CLASS_TIE_TOL * max(abs(gn), abs(threshold)):
+    if exact_power_ge(alpha, alpha / beta, Fraction(2 * q * n, twice_qt)):
         return CLASS_M2, rho_val, threshold
     return CLASS_M3, rho_val, threshold
 
 
-def classify(lam: Partition, alpha: Fraction, gamma_log_ratio: float) -> str:
-    """Place n into M1/M2/M3 from delta, rho and the exponent fraction gamma.
+def classify(lam: Partition, alpha: Fraction, beta: Fraction) -> str:
+    """Place n into M1/M2/M3 from delta, rho and the pair (alpha, beta).
 
-    The rule is ``_class_rule``, the one ``theorem_classify`` applies.
+    The rule is ``_class_rule``, the one ``theorem_classify`` applies, and
+    it is exact: no tolerance decides a tie.
     """
-    return _class_rule(lam.diagonal(), lam.n, _require_alpha(alpha), gamma_log_ratio)[0]
+    alpha = _require_alpha(alpha)
+    if type(beta) is not Fraction:
+        beta = Fraction(beta)
+    _dispatch_constants(alpha, beta)  # checks 1 < beta < alpha
+    return _class_rule(lam.diagonal(), lam.n, alpha, beta)[0]
 
 
 def theorem_classify(lam: Partition, alpha: Fraction, beta: Fraction) -> BoundCertificate:
     """Certify f(lam) >= beta^n by dispatching on the M1/M2/M3 classification.
 
-    gamma is the maximal exponent fraction (ln alpha - ln beta)/ln alpha,
-    carried as a log-domain float.  The dispatched sub-certificate is
-    recorded in aux; the final verdict always compares the exact degree
-    against beta^n.
+    The class is decided exactly (``_class_rule``); gamma, the maximal
+    exponent fraction (ln alpha - ln beta)/ln alpha, and the class threshold
+    are recorded in aux as floats for reading only.  The dispatched
+    sub-certificate is recorded in aux; the final verdict always compares
+    the exact degree against beta^n.
 
-    What depends only on (alpha, beta) -- log beta, gamma, the M2 gate eps
-    and the strip parameter ceil(18*alpha) -- is computed once per pair;
-    each row computes rho and the class threshold once, and the width and
-    M1 gates are integer tests.
+    An M2 class needs no test of the square's gate delta^2/n >= eps, as
+    the class, gamma*n <= T = 5/2 delta^2 + alpha*rho, implies it.  For
+    integer alpha, rho = delta^2 and eps = gamma/(5/2 + alpha), so the two
+    are equivalent.  For fractional alpha, eps = gamma/(3 + alpha/frac);
+    rho <= delta^2/frac + 1 and alpha <= delta^2/2 (as delta >= 18*alpha),
+    so alpha*rho <= alpha*delta^2/frac + delta^2/2, T <= (3 + alpha/frac)*delta^2
+    and gamma*n <= T gives delta^2/n >= eps.
+
+    What depends only on (alpha, beta) -- gamma, the recorded eps and
+    beta_log, and the strip parameter ceil(18*alpha) -- is computed once per
+    pair; each row computes rho and the class threshold once, and the
+    width and M1 gates are integer tests.
     """
     alpha = _require_alpha(alpha)
     if type(beta) is not Fraction:
         beta = Fraction(beta)
-    log_beta, gamma, eps, kl = _dispatch_constants(alpha, beta)
+    gamma, eps, beta_log, kl = _dispatch_constants(alpha, beta)
     _check_width_gates(lam, alpha)
     n = lam.n
     delta = lam.diagonal()
-    cls, rho_val, threshold = _class_rule(delta, n, alpha, gamma)
+    cls, rho_val, threshold = _class_rule(delta, n, alpha, beta)
 
     if cls == CLASS_M1:
         strip, f = _strip_bound(lam, kl, kl, alpha)
         sub = strip.certificate
     elif cls == CLASS_M2:
-        sub, f = _overexponential_bound(lam, eps, beta)
+        sub, f = _square_bound(lam, delta, beta, eps, False, beta_log)
     else:
         sub, f = _general_bound(lam, alpha)
 
-    lhs_log = math.log(f)
-    rhs_log = n * log_beta
-    expo = Fraction(n)
-    exact = None
-    if power_compare_bits(beta, expo, f.bit_length()) <= exact_bit_budget():
-        exact = exact_power_ge(Fraction(f), beta, expo)
-    cert = make_certificate(
+    return _power_certificate(
         "theorem",
+        f,
+        beta,
+        Fraction(n),
         {"alpha": alpha, "beta": beta, "n": n, "delta": delta, "rho": rho_val},
-        expo,
-        lhs_log,
-        rhs_log,
-        exact,
         aux={
             "class": cls,
             "gamma": gamma,
@@ -759,4 +756,3 @@ def theorem_classify(lam: Partition, alpha: Fraction, beta: Fraction) -> BoundCe
             "sub_certificate": sub.to_json_dict(),
         },
     )
-    return cert

@@ -102,7 +102,7 @@ def log2_bracket(x: int) -> tuple[float, float]:
     return mid - rad, mid + rad
 
 
-def _log2_power(x: Fraction, k: int) -> tuple[float, float]:
+def _log2_power(x: int | Fraction, k: int) -> tuple[float, float]:
     """Certified bracket of ``k * log2(x)`` for a rational ``x > 0``.
 
     The subtraction and the product round by 2**-53 of their result, far
@@ -114,10 +114,12 @@ def _log2_power(x: Fraction, k: int) -> tuple[float, float]:
     return (lo, hi) if k >= 0 else (hi, lo)
 
 
-def exact_power_ge(lhs: Fraction, base: Fraction, exponent: Fraction) -> bool:
+def exact_power_ge(lhs: int | Fraction, base: Fraction, exponent: Fraction) -> bool:
     """Decide lhs >= base**exponent exactly (lhs > 0, base > 0).
 
-    With exponent u/v in lowest terms this is lhs**v >= base**u.  The
+    ``lhs`` may be an ``int`` (a degree), which has a numerator and a
+    denominator of 1 like a ``Fraction``.  With exponent u/v in lowest
+    terms this is lhs**v >= base**u.  The
     certified brackets of ``v*log2(lhs)`` and ``u*log2(base)`` decide it
     when they are disjoint; only a near-tie computes the two powers and
     compares them as exact rationals.

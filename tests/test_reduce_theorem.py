@@ -146,19 +146,70 @@ class TestGeneralBound:
 class TestClassify:
     def test_m1_small_diagonal(self):
         lam = Partition((10,) * 10)
-        assert classify(lam, Fraction(2), 0.4) == CLASS_M1
+        assert classify(lam, Fraction(2), Fraction(3, 2)) == CLASS_M1
 
     def test_m2_m3_threshold(self):
-        gamma = (math.log(1.1) - math.log(1.05)) / math.log(1.1)
         m2 = Partition((500,) * 20)  # gamma*n = 4881 <= 5401
         m3 = Partition((600,) * 20)  # gamma*n = 5857 > 5401
-        assert classify(m2, ALPHA, gamma) == CLASS_M2
-        assert classify(m3, ALPHA, gamma) == CLASS_M3
+        assert classify(m2, ALPHA, BETA) == CLASS_M2
+        assert classify(m3, ALPHA, BETA) == CLASS_M3
 
     def test_tie_goes_to_m2(self):
-        lam = Partition((500,) * 20)
-        threshold = float(Fraction(5, 2) * 400 + ALPHA * rho(20, ALPHA))
-        assert classify(lam, ALPHA, threshold / lam.n) == CLASS_M2
+        # at (4, 2) gamma = 1/2 exactly and T = 13/2 delta^2, so n = 13 delta^2 is a tie
+        alpha, beta = Fraction(4), Fraction(2)
+        assert _class_rule(72, 13 * 72 * 72, alpha, beta)[0] == CLASS_M2
+        assert _class_rule(72, 13 * 72 * 72 + 1, alpha, beta)[0] == CLASS_M3
+
+    def test_beta_range_gate(self):
+        lam = Partition((10,) * 10)
+        with pytest.raises(HypothesisError):
+            classify(lam, Fraction(2), Fraction(2))
+
+    def test_near_tie_is_m3(self):
+        # gamma*n - T = +6.9e-9 while T = 8424: a float rule with a 1e-9
+        # relative slack calls this M2, and its square bound then fails
+        lam = Partition((400,) * 36)
+        alpha, beta = Fraction(2), Fraction(810074, 536305)
+        assert classify(lam, alpha, beta) == CLASS_M3
+        cert = theorem_classify(lam, alpha, beta)
+        assert cert.aux["class"] == CLASS_M3
+        sub = cert.aux["sub_certificate"]
+        assert sub["bound_name"] == "general"
+        assert sub["verdict"] == PASS
+        assert cert.verdict == PASS
+
+    @pytest.mark.parametrize("width, cls", [(936, CLASS_M2), (937, CLASS_M3)])
+    def test_exact_tie_shapes(self, width, cls):
+        lam = Partition((width,) * 72)  # n = 13 * 72^2 at width 936
+        alpha, beta = Fraction(4), Fraction(2)
+        assert classify(lam, alpha, beta) == cls
+        assert theorem_classify(lam, alpha, beta).aux["class"] == cls
+
+    @pytest.mark.parametrize(
+        "alpha, beta",
+        [
+            (Fraction(2), Fraction(3, 2)),
+            (Fraction(3), Fraction(2)),
+            (Fraction(4), Fraction(2)),
+            (Fraction(3, 2), Fraction(5, 4)),
+            (Fraction(5, 3), Fraction(4, 3)),
+        ],
+    )
+    def test_class_rule_matches_cleared_powers(self, alpha, beta):
+        # gamma*n <= T as alpha^(5q delta^2 + 2p rho) >= (alpha/beta)^(2qn),
+        # on the integers around the float boundary n = T/gamma
+        p, q = alpha.numerator, alpha.denominator
+        gamma = 1 - math.log(beta) / math.log(alpha)
+        seen = set()
+        for delta in (math.ceil(18 * alpha), math.ceil(18 * alpha) + 1):
+            r = rho(delta, alpha)
+            mid = round((Fraction(5, 2) * delta**2 + alpha * r) / Fraction(gamma))
+            for n in range(mid - 3, mid + 4):
+                m2 = alpha ** (5 * q * delta**2 + 2 * p * r) >= (alpha / beta) ** (2 * q * n)
+                cls = _class_rule(delta, n, alpha, beta)[0]
+                assert cls == (CLASS_M2 if m2 else CLASS_M3), (delta, n)
+                seen.add(cls)
+        assert seen == {CLASS_M2, CLASS_M3}
 
 
 class TestTheorem:
@@ -320,10 +371,9 @@ class TestIntegerGates:
         assert str(err.value) == "hypothesis violated: " + message
 
     def test_m1_gate_at_three_halves(self):
-        alpha = Fraction(3, 2)
-        gamma = 0.5
-        assert _class_rule(26, 26 * 26, alpha, gamma)[0] == CLASS_M1
-        assert _class_rule(27, 27 * 27, alpha, gamma)[0] != CLASS_M1
+        alpha, beta = Fraction(3, 2), Fraction(5, 4)
+        assert _class_rule(26, 26 * 26, alpha, beta)[0] == CLASS_M1
+        assert _class_rule(27, 27 * 27, alpha, beta)[0] != CLASS_M1
 
     @pytest.mark.parametrize(
         "alpha",
@@ -331,13 +381,13 @@ class TestIntegerGates:
     )
     def test_class_rule_matches_fraction_rules(self, alpha):
         # the old M1 test, threshold and rho, all in Fraction arithmetic
-        gamma = 0.3
+        beta = (1 + alpha) / 2
         for delta in range(1, 3 * 18 * math.ceil(alpha)):
             frac = alpha - math.floor(alpha)
             old_rho = (
                 delta * delta if frac == 0 else math.floor(Fraction(delta * delta) / frac) + 1
             )
-            cls, rho_val, threshold = _class_rule(delta, 4 * delta * delta, alpha, gamma)
+            cls, rho_val, threshold = _class_rule(delta, 4 * delta * delta, alpha, beta)
             assert (cls == CLASS_M1) == (Fraction(delta) < 18 * alpha)
             assert rho_val == old_rho == rho(delta, alpha)
             assert threshold == float(Fraction(5, 2) * delta**2 + alpha * old_rho)
@@ -346,7 +396,7 @@ class TestIntegerGates:
         for n in range(600, 621):
             lam = family_staircase(n, ALPHA)
             cert = theorem_classify(lam, ALPHA, BETA)
-            assert classify(lam, ALPHA, cert.aux["gamma"]) == cert.aux["class"]
+            assert classify(lam, ALPHA, BETA) == cert.aux["class"]
 
 
 def _digest(certs) -> str:

@@ -295,3 +295,19 @@ class TestOverexponential:
     def test_beta_log_reported(self):
         cert = overexponential_bound(Partition((4, 4, 4, 4)), Fraction(1), Fraction(2))
         assert cert.aux["beta_log"] == pytest.approx(math.log(2))
+
+    @pytest.mark.parametrize("eps, gamma", [(1, 2), (1.0, 2.0), (0.5, 1.5)])
+    def test_int_and_float_arguments_match_fractions(self, eps, gamma):
+        # each value is taken as the Fraction of its value
+        lam = Partition((4, 4, 4, 4))
+        cert = overexponential_bound(lam, eps, gamma)
+        exact = overexponential_bound(lam, Fraction(eps), Fraction(gamma))
+        assert cert.to_json() == exact.to_json()
+        assert cert.mode == MODE_EXACT and cert.aux["gamma_exact"] is True
+
+    def test_gate_is_exact(self):
+        # delta^2/n = 9/18 exactly: eps = 1/2 passes, the next rational above fails
+        lam = Partition((5, 5, 5, 2, 1))
+        overexponential_bound(lam, Fraction(1, 2), Fraction(1))
+        with pytest.raises(HypothesisError):
+            overexponential_bound(lam, Fraction(1, 2) + Fraction(1, 10**12), Fraction(1))
