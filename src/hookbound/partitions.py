@@ -11,15 +11,32 @@ CLI and report files live here too: partitions are comma-separated part
 lists ("9,6,4,2,2,1", empty string for the empty partition) and rationals
 are "p/q" or "p" strings, kept exact via ``fractions.Fraction``.
 
-Counting and exact-uniform sampling share one table of prefix-summed count
-rows, one row per ``(rem, slots)`` with ``slots <= rem``: entry ``c`` counts
-the partitions of ``rem`` into at most ``slots`` parts of size at most
-``c``, and ``row[c] = row[c-1] + count(rem-c, c, slots-1)``, the two-term
-recurrence of partitions in a box (Andrews, *The Theory of Partitions*,
-ch. 3).  Each entry costs O(1) amortised, and unranking bisects one row per
-part.  Rows grow on demand under a lock, so the table is safe to share
-across threads too.  The recursion goes one level per part, so a box past
-the interpreter's recursion limit raises ``DepthLimitError``.
+Counting and exact-uniform sampling read one count table.  Let P(u, k)
+count the partitions of u with parts <= k, and Q(x, k) the sum of
+P(t, min(k, t)) over t <= x.  A box ``(r, c, s)`` (partitions of r with
+parts <= c and at most s parts, with c, s <= r) is *loose* when
+r <= 2s + 1, and then it counts P(r, c) - Q(r - s - 1, c - 1), one
+inclusion-exclusion term of the Gaussian polynomials (Andrews, *The
+Theory of Partitions*, ch. 3).  Proof: conjugation turns the partitions
+with parts <= c and at least s + 1 parts into those with first part
+a >= s + 1 and at most c parts; since r - a <= s < a, the rest is any
+partition of r - a into at most c - 1 parts, and there are P(r - a, c - 1)
+of those.  The triangles grow row by row in increasing u, without
+recursion: P up to the largest r asked for, Q up to the largest
+r - s - 1.  A walk that unranks from a loose box stays loose: a part
+p >= 2 leaves rem - p <= 2(slots - 1) + 1, and after a part 1 every part
+is 1.  So each part is one bisection of a row built on the spot and not
+stored.  Every box of width n/alpha with alpha <= 2 is loose, since then
+s = floor(n/alpha) >= floor(n/2), so ``constrained_sample`` there stores
+about n^2 entries and never recurses.
+
+A tight box (r > 2s + 1) keeps the row recurrence: one row of prefix
+sums per ``(rem, slots)`` with ``slots <= rem``, where
+``row[c] = row[c-1] + count(rem-c, c, slots-1)``.  Each entry costs O(1)
+amortised.  The fill recurses one level per part, so a tight box past the
+interpreter's recursion limit raises ``DepthLimitError``.  Rows and
+triangles grow under one lock, so the table is safe to share across
+threads too.
 """
 from __future__ import annotations
 
@@ -32,6 +49,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, chain, islice, repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -293,16 +311,64 @@ def _count(rem: int, slots: int) -> list[int]:
     """Row ``(rem, slots)`` of the count table, for 1 <= slots <= rem.
 
     Entry ``c`` is the number of partitions of ``rem`` with parts <= c and
-    at most ``slots`` parts.  A row starts as ``[0]`` and ``_table`` extends
-    it on demand; an entry is appended only once its value is known.
+    at most ``slots`` parts.  A row starts as ``[0]``; ``_table`` extends it
+    on demand, and ``_grow`` completes the rows ``(u, u)``, which are the
+    rows of P.  An entry is appended only once its value is known.
     """
     return [0]
 
 
-def _table(rem: int, cap: int, slots: int) -> int:
-    """Partitions of rem with parts <= cap and at most slots parts.
+# _p_rows[u] holds P(u, k) for k <= u, the partitions of u with parts <= k;
+# for u >= 1 it is the row (u, u) of _count.  _q_rows[x] holds
+# Q(x, k) = sum of P(t, min(k, t)) over t <= x, for k <= x.  Both lists
+# hold complete rows and are only ever appended to.
+_p_rows: list[list[int]] = [[1]]
+_q_rows: list[list[int]] = [[1]]
 
-    Entry c of the row adds the partitions whose first part is c:
+
+def _grow(n: int, x: int) -> None:
+    """Complete the rows of P through n and of Q through x, in increasing u.
+
+    Row u of P is the row recurrence with ``slots = u``: entry c adds
+    P(u-c, min(c, u-c)), from rows that are already complete, so a row is
+    one ``accumulate`` over two maps and nothing recurses.  A row begun by
+    ``_table`` is completed in place.  Row t of Q is row t of P added to
+    row t-1 of Q padded with its last entry.
+    """
+    for u in range(len(_p_rows), n + 1):
+        h = u // 2
+        added = chain(
+            map(operator.getitem, _p_rows[u - 1 : u - h - 1 : -1], range(1, h + 1)),
+            map(operator.itemgetter(-1), _p_rows[u - h - 1 :: -1]),
+        )
+        row = _count(u, u)
+        row.extend(islice(accumulate(added, initial=0), len(row), None))
+        _p_rows.append(row)
+    for t in range(len(_q_rows), x + 1):
+        prev = _q_rows[-1]
+        _q_rows.append(list(map(operator.add, chain(prev, prev[-1:]), _p_rows[t])))
+
+
+def _loose_row(rem: int, cap: int, slots: int) -> list[int]:
+    """Entries 0..cap of row ``(rem, slots)`` when ``rem <= 2*slots + 1``.
+
+    Entry c is P(rem, c) - Q(rem - slots - 1, c - 1).  The row is built on
+    the spot and not stored; with ``slots == rem`` it is the row of P.
+    """
+    x = rem - slots - 1
+    if x < 0:
+        return _p_rows[rem]
+    q = _q_rows[x]
+    subtracted = chain((0,), q[:cap], repeat(q[-1]))
+    return list(map(operator.sub, _p_rows[rem][: cap + 1], subtracted))
+
+
+def _table(rem: int, cap: int, slots: int) -> int:
+    """Partitions of rem with parts <= cap and at most slots parts, by rows.
+
+    ``_guarded_count`` calls this only for a tight box; its sub-rows may
+    be loose and are filled the same way.  Entry c of the row adds the
+    partitions whose first part is c:
     row[c] = row[c-1] + count(rem-c, c, slots-1).  The added count is zero
     below ceil(rem/slots), so those entries are appended in one step, and
     one at c = rem.  Every other one is entry ``min(c, r)`` of the sub-row
@@ -339,13 +405,23 @@ _TABLE_LOCK = threading.Lock()
 
 
 def _guarded_count(n: int, cap: int, slots: int) -> int:
-    """``_table`` behind a lock, with a named error at the recursion limit."""
+    """Count of the box behind a lock: the closed form when it is loose.
+
+    A tight box (``n > 2*slots + 1``) takes ``_table``, with a named error
+    at the recursion limit.
+    """
+    if n <= 0 or cap <= 0 or slots <= 0:
+        return int(n == 0)
+    cap, slots = min(cap, n), min(slots, n)
     try:
         with _TABLE_LOCK:
-            return _table(n, cap, slots)
+            if n > 2 * slots + 1:
+                return _table(n, cap, slots)
+            _grow(n, n - slots - 1)
+            return _loose_row(n, cap, slots)[cap]
     except RecursionError:
         raise DepthLimitError(
-            "partition count table", n, min(n, slots), sys.getrecursionlimit()
+            "partition count table", n, slots, sys.getrecursionlimit()
         ) from None
 
 
@@ -371,11 +447,15 @@ def unrank_partition(n: int, max_part: int, max_parts: int, rank: int) -> Partit
         raise HookBoundError(f"rank {rank} outside 0..{total - 1}")
     parts: list[int] = []
     rem, cap, slots = n, max_part, max_parts
+    # a walk from a loose box stays loose: a part p >= 2 leaves
+    # rem - p <= 2*(slots-1) + 1, and after a part 1 every part is 1
+    loose = n <= 2 * slots + 1
     while rem > 0:
         cap = min(cap, rem)
         slots = min(slots, rem)
-        # counting the total extended every row this walk reads through cap
-        row = _count(rem, slots)
+        # counting the total grew the triangles through n, or extended every
+        # row of _count this walk reads through cap
+        row = _loose_row(rem, cap, slots) if loose else _count(rem, slots)
         above = row[cap] - rank
         p = bisect_left(row, above, 1, cap + 1)
         rank = row[p] - above

@@ -29,7 +29,6 @@ from hookbound.bounds import (
     reduce_diagram,
     strict_bound,
     strip_bound,
-    theorem_classify,
 )
 from hookbound.celltyping import cell_typing, check_typing_hypotheses, rho
 from hookbound.certificates import MODE_LOG, PASS, revalidate
@@ -285,31 +284,50 @@ def test_criterion_08_reduction_coherence():
 
 
 def test_criterion_09_theorem_sweep_end_to_end():
+    # the class of each row is decided again from its diagram: M1 when
+    # delta < 18*alpha, else M2 when gamma*n <= 5/2 delta^2 + alpha*rho, which
+    # for alpha = p/q is alpha^(5q delta^2 + 2p rho) >= (alpha/beta)^(2qn)
     started = time.monotonic()
-    alpha, beta = Fraction(2), Fraction(3, 2)
-    report_obj = build_growth_report("balanced", alpha, beta, 40, 120)
-    assert len(report_obj.rows) == 81
+    sweeps = [
+        ("balanced", Fraction(2), Fraction(3, 2), 40, 120),
+        ("staircase", Fraction(11, 10), Fraction(21, 20), 600, 620),
+    ]
     failures = []
-    for row in report_obj.rows:
-        if row.verdict != PASS:
-            failures.append((row.n, "verdict"))
-        lam = row.partition
-        cert = theorem_classify(lam, alpha, beta)
-        delta = lam.diagonal()
-        if Fraction(delta) < 18 * alpha:
-            expected = "M1"
-        else:
-            gn = cert.aux["gamma"] * lam.n
-            threshold = float(Fraction(5, 2) * delta**2 + alpha * rho(delta, alpha))
-            expected = "M2" if gn <= threshold * (1 + 1e-9) else "M3"
-        if row.cls != expected:
-            failures.append((row.n, f"class {row.cls} != {expected}"))
-    n0 = report_obj.empirical_n0
-    ok = timed(600, started) and not failures and n0 == 40
+    classes = {}
+    for family, alpha, beta, n_from, n_to in sweeps:
+        report_obj = build_growth_report(family, alpha, beta, n_from, n_to)
+        assert len(report_obj.rows) == n_to - n_from + 1
+        p, q = alpha.numerator, alpha.denominator
+        ratio = alpha / beta
+        for row in report_obj.rows:
+            if row.verdict != PASS:
+                failures.append((family, row.n, "verdict"))
+            lam = row.partition
+            delta = lam.diagonal()
+            if delta * q < 18 * p:
+                expected = "M1"
+            else:
+                e = 5 * q * delta**2 + 2 * p * rho(delta, alpha)
+                m = 2 * q * lam.n
+                m2 = p**e * ratio.denominator**m >= q**e * ratio.numerator**m
+                expected = "M2" if m2 else "M3"
+            if row.cls != expected:
+                failures.append((family, row.n, f"class {row.cls} != {expected}"))
+            classes[family, row.n] = row.cls
+        if family == "balanced":
+            n0 = report_obj.empirical_n0
+    stair = [classes["staircase", n] for n in range(600, 621)]
+    ok = (
+        timed(600, started)
+        and not failures
+        and n0 == 40
+        and stair == ["M1"] * 10 + ["M2"] * 11
+    )
     assert report(
         9,
         ok,
-        f"balanced sweep n in [40,120]: all PASS, classes recomputed, empirical n0 = {n0}",
+        f"balanced sweep n in [40,120] and staircase n in [600,620]: all PASS, "
+        f"classes recomputed exactly, empirical n0 = {n0}",
     )
 
 

@@ -206,22 +206,23 @@ class TestSweepCommand:
         assert path.read_text().startswith("n,partition")
 
 
-    def test_csv_reports_skipped_n_on_stderr(self, capsys):
+    def test_csv_reports_skipped_n_on_stderr(self, capsys, cold_table):
+        # the box (3000, 1000, 1000) of alpha 3 is tight: its rows recurse
         argv = [
-            "sweep", "sample", "--alpha", "2", "--beta", "3/2",
-            "--n-from", "2400", "--n-to", "2400",
+            "sweep", "sample", "--alpha", "3", "--beta", "2",
+            "--n-from", "3000", "--n-to", "3000",
         ]
         code, out, err = run(capsys, *argv)
         assert code == EXIT_PASS
         assert out == ",".join(CSV_COLUMNS) + "\n# empirical_n0,not reached\n"
         lines = err.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith("skipped n=2400: partition count table")
+        assert lines[0].startswith("skipped n=3000: partition count table")
         assert "recursion limit" in lines[0]
         # JSON already carries the reasons under "skipped"
         code, out, err = run(capsys, *argv, "--format", "json")
         assert code == EXIT_PASS and err == ""
-        assert [n for n, _ in json.loads(out)["skipped"]] == [2400]
+        assert [n for n, _ in json.loads(out)["skipped"]] == [3000]
 
 
 class TestOracleCommand:

@@ -1,4 +1,6 @@
 import hashlib
+import inspect
+import sys
 from fractions import Fraction
 
 import pytest
@@ -109,6 +111,19 @@ class TestConstrainedSample:
             3, 3, 3, 3, 3, 3, 2, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1,
         )
 
+    @pytest.mark.parametrize("alpha", [Fraction(11, 10), Fraction(3, 2), Fraction(2)])
+    def test_no_recursion_at_alpha_up_to_two(self, alpha, cold_table):
+        # every state of a walk in a box of width n/alpha <= n/2 ... n is
+        # loose, so a cold sample needs no stack beyond the caller's
+        expected = constrained_sample(300, alpha, 5)
+        cold_table()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 100)
+        try:
+            assert constrained_sample(300, alpha, 5) == expected
+        finally:
+            sys.setrecursionlimit(limit)
+
 
 class TestSweep:
     def test_balanced_small_range(self):
@@ -174,10 +189,12 @@ class TestSweep:
         assert {r.cls for r in report.rows} == {"M1", "M2"}
         assert hashlib.sha256(render_csv(report).encode()).hexdigest() == digest
 
-    def test_sample_family_skips_n_past_recursion_limit(self):
-        report = build_growth_report("sample", Fraction(2), Fraction(3, 2), 2400, 2400)
+    def test_sample_family_skips_n_past_recursion_limit(self, cold_table):
+        # at alpha 3 the box (3000, 1000, 1000) is tight and fills its rows
+        # one recursion level per part
+        report = build_growth_report("sample", Fraction(3), Fraction(2), 3000, 3000)
         assert report.rows == ()
-        assert [n for n, _ in report.skipped] == [2400]
+        assert [n for n, _ in report.skipped] == [3000]
         assert "recursion" in report.skipped[0][1]
 
     def test_csv_schema(self):

@@ -314,42 +314,72 @@ class TestCountTable:
         assert count_partitions(100) == 190569292
         assert count_partitions(200) == 3972999029388
 
+    def test_closed_form_matches_bruteforce_tally(self, cold_table):
+        # one enumeration per n, tallied by first part and length; a box
+        # (n, c, s) counts the partitions with lambda_1 <= c and length <= s,
+        # by the closed form when n <= 2s + 1 and by the row recurrence above
+        sides = {True: 0, False: 0}
+        for n in range(31):
+            tally = [[0] * (n + 2) for _ in range(n + 2)]
+            for lam in enumerate_partitions(n):
+                tally[lam.part(1)][len(lam)] += 1
+            for c in range(n + 2):
+                for s in range(n + 2):
+                    expected = sum(tally[a][l] for a in range(c + 1) for l in range(s + 1))
+                    assert count_partitions(n, c, s) == expected, (n, c, s)
+                    sides[n <= 2 * s + 1] += 1
+        assert sides[True] > 0 and sides[False] > 0
+
     @pytest.mark.parametrize(
         "call",
         [
-            lambda: count_partitions(2400, 1200, 1200),
-            lambda: unrank_partition(2400, 1200, 1200, 0),
-            lambda: sample_partition(2400, 1200, 1200, seed=1),
+            lambda: count_partitions(3000, 1000, 1000),
+            lambda: unrank_partition(3000, 1000, 1000, 0),
+            lambda: sample_partition(3000, 1000, 1000, seed=1),
         ],
         ids=["count", "unrank", "sample"],
     )
-    def test_recursion_extreme_raises_named_error_fast(self, call):
+    def test_recursion_extreme_raises_named_error_fast(self, call, cold_table):
+        # a tight box (n > 2*slots + 1) still fills rows one level per part
         start = time.perf_counter()
         with pytest.raises(DepthLimitError) as err:
             call()
         assert time.perf_counter() - start < 1.0
-        assert err.value.n == 2400
-        assert "n=2400" in str(err.value) and str(err.value.limit) in str(err.value)
+        assert err.value.n == 3000
+        assert "n=3000" in str(err.value) and str(err.value.limit) in str(err.value)
 
-    def test_table_stays_consistent_after_depth_error(self):
+    def test_table_stays_consistent_after_depth_error(self, cold_table):
         # a depth error midway through filling rows leaves only finished
         # entries behind: the count afterwards equals one on a fresh table
-        hookbound.partitions._count.cache_clear()
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(len(inspect.stack()) + 100)
         try:
             with pytest.raises(DepthLimitError):
-                count_partitions(300, 150, 150)
+                count_partitions(600, 200, 200)
         finally:
             sys.setrecursionlimit(limit)
-        after_error = count_partitions(300, 150, 150)
-        hookbound.partitions._count.cache_clear()
-        assert after_error == count_partitions(300, 150, 150)
+        after_error = count_partitions(600, 200, 200)
+        cold_table()
+        assert after_error == count_partitions(600, 200, 200)
 
-    def test_out_of_order_fill_matches_cold_table(self):
+    def test_grow_completes_rows_begun_by_the_recurrence(self, cold_table):
+        # a tight box leaves rows (u, u) partly filled; the triangles finish
+        # those same rows and agree with triangles grown on a fresh table
+        tight = count_partitions(240, 240, 60)
+        count_partitions(240, 120, 120)
+        rows = [list(row) for row in hookbound.partitions._p_rows]
+        assert all(
+            hookbound.partitions._count(u, u) is hookbound.partitions._p_rows[u]
+            for u in range(1, 241)
+        )
+        cold_table()
+        count_partitions(240, 120, 120)
+        assert hookbound.partitions._p_rows == rows
+        assert count_partitions(240, 240, 60) == tight
+
+    def test_out_of_order_fill_matches_cold_table(self, cold_table):
         # rows grown by many callers, larger boxes first, hold the same
         # entries as rows grown by one call on a fresh table
-        table = hookbound.partitions._count
         grid = [
             (n, cap, slots)
             for n in (17, 50, 99, 150, 240)
@@ -358,20 +388,20 @@ class TestCountTable:
         ]
         cold = []
         for box in grid:
-            table.cache_clear()
+            cold_table()
             cold.append(count_partitions(*box))
-        table.cache_clear()
+        cold_table()
         for n in range(240, 99, -1):
             count_partitions(n, n // 2, n // 2)
         for n in range(60, 241, 30):
             for cap, slots in ((n, 3), (7, n), (n // 4, n // 3), (n // 3, n // 4)):
                 count_partitions(n, cap, slots)
         assert [count_partitions(*box) for box in grid] == cold
-        table.cache_clear()
 
-    def test_benchmark_boxes_rows_and_calls(self, monkeypatch):
-        # the fill recurses only into a sub-row too short for its entry, so
-        # the ~302k entries of these boxes take one call per row extension
+    def test_benchmark_boxes_rows_and_calls(self, monkeypatch, cold_table):
+        # the boxes (n, n/2, n/2) are loose: counting and sampling them store
+        # the 240 rows (u, u) of P and 120 rows of Q, no row with slots < rem,
+        # and never call the row recurrence
         calls = []
         table_fn = hookbound.partitions._table
 
@@ -381,18 +411,20 @@ class TestCountTable:
 
         monkeypatch.setattr(hookbound.partitions, "_table", counted)
         table = hookbound.partitions._count
-        table.cache_clear()
         for n in range(100, 241):
             count_partitions(n, n // 2, n // 2)
-        assert table.cache_info().currsize <= 7329
-        assert len(calls) <= 15380
-        table.cache_clear()
+            sample_partition(n, n // 2, n // 2, seed=n)
+        assert calls == []
+        assert table.cache_info().currsize == 240
+        assert all(table(u, u) is hookbound.partitions._p_rows[u] for u in range(1, 241))
+        assert [len(row) for row in hookbound.partitions._p_rows] == list(range(1, 242))
+        assert [len(row) for row in hookbound.partitions._q_rows] == list(range(1, 121))
 
-    def test_threads_share_the_table(self):
+    def test_threads_share_the_table(self, cold_table):
         # rows are extended in place; with a tiny switch interval, threads
-        # that filled the same rows without the lock would append twice
+        # that filled the same rows or grew the triangles without the lock
+        # would append twice
         boxes = [(n, n // 2 + k, n // 2 - k) for n in range(150, 181, 10) for k in (0, 3)]
-        hookbound.partitions._count.cache_clear()
         results: dict = {}
 
         def work(tid):
@@ -409,7 +441,7 @@ class TestCountTable:
                 assert not t.is_alive()
         finally:
             sys.setswitchinterval(interval)
-        hookbound.partitions._count.cache_clear()
+        cold_table()
         expected = [count_partitions(*box) for box in boxes]
         assert all(results[t] == expected for t in range(4))
 
@@ -434,11 +466,15 @@ class TestSampling:
 
     def test_unranking_reproduces_enumeration_order(self):
         # structural uniformity: unrank is a bijection matching the
-        # reverse-lexicographic enumeration, rank by rank
-        for n, cap, slots in [(9, 5, 4), (12, 12, 12), (10, 3, 10), (7, 7, 2)]:
-            total = count_partitions(n, cap, slots)
-            unranked = [unrank_partition(n, cap, slots, r) for r in range(total)]
-            assert unranked == list(enumerate_partitions(n, cap, slots))
+        # reverse-lexicographic enumeration, rank by rank, on every box up to
+        # n = 12; loose walks bisect rows built on the spot, tight ones rows
+        # of the table
+        for n in range(1, 13):
+            for cap in range(1, n + 1):
+                for slots in range(1, n + 1):
+                    total = count_partitions(n, cap, slots)
+                    unranked = [unrank_partition(n, cap, slots, r) for r in range(total)]
+                    assert unranked == list(enumerate_partitions(n, cap, slots)), (n, cap, slots)
 
     def test_pinned_seed(self):
         # recorded from the sum-recurrence table; the row table must keep it
