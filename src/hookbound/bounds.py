@@ -449,7 +449,7 @@ def _strict_bound(lam: Partition, alpha: Fraction) -> tuple[BoundCertificate, in
             "rounds_type2": typing.q,
             "counts": list(typing.counts),
         },
-        cells=typing.cells,
+        cells=tuple(typing.cell_tuples()),
     )
     return cert, f
 

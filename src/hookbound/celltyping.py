@@ -19,11 +19,11 @@ a type and a number N, 1..n:
 The construction works on flat row arrays: a running list of row lengths,
 peeled at the rows that end in a corner, and one list of numbers N per
 row.  Every round, shell and the type-4 block takes consecutive numbers, so
-the type and color of a cell are read off its number.  Hooks attached to
-the records are always hooks of the original diagram, read off its parts
-and column lengths.  A record is a ``CellRecord``, a ``typing.NamedTuple``:
-it compares equal to the plain tuple ``(row, col, cell_type, color, number,
-hook)``, and a modified copy comes from ``rec._replace(number=...)``.
+the type and color of a cell are read off its number.  The typing keeps
+row-major columns of types, colors, numbers and hooks (of the original
+diagram).  ``cell_tuples`` zips them into plain ``(row, col, cell_type,
+color, number, hook)`` tuples; ``cells`` builds ``CellRecord`` named
+tuples, equal to those, on first use.
 
 The returned typing has been checked against the invariants that make the
 peeling argument sound: the counter inequality alpha*h <= N for every
@@ -33,13 +33,13 @@ budget, the type-4 falling-factorial product bound, and the aggregate
 product over type-1/2/3 cells that the degree bound rests on.  A failed
 check raises ConsistencyError.  Every check is exact in integers: with
 alpha = p/q, alpha*h <= N reads p*h <= q*N, and the products are product
-trees over the cells' numbers and hooks.  The checks run on the columns of
-the records; only a failed per-cell clause walks the cells, to name the
-first bad one.  The aggregate product ``prod N * q^t >= p^t * prod h`` is
-first decided from certified log2 brackets (``math.fsum`` of the exact
-``math.log2`` of every number and hook, each with the radius
-``(log2(x) + 1) * 2**-40`` of ``certificates.log2_bracket``); the product
-trees are built only when the two brackets overlap.
+trees over the cells' numbers and hooks.  The checks run on the columns;
+only a failed per-cell clause walks the cells, to name the first bad one.
+The aggregate product ``prod N * q^t >= p^t * prod h`` is first decided
+from certified log2 brackets (``math.fsum`` of the exact ``math.log2`` of
+each number and hook, with the radius ``(log2(x) + 1) * 2**-40`` of
+``certificates.log2_bracket`` each); product trees are built only when
+the brackets overlap.
 
 The per-cell inequality alpha*h <= N cannot hold for the cells numbered
 below alpha (the very first peeled corner has N = 1 and hook 1, and
@@ -56,14 +56,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, count, repeat
-from operator import add, eq, itemgetter, le, mul
-from typing import NamedTuple
+from functools import cached_property
+from itertools import chain, compress, count, islice, repeat
+from operator import add, eq, ge, gt, lt, mul
+from typing import Iterator, NamedTuple, Sequence
 
 from .certificates import LOG2_SLACK, log2_bracket
 from .degrees import _product_tree
 from .errors import ConsistencyError, HypothesisError
-from .partitions import Partition, corner_rows
+from .partitions import Partition, corner_rows, format_rational
 
 
 def rho(delta: int, alpha: Fraction) -> int:
@@ -110,12 +111,27 @@ class CellTyping:
     s_rounds: tuple[int, ...]
     t_rounds: tuple[int, ...]
     counts: tuple[int, int, int, int]
-    cells: tuple[CellRecord, ...]
+    types: tuple[int, ...]
+    colors: tuple[int, ...]
+    numbers: tuple[int, ...]
+    hooks: tuple[int, ...]
     mu: Partition
 
     @property
     def n(self) -> int:
         return self.partition.n
+
+    def cell_tuples(self) -> Iterator[tuple[int, int, int, int, int, int]]:
+        """Plain ``(row, col, type, color, N, hook)`` tuples in row-major order."""
+        parts = self.partition.parts
+        rows = chain.from_iterable(map(repeat, count(1), parts))
+        cols = chain.from_iterable(range(1, row + 1) for row in parts)
+        return zip(rows, cols, self.types, self.colors, self.numbers, self.hooks)
+
+    @cached_property
+    def cells(self) -> tuple[CellRecord, ...]:
+        # tuple.__new__ is CellRecord._make minus a Python-level call per record
+        return tuple(map(tuple.__new__, repeat(CellRecord), self.cell_tuples()))
 
     def by_number(self) -> dict[int, CellRecord]:
         return {rec.number: rec for rec in self.cells}
@@ -126,23 +142,14 @@ class CellTyping:
     def eq1_violations(self) -> tuple[CellRecord, ...]:
         """Type-1/2/3 cells with alpha*hook > number (always numbered below alpha)."""
         a = self.alpha
-        return tuple(
-            rec
-            for rec in self.cells
-            if rec.cell_type in (1, 2, 3) and a * rec.hook > rec.number
-        )
+        return tuple(r for r in self.cells if r.cell_type in _T123 and a * r.hook > r.number)
 
     def grid_lines(self) -> list[str]:
         """One character per cell (the type), one string per diagram row."""
-        types = {(rec.row, rec.col): rec.cell_type for rec in self.cells}
-        return [
-            "".join(str(types[(i, j)]) for j in range(1, row + 1))
-            for i, row in enumerate(self.partition.parts, start=1)
-        ]
+        types = map(str, self.types)
+        return ["".join(islice(types, row)) for row in self.partition.parts]
 
     def to_json_dict(self) -> dict:
-        from .partitions import format_rational
-
         return {
             "partition": self.partition.format(),
             "alpha": format_rational(self.alpha),
@@ -154,7 +161,7 @@ class CellTyping:
             "s_rounds": list(self.s_rounds),
             "t_rounds": list(self.t_rounds),
             "counts": list(self.counts),
-            "cells": [rec.as_list() for rec in self.cells],
+            "cells": list(map(list, self.cell_tuples())),
         }
 
 
@@ -197,9 +204,8 @@ def check_typing_hypotheses(lam: Partition, alpha: Fraction, factor: int = 9) ->
                     "lambda_1 > ... > lambda_delta",
                     f"lambda_{i}={lam.part(i)} <= lambda_{i + 1}={lam.part(i + 1)}",
                 )
-        # The peeling needs every one of the first delta rows to be a corner:
-        # row delta must strictly exceed both delta-1 cells... precisely, it
-        # must reach the square (>= delta) and stick out past the next row.
+        # every one of the first delta rows must be a corner: row delta must
+        # reach the square (>= delta) and stick out past the next row
         if lam.part(delta) < delta:
             raise HypothesisError(
                 "lambda_delta >= delta", f"lambda_delta={lam.part(delta)}, delta={delta}"
@@ -303,19 +309,11 @@ def cell_typing(lam: Partition, alpha: Fraction) -> CellTyping:
     type_of += [4] * (n - t123)
     color_of += [0] * (n - t123)
 
-    # the hook of cell (i, j) is (lambda_i - j) + (lambda'_j - i) + 1
+    # each type is one run of numbers; the hook of cell (i, j) is
+    # (lambda_i - j) + (lambda'_j - i) + 1
     cols = lam.conjugate().parts
-    types: list[int] = []
-    records: list[CellRecord] = []
-    for i, (row, row_nums) in enumerate(zip(lam.parts, nums), start=1):
-        row_types = list(map(type_of.__getitem__, row_nums))
-        types += row_types
-        colors = map(color_of.__getitem__, row_nums)
-        hooks = map(add, range(row - i, -i, -1), cols[:row])
-        # tuple.__new__ is what CellRecord._make calls, minus a Python-level
-        # call per record
-        fields = zip(repeat(i), count(1), row_types, colors, row_nums, hooks)
-        records += map(tuple.__new__, repeat(CellRecord), fields)
+    numbers = tuple(chain.from_iterable(nums))
+    t1, t2 = sum(s_rounds), sum(t_rounds)
     typing = CellTyping(
         partition=lam,
         alpha=alpha,
@@ -326,8 +324,16 @@ def cell_typing(lam: Partition, alpha: Fraction) -> CellTyping:
         q=q,
         s_rounds=tuple(s_rounds),
         t_rounds=tuple(t_rounds),
-        counts=tuple(map(types.count, (1, 2, 3, 4))),
-        cells=tuple(records),
+        counts=(t1, t2, t123 - t1 - t2, n - t123),
+        types=tuple(map(type_of.__getitem__, numbers)),
+        colors=tuple(map(color_of.__getitem__, numbers)),
+        numbers=numbers,
+        hooks=tuple(
+            chain.from_iterable(
+                map(add, range(row - i, -i, -1), cols[:row])
+                for i, row in enumerate(lam.parts, start=1)
+            )
+        ),
         mu=mu,
     )
     _check_typing(typing, t123)
@@ -337,17 +343,26 @@ def cell_typing(lam: Partition, alpha: Fraction) -> CellTyping:
 def _check_typing(ct: CellTyping, t123: int) -> None:
     n = ct.n
     p, q = ct.alpha.numerator, ct.alpha.denominator
-    # the cell_type, number and hook columns
-    types, numbers, hooks = (list(map(itemgetter(k), ct.cells)) for k in (2, 4, 5))
+    types, numbers, hooks = ct.types, ct.numbers, ct.hooks
 
+    if not len(types) == len(ct.colors) == len(numbers) == len(hooks) == n:
+        raise ConsistencyError("typing columns do not hold one entry per cell")
     if sorted(numbers) != list(range(1, n + 1)):
         raise ConsistencyError("numbering is not a bijection onto 1..n")
     if sum(ct.counts) != n:
         raise ConsistencyError("types do not partition the diagram")
-    by_type = {t: list(compress(numbers, map(eq, types, repeat(t)))) for t in (1, 2, 3, 4)}
-    for lo, hi in ((1, 2), (2, 3), (3, 4)):
-        if by_type[lo] and by_type[hi] and max(by_type[lo]) >= min(by_type[hi]):
-            raise ConsistencyError(f"type-{lo} numbers overlap type-{hi} numbers")
+    # cut 1..n into runs of counts[0] 1s, counts[1] 2s, counts[2] 3s and
+    # counts[3] 4s: every cell must have the type of the run of its number
+    runs = [0]
+    for cell_type, size in zip((1, 2, 3, 4), ct.counts):
+        runs += [cell_type] * size
+    if tuple(map(runs.__getitem__, numbers)) != types:
+        by_type = ((t, list(compress(numbers, map(eq, types, repeat(t))))) for t in (1, 2, 3, 4))
+        present = [(t, nums) for t, nums in by_type if nums]
+        for (lo, a), (hi, b) in zip(present, present[1:]):
+            if max(a) >= min(b):
+                raise ConsistencyError(f"type-{lo} numbers overlap type-{hi} numbers")
+        raise ConsistencyError("types do not partition the diagram")
 
     # alpha = p/q with q > 0, so every test below is cleared to integers
     if ct.s_rounds and ct.s_rounds[0] < ct.delta:
@@ -359,25 +374,16 @@ def _check_typing(ct: CellTyping, t123: int) -> None:
         if t * q < p:
             raise ConsistencyError("type-2 round ran with fewer than alpha corners")
 
-    # h <= N for every type-1/2/3 cell, the counter inequality for every one
-    # numbered at least alpha (N*q >= p, i.e. N >= ceil(p/q)), then the
-    # aggregate product that the degree bound actually uses.  The per-cell
-    # clauses run on columns; a failure reruns them cell by cell to name the
-    # first bad cell.
-    in_t123 = list(map(_T123.__contains__, types))
+    # The type-1/2/3 cells are those numbered 1..t.  Each is held to the
+    # counter inequality p*h <= q*N if N*q >= p, else to h <= N; as p > q,
+    # the former implies h <= N.  A failure walks the cells to name the
+    # first bad one.  Then the aggregate product that the degree bound uses.
+    t = n - ct.counts[3]
+    in_t123 = list(map(ge, repeat(t), numbers))
     numbers123 = list(compress(numbers, in_t123))
     hooks123 = list(compress(hooks, in_t123))
-    counted = list(map(le, repeat(-(-p // q)), numbers123))
-    if not (
-        all(map(le, hooks123, numbers123))
-        and all(
-            map(
-                le,
-                map(mul, repeat(p), compress(hooks123, counted)),
-                map(mul, repeat(q), compress(numbers123, counted)),
-            )
-        )
-    ):
+    below = map(gt, map(mul, repeat(p), hooks123), map(mul, repeat(q), numbers123))
+    if any(num * q >= p or h > num for num, h in compress(zip(numbers123, hooks123), below)):
         _raise_first_bad_cell(ct.cells, p, q)
     if not _aggregate_ge(numbers123, hooks123, t123, p, q):
         raise ConsistencyError("aggregate product over type-1/2/3 cells below alpha^|T123|")
@@ -392,8 +398,7 @@ def _check_typing(ct: CellTyping, t123: int) -> None:
     t4 = ct.counts[3]
     if t4 * q > ct.delta**2 * q + p * ct.rho:
         raise ConsistencyError(f"|T4|={t4} exceeds delta^2 + alpha*rho")
-    t4_hooks = list(compress(hooks, map(eq, types, repeat(4))))
-    if _product_tree(t4_hooks) > math.perm(n, t4):
+    if _product_tree(list(compress(hooks, map(lt, repeat(t), numbers)))) > math.perm(n, t4):
         raise ConsistencyError("type-4 hook product exceeds the falling factorial")
 
 
@@ -402,21 +407,13 @@ _T123 = frozenset((1, 2, 3))
 
 def _raise_first_bad_cell(cells: tuple[CellRecord, ...], p: int, q: int) -> None:
     """Raise for the first type-1/2/3 cell, in cell order, with h > N or alpha*h > N >= alpha."""
-    for rec in cells:
-        if rec.cell_type not in _T123:
-            continue
-        num, h = rec.number, rec.hook
-        if h > num:
-            raise ConsistencyError(
-                f"h <= N fails at cell ({rec.row},{rec.col}) with N={num}, h={h}"
-            )
-        if num * q >= p and p * h > q * num:
-            raise ConsistencyError(
-                f"alpha*h <= N fails at cell ({rec.row},{rec.col}) with N={num}, h={h}"
-            )
+    for row, col, cell_type, _, num, h in cells:
+        if cell_type in _T123 and (h > num or num * q >= p and p * h > q * num):
+            clause = "h <= N" if h > num else "alpha*h <= N"
+            raise ConsistencyError(f"{clause} fails at cell ({row},{col}) with N={num}, h={h}")
 
 
-def _aggregate_ge(numbers: list[int], hooks: list[int], t: int, p: int, q: int) -> bool:
+def _aggregate_ge(numbers: Sequence[int], hooks: Sequence[int], t: int, p: int, q: int) -> bool:
     """Decide ``prod(numbers) * q**t >= p**t * prod(hooks)`` for t >= 0.
 
     The log2 of each side is bracketed first and the product trees are

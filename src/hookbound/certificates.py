@@ -19,9 +19,10 @@ same brackets.
 JSON field names (bound_name, parameters, exponent, lhs_log, rhs_log,
 margin, mode, verdict, and cells for typing-backed certificates) are a
 stable contract shared with the CLI.  The ``cells`` of a typing-backed
-certificate are the typing's ``CellRecord`` named tuples, which compare
-equal to plain tuples and serialize as ``[row, col, type, color, N,
-hook]``.
+certificate are plain ``(row, col, type, color, N, hook)`` tuples, zipped
+from the typing's columns, and serialize as ``[row, col, type, color, N,
+hook]``.  Tuples are immutable, so ``to_json_dict`` and a nested
+certificate's JSON share the rows instead of copying them.
 """
 from __future__ import annotations
 
@@ -178,7 +179,7 @@ class BoundCertificate:
         if "class" in self.aux:
             out["class"] = self.aux["class"]
         if self.cells is not None:
-            out["cells"] = [list(c) for c in self.cells]
+            out["cells"] = list(self.cells)
         return out
 
     def to_json(self, indent: int | None = 2) -> str:
@@ -191,8 +192,9 @@ _JSON_ROWS = frozenset((list, tuple))
 
 def _jsonify(value):
     # exact types first: isinstance against Fraction goes through the ABC
-    # machinery, and nested sub-certificates hold one list of scalars per
-    # cell, copied row by row without a Python call per cell
+    # machinery.  Nested sub-certificates hold one row of scalars per cell:
+    # rows that are all tuples are immutable and shared, any other rows are
+    # copied into lists, both without a Python call per cell
     if type(value) in _JSON_SCALARS:
         return value
     if isinstance(value, Fraction):
@@ -202,10 +204,11 @@ def _jsonify(value):
     if isinstance(value, (list, tuple)):
         if all(map(_JSON_SCALARS.__contains__, map(type, value))):
             return list(value)
-        if set(map(type, value)) <= _JSON_ROWS and all(
+        row_types = set(map(type, value))
+        if row_types <= _JSON_ROWS and all(
             map(_JSON_SCALARS.__contains__, map(type, chain.from_iterable(value)))
         ):
-            return list(map(list, value))
+            return list(value) if row_types == {tuple} else list(map(list, value))
         return [_jsonify(v) for v in value]
     return value
 

@@ -49,7 +49,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -243,7 +243,7 @@ def corner_rows(parts: Sequence[int]) -> list[int]:
     A row ends in a corner when it is longer than the row below it.
     ``parts`` may end in zeros, as the rows of a diagram being peeled do.
     """
-    return [i for i, (row, below) in enumerate(zip(parts, [*parts[1:], 0])) if row > below]
+    return list(compress(count(), map(operator.gt, parts, [*parts[1:], 0])))
 
 
 # -- text format for exact rationals ----------------------------------------

@@ -9,7 +9,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hookbound.celltyping
-from hookbound.bounds import reduce_diagram, strict_bound, strip_bound, theorem_classify
+from hookbound.bounds import (
+    general_bound,
+    reduce_diagram,
+    strict_bound,
+    strip_bound,
+    theorem_classify,
+)
 from hookbound.celltyping import (
     _aggregate_ge,
     _check_typing,
@@ -17,7 +23,7 @@ from hookbound.celltyping import (
     check_typing_hypotheses,
     rho,
 )
-from hookbound.certificates import MODE_EXACT, PASS
+from hookbound.certificates import MODE_EXACT, PASS, certificate_from_json
 from hookbound.degrees import degree
 from hookbound.errors import ConsistencyError, HypothesisError
 from hookbound.families import staircase, staircase_with_tail
@@ -30,6 +36,15 @@ STAIR = Partition(tuple(range(20, 10, -1)))  # (20,...,11) |- 155, delta = 10
 @pytest.fixture(scope="module")
 def stair_typing():
     return cell_typing(STAIR, ALPHA)
+
+
+def _with_cells(ct, cells):
+    """``ct`` with its columns rebuilt from ``cells``, a tuple of records in
+    the diagram's row-major order (only types, colors, numbers and hooks
+    may differ from ``ct.cells``)."""
+    assert [(rec.row, rec.col) for rec in cells] == [(rec.row, rec.col) for rec in ct.cells]
+    _, _, types, colors, numbers, hooks = map(tuple, zip(*cells))
+    return dataclasses.replace(ct, types=types, colors=colors, numbers=numbers, hooks=hooks)
 
 
 class TestRho:
@@ -166,7 +181,7 @@ class TestTypingStructure:
         moved = next(rec for rec in rotated if rec.cell_type == 1 and rec.number == 1)
         assert moved.hook > 1
         with pytest.raises(ConsistencyError, match=r"^h <= N fails"):
-            _check_typing(dataclasses.replace(ct, cells=rotated), sum(ct.counts[:3]))
+            _check_typing(_with_cells(ct, rotated), sum(ct.counts[:3]))
 
     def test_type1_mass_inequality(self, stair_typing):
         ct = stair_typing
@@ -305,6 +320,24 @@ class TestStrictBound:
         assert cert.margin > 1e-9
 
 
+class TestCellsRoundTrip:
+    """A certificate's cells survive JSON and match the typing they came from."""
+
+    def test_strict_certificate(self, stair_typing):
+        cert = strict_bound(STAIR, ALPHA)
+        assert all(type(row) is tuple for row in cert.cells)
+        assert cert.cells == stair_typing.cells
+        assert certificate_from_json(cert.to_json()).cells == cert.cells
+
+    def test_general_certificate(self):
+        cert = general_bound(staircase(2000, ALPHA), ALPHA)
+        assert certificate_from_json(cert.to_json()).cells == cert.cells
+        mu = Partition.parse(cert.aux["mu"])
+        nested = json.loads(cert.to_json())["aux"]["mu_certificate"]
+        assert len(nested["cells"]) == mu.n
+        assert certificate_from_json(nested).cells == cell_typing(mu, ALPHA).cells
+
+
 def _swap_numbers_past_alpha(ct):
     # a type-1 cell A with hook h >= 2 and number N > h trades numbers with
     # the cell numbered h: A then has h <= N = h < alpha*h, and the other
@@ -315,7 +348,7 @@ def _swap_numbers_past_alpha(ct):
         a: a._replace(number=b.number),
         b: b._replace(number=a.number),
     }
-    return dataclasses.replace(ct, cells=tuple(swapped.get(r, r) for r in ct.cells))
+    return _with_cells(ct, tuple(swapped.get(r, r) for r in ct.cells))
 
 
 def _relabel_last_cell(ct, cell_type):
@@ -323,30 +356,39 @@ def _relabel_last_cell(ct, cell_type):
     cells = tuple(
         r._replace(cell_type=cell_type) if r.number == n else r for r in ct.cells
     )
-    return dataclasses.replace(ct, cells=cells)
+    return _with_cells(ct, cells)
 
 
 def _set_hook(ct, cell_type, hook):
     first = next(r for r in ct.cells if r.cell_type == cell_type)
     cells = tuple(r._replace(hook=hook) if r is first else r for r in ct.cells)
-    return dataclasses.replace(ct, cells=cells)
+    return _with_cells(ct, cells)
 
 
 def _set_number(ct, index, number):
     cells = list(ct.cells)
     cells[index] = cells[index]._replace(number=number)
-    return dataclasses.replace(ct, cells=tuple(cells))
+    return _with_cells(ct, tuple(cells))
 
 
 # each corruption of the (20,...,11) typing breaks exactly one clause, by
 # as little as the clause allows where it compares counts
 CORRUPTIONS = {
+    "column length": (
+        lambda ct: dataclasses.replace(ct, hooks=ct.hooks[:-1]),
+        "typing columns do not hold one entry per cell",
+    ),
     "bijection": (
         lambda ct: _set_number(ct, 0, ct.cells[1].number),
         "numbering is not a bijection onto 1..n",
     ),
     "types partition": (
         lambda ct: dataclasses.replace(ct, counts=(152, 0, 0, 4)),
+        "types do not partition the diagram",
+    ),
+    "counts disagree with the types": (
+        # the types still run in number order, in runs of 152 and 3
+        lambda ct: dataclasses.replace(ct, counts=(151, 0, 1, 3)),
         "types do not partition the diagram",
     ),
     "type overlap": (
@@ -401,7 +443,7 @@ class TestCheckTypingClauses:
 def _swap_numbers(ct, m, k):
     recs = ct.by_number()
     swapped = {recs[m]: recs[m]._replace(number=k), recs[k]: recs[k]._replace(number=m)}
-    return dataclasses.replace(ct, cells=tuple(swapped.get(r, r) for r in ct.cells))
+    return _with_cells(ct, tuple(swapped.get(r, r) for r in ct.cells))
 
 
 class TestCheckTypingBoundaries:
@@ -412,6 +454,33 @@ class TestCheckTypingBoundaries:
         with pytest.raises(ConsistencyError) as err:
             _check_typing(bad, sum(stair_typing.counts[:3]))
         assert str(err.value) == "alpha*h <= N fails at cell (10,10) with N=2, h=2"
+
+    def test_counter_inequality_binds_at_n_equal_to_an_integer_alpha(self):
+        # alpha = 2: cell (30,10) with h = 2 takes N = 2 = alpha, so
+        # N*q >= p holds with equality and 2*2 > 2 fails the clause
+        ct = cell_typing(Partition(tuple(range(40, 10, -1))), Fraction(2))
+        bad = _swap_numbers(ct, 2, 60)
+        with pytest.raises(ConsistencyError) as err:
+            _check_typing(bad, sum(ct.counts[:3]))
+        assert str(err.value) == "alpha*h <= N fails at cell (30,10) with N=2, h=2"
+
+    def test_last_type123_cell_is_held_to_h_at_most_n(self, stair_typing):
+        # cell (3,1) is numbered |T123| = 152, the last type-1/2/3 number
+        ct = stair_typing
+        last = ct.by_number()[152]
+        bad = _with_cells(ct, tuple(r._replace(hook=153) if r is last else r for r in ct.cells))
+        with pytest.raises(ConsistencyError) as err:
+            _check_typing(bad, sum(ct.counts[:3]))
+        assert str(err.value) == "h <= N fails at cell (3,1) with N=152, h=153"
+
+    def test_type4_budget_binds_at_one_cleared_unit(self):
+        # alpha = 3/2 and |T4| = 3: with delta = rho = 1 the cleared test
+        # reads 2*3 = 6 > 2*1 + 3*1 = 5, one unit over the budget
+        ct = cell_typing(Partition(tuple(range(40, 10, -1))), Fraction(3, 2))
+        assert (ct.delta, ct.rho, ct.counts) == (20, 801, (762, 0, 0, 3))
+        with pytest.raises(ConsistencyError) as err:
+            _check_typing(dataclasses.replace(ct, delta=1, rho=1), sum(ct.counts[:3]))
+        assert str(err.value) == "|T4|=3 exceeds delta^2 + alpha*rho"
 
     def test_overlap_by_one_number(self):
         # the last type-3 cell and the first type-4 cell trade numbers

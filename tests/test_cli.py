@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -13,7 +14,7 @@ from hookbound.celltyping import cell_typing
 from hookbound.certificates import revalidate
 from hookbound.degrees import degree
 from hookbound.cli import EXIT_FAIL, EXIT_HYPOTHESIS, EXIT_PASS, EXIT_USAGE, main
-from hookbound.families import balanced
+from hookbound.families import balanced, staircase
 from hookbound.partitions import Partition, parse_rational
 from hookbound.sweep import CSV_COLUMNS
 
@@ -140,6 +141,41 @@ class TestCertifyCommand:
         assert code == EXIT_PASS
         data = json.loads(out)
         assert len(data["cells"]) == 155
+
+
+PINNED_P = ",".join(map(str, range(40, 10, -1)))
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("certify", "strict", PINNED_P, "--alpha", "11/10"),
+            "c6a745e965c309eef05c0b52aa556e7b665ee2d6bba82811d700a920dda7501b",
+        ),
+        (
+            ("certify", "general", staircase(2000, parse_rational("11/10")).format(),
+             "--alpha", "11/10"),
+            "8999776cee3df5fd8b14d00232bd7959c4989a1a6e5852255a1846b36454c78f",
+        ),
+        (
+            ("certify", "theorem", ",".join(["600"] * 20), "--alpha", "11/10", "--beta", "21/20"),
+            "500a56329d1213066e28349db3a2bfeccd017ea93f8ffaadcc4e74aa7ed6c0f5",
+        ),
+        (
+            ("typing", PINNED_P, "--alpha", "11/10", "--format", "json"),
+            "aba76352e37a47000c79a7a1610f72daf0b74f50679fb80d676d24a1b22bdb8f",
+        ),
+        (
+            ("typing", PINNED_P, "--alpha", "11/10"),
+            "21b9ae69b9f2e110c6b149da59e0d780a5b002b16297af60304310943d3391a8",
+        ),
+    ],
+    ids=["certify-strict", "certify-general", "certify-theorem", "typing-json", "typing-grid"],
+)
+def test_pinned_stdout(capsys, argv, digest):
+    _, out, _ = run(capsys, *argv)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestTypingCommand:
