@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import factorial
 from operator import add
 
-from .celltyping import CellTyping, cell_typing, check_typing_hypotheses, check_widths, rho
+from .celltyping import _require_alpha, cell_typing, check_typing_hypotheses, check_widths, rho
 from .certificates import (
     BoundCertificate,
     _log2_power,
@@ -32,12 +32,17 @@ from .errors import ConsistencyError, HypothesisError
 from .partitions import Cell, Partition
 
 
-def _require_alpha(alpha: Fraction) -> Fraction:
-    if type(alpha) is not Fraction:
-        alpha = Fraction(alpha)
-    if alpha <= 1:
-        raise HypothesisError("alpha > 1", f"got {alpha}")
-    return alpha
+@lru_cache(maxsize=64)
+def _degree(lam: Partition) -> int:
+    """Degree of ``lam``, kept for the last 64 shapes.
+
+    The bounds the theorem dispatches to read their degrees here, so the
+    dispatch reuses the degree its sub-bound computed and a run of shapes
+    with the same Durfee side evaluates the square once.  ``degree`` is
+    looked up in this module at each miss, so a wrapper put in its place
+    sees every evaluation.
+    """
+    return degree(lam)
 
 
 def _check_width_gates(lam: Partition, alpha: Fraction) -> None:
@@ -140,10 +145,6 @@ def _strip_rows(
     ]
 
 
-def strip_bound(lam: Partition, k: int, l: int, alpha: Fraction) -> StripCertificate:
-    return _strip_bound(lam, k, l, alpha)[0]
-
-
 def _strip_ge(f: int, alpha: Fraction, n: int, m: int) -> bool:
     """Decide ``f * q**n * n**m >= p**n`` exactly, for alpha = p/q.
 
@@ -163,10 +164,16 @@ def _strip_ge(f: int, alpha: Fraction, n: int, m: int) -> bool:
     return f * q**n * n**m >= p**n
 
 
-def _strip_bound(
-    lam: Partition, k: int, l: int, alpha: Fraction
-) -> tuple[StripCertificate, int]:
-    """``strip_bound`` and the degree of ``lam`` it computed."""
+def strip_bound(lam: Partition, k: int, l: int, alpha: Fraction) -> StripCertificate:
+    """Certify f(lam) >= alpha^n / n^m for lam in H(k, l).
+
+    H(k, l) is the set of diagrams whose row k+1 has at most l cells; a
+    diagram outside it fails with a HypothesisError.  When k < l the
+    construction runs on the conjugate, which lies in H(l, k), so the
+    working parameters always have K >= L (``conjugated`` records the
+    swap).  m = (2L + K - 1)K/2 is the size of the staircase
+    mu_i = L + K - i (i <= K) that holds the A cells.
+    """
     alpha = _require_alpha(alpha)
     if k < 0 or l < 0:
         raise HypothesisError("k, l >= 0", f"k={k}, l={l}")
@@ -228,7 +235,7 @@ def _strip_bound(
         raise ConsistencyError("product of B and C hooks exceeds the t-factorial product")
 
     # f >= alpha^n / n^m, exact when the integers fit the budget
-    f = degree(lam)
+    f = _degree(lam)
     p, q = alpha.numerator, alpha.denominator
     lhs_log = math.log(f)
     rhs_log = n * log_fraction(alpha) - m * math.log(n)
@@ -254,7 +261,7 @@ def _strip_bound(
             "sizes": {"A": size_a, "B": size_b, "C": size_c},
         },
     )
-    strip = StripCertificate(
+    return StripCertificate(
         k=k,
         l=l,
         conjugated=conjugated,
@@ -264,7 +271,6 @@ def _strip_bound(
         bound_log=rhs_log,
         certificate=cert,
     )
-    return strip, f
 
 
 # ---------------------------------------------------------------------------
@@ -355,17 +361,7 @@ def overexponential_bound(
     if gamma <= 0:
         raise HypothesisError("gamma > 0", f"got {gamma}")
     beta_log = log_fraction(gamma) / float(eps)
-    return _square_bound(lam, delta, gamma, eps, True, beta_log)[0]
-
-
-@lru_cache(maxsize=64)
-def _square_degree(delta: int) -> int:
-    """Degree of the square ``delta^delta``, kept for the last 64 sides.
-
-    ``degree`` is looked up in this module at each miss, so a wrapper put
-    in its place sees every evaluation.
-    """
-    return degree(Partition((delta,) * delta))
+    return _square_bound(lam, delta, gamma, eps, True, beta_log)
 
 
 def _square_bound(
@@ -375,24 +371,23 @@ def _square_bound(
     eps: Fraction,
     eps_exact: bool,
     beta_log: float,
-) -> tuple[BoundCertificate, int]:
+) -> BoundCertificate:
     """The square construction of ``overexponential_bound``, gates passed.
 
-    Returns the certificate and the degree of ``lam`` it computed.  ``eps``
-    is the gate as recorded (``eps_exact`` says whether it is the exact
-    gate or a rational near a float one) and ``beta_log`` the recorded
-    ``ln(gamma)/eps``.  The square's degree comes from ``_square_degree``,
-    so a run of shapes with the same Durfee side evaluates it once.
+    ``eps`` is the gate as recorded (``eps_exact`` says whether it is the
+    exact gate or a rational near a float one) and ``beta_log`` the
+    recorded ``ln(gamma)/eps``.  Both degrees come from ``_degree``, so a
+    run of shapes with the same Durfee side evaluates the square once.
     """
     mu = Partition((delta,) * delta)
     if not lam.contains(mu):
         raise ConsistencyError("diagonal square does not fit inside the diagram")
-    f_mu = _square_degree(delta)
-    f_lam = degree(lam)
+    f_mu = _degree(mu)
+    f_lam = _degree(lam)
     if f_lam < f_mu:
         raise ConsistencyError("containment monotonicity failed for the square")
     n = lam.n
-    cert = _power_certificate(
+    return _power_certificate(
         "overexponential",
         f_mu,
         gamma,
@@ -407,7 +402,6 @@ def _square_bound(
             "gamma_exact": True,
         },
     )
-    return cert, f_lam
 
 
 # ---------------------------------------------------------------------------
@@ -417,11 +411,6 @@ def _square_bound(
 
 def strict_bound(lam: Partition, alpha: Fraction) -> BoundCertificate:
     """Certify f(lam) >= alpha^(n - (delta^2 + alpha*rho)) via the cell typing."""
-    return _strict_bound(lam, alpha)[0]
-
-
-def _strict_bound(lam: Partition, alpha: Fraction) -> tuple[BoundCertificate, int]:
-    """``strict_bound`` and the degree of ``lam`` it computed."""
     alpha = _require_alpha(alpha)
     typing = cell_typing(lam, alpha)
     n = lam.n
@@ -429,10 +418,9 @@ def _strict_bound(lam: Partition, alpha: Fraction) -> tuple[BoundCertificate, in
     sharp_exponent = Fraction(n - typing.counts[3])
     if sharp_exponent < exponent:
         raise ConsistencyError("sharper exponent n - |T4| fell below the claimed one")
-    f = degree(lam)
-    cert = _power_certificate(
+    return _power_certificate(
         "strict",
-        f,
+        _degree(lam),
         alpha,
         exponent,
         {
@@ -451,7 +439,6 @@ def _strict_bound(lam: Partition, alpha: Fraction) -> tuple[BoundCertificate, in
         },
         cells=tuple(typing.cell_tuples()),
     )
-    return cert, f
 
 
 # ---------------------------------------------------------------------------
@@ -582,17 +569,12 @@ def reduce_diagram(
 
 def general_bound(lam: Partition, alpha: Fraction) -> BoundCertificate:
     """Certify f(lam) >= alpha^(n - (5/2 delta^2 + alpha rho)) via reduction."""
-    return _general_bound(lam, alpha)[0]
-
-
-def _general_bound(lam: Partition, alpha: Fraction) -> tuple[BoundCertificate, int]:
-    """``general_bound`` and the degree of ``lam`` it computed."""
     alpha = _require_alpha(alpha)
     trace = reduce_diagram(lam, alpha)
-    mu_cert, f_mu = _strict_bound(trace.mu, alpha)
+    mu_cert = strict_bound(trace.mu, alpha)
 
-    f_lam = degree(lam)
-    if f_lam < f_mu:
+    f_lam = _degree(lam)
+    if f_lam < _degree(trace.mu):
         raise ConsistencyError("containment monotonicity failed in the reduction")
 
     n = lam.n
@@ -603,7 +585,7 @@ def _general_bound(lam: Partition, alpha: Fraction) -> tuple[BoundCertificate, i
         raise ConsistencyError(
             "chained exponent on mu fell below the claimed general exponent"
         )
-    cert = _power_certificate(
+    return _power_certificate(
         "general",
         f_lam,
         alpha,
@@ -627,7 +609,6 @@ def _general_bound(lam: Partition, alpha: Fraction) -> tuple[BoundCertificate, i
             "lifted_margin": math.log(f_lam) - mu_cert.rhs_log,
         },
     )
-    return cert, f_lam
 
 
 # ---------------------------------------------------------------------------
@@ -725,6 +706,13 @@ def theorem_classify(lam: Partition, alpha: Fraction, beta: Fraction) -> BoundCe
     beta_log, and the strip parameter ceil(18*alpha) -- is computed once per
     pair; each row computes rho and the class threshold once, and the
     width and M1 gates are integer tests.
+
+    The sub-certificate comes from the public bounds: ``strip_bound`` for
+    M1, the square construction of ``overexponential_bound`` for M2 (with
+    the recorded float eps, ``eps_exact: false``), and ``general_bound``,
+    which chains ``strict_bound`` on the reduced diagram, for M3.  The
+    final comparison reads the input's degree from ``_degree``, where the
+    sub-bound left it, so each shape's degree is evaluated once.
     """
     alpha = _require_alpha(alpha)
     if type(beta) is not Fraction:
@@ -736,16 +724,15 @@ def theorem_classify(lam: Partition, alpha: Fraction, beta: Fraction) -> BoundCe
     cls, rho_val, threshold = _class_rule(delta, n, alpha, beta)
 
     if cls == CLASS_M1:
-        strip, f = _strip_bound(lam, kl, kl, alpha)
-        sub = strip.certificate
+        sub = strip_bound(lam, kl, kl, alpha).certificate
     elif cls == CLASS_M2:
-        sub, f = _square_bound(lam, delta, beta, eps, False, beta_log)
+        sub = _square_bound(lam, delta, beta, eps, False, beta_log)
     else:
-        sub, f = _general_bound(lam, alpha)
+        sub = general_bound(lam, alpha)
 
     return _power_certificate(
         "theorem",
-        f,
+        _degree(lam),
         beta,
         Fraction(n),
         {"alpha": alpha, "beta": beta, "n": n, "delta": delta, "rho": rho_val},

@@ -67,16 +67,22 @@ from .errors import ConsistencyError, HypothesisError
 from .partitions import Partition, corner_rows, format_rational
 
 
+def _require_alpha(alpha: Fraction) -> Fraction:
+    """``alpha`` as a ``Fraction``, gated by alpha > 1."""
+    if type(alpha) is not Fraction:
+        alpha = Fraction(alpha)
+    if alpha <= 1:
+        raise HypothesisError("alpha > 1", f"got {alpha}")
+    return alpha
+
+
 def rho(delta: int, alpha: Fraction) -> int:
     """Correction term: delta^2 for integer alpha, else floor(delta^2/frac(alpha)) + 1.
 
     With alpha = p/q, frac(alpha) = (p mod q)/q, so the quotient is the
     integer ``delta^2 * q // (p mod q)``.
     """
-    if type(alpha) is not Fraction:
-        alpha = Fraction(alpha)
-    if alpha <= 1:
-        raise HypothesisError("alpha > 1", f"got {alpha}")
+    alpha = _require_alpha(alpha)
     if delta < 1:
         raise HypothesisError("delta >= 1", f"got {delta}")
     p, q = alpha.numerator, alpha.denominator
@@ -184,9 +190,7 @@ def check_typing_hypotheses(lam: Partition, alpha: Fraction, factor: int = 9) ->
     Raises HypothesisError naming the first failing condition.  ``factor``
     is 9 for the typing itself and 18 for the diagram reduction.
     """
-    alpha = Fraction(alpha)
-    if alpha <= 1:
-        raise HypothesisError("alpha > 1", f"got {alpha}")
+    alpha = _require_alpha(alpha)
     n = lam.n
     if n < 1:
         raise HypothesisError("n >= 1", "empty partition")

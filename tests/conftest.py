@@ -1,5 +1,6 @@
 import pytest
 
+import hookbound.bounds
 import hookbound.partitions
 
 
@@ -16,3 +17,11 @@ def cold_table():
     clear_count_tables()
     yield clear_count_tables
     clear_count_tables()
+
+
+@pytest.fixture
+def cold_degrees():
+    """The bounds' degree memo emptied before and after the test."""
+    hookbound.bounds._degree.cache_clear()
+    yield hookbound.bounds._degree.cache_clear
+    hookbound.bounds._degree.cache_clear()

@@ -11,7 +11,7 @@ from hookbound.bounds import (
     CLASS_M3,
     _check_width_gates,
     _class_rule,
-    _square_degree,
+    _degree,
     classify,
     general_bound,
     reduce_diagram,
@@ -275,7 +275,7 @@ class TestDegreeReuse:
     """Each bound evaluates the degree of each shape it touches once."""
 
     @pytest.fixture
-    def degree_calls(self, monkeypatch):
+    def degree_calls(self, monkeypatch, cold_degrees):
         calls = []
 
         def counted(p):
@@ -286,7 +286,7 @@ class TestDegreeReuse:
         return calls
 
     @pytest.mark.parametrize(
-        "lam, alpha, beta, cls, limit",
+        "lam, alpha, beta, cls, evaluations",
         [
             (Partition((10,) * 10), Fraction(2), Fraction(3, 2), CLASS_M1, 1),
             (Partition((500,) * 20), ALPHA, BETA, CLASS_M2, 2),
@@ -294,30 +294,66 @@ class TestDegreeReuse:
         ],
         ids=["M1", "M2", "M3"],
     )
-    def test_theorem_classify(self, degree_calls, lam, alpha, beta, cls, limit):
+    def test_theorem_classify(self, degree_calls, lam, alpha, beta, cls, evaluations):
         cert = theorem_classify(lam, alpha, beta)
         assert cert.aux["class"] == cls
-        assert len(degree_calls) <= limit
+        assert len(degree_calls) == evaluations
 
     def test_general_bound(self, degree_calls):
         general_bound(staircase(21, 20), ALPHA)
-        assert len(degree_calls) <= 2
+        assert len(degree_calls) == 2
 
     def test_bounds_do_not_import_log_degree(self):
         assert not hasattr(hookbound.bounds, "log_degree")
 
 
+class TestPublicComposition:
+    """The dispatch builds its certificate through the public bounds.
+
+    A wrapper put in place of a public bound in ``hookbound.bounds`` sees
+    every call the dispatch makes to it; the benchmark's per-layer timings
+    rely on that.
+    """
+
+    @pytest.fixture
+    def bound_calls(self, monkeypatch):
+        calls = []
+
+        def recorder(name):
+            original = getattr(hookbound.bounds, name)
+
+            def recorded(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            return recorded
+
+        for name in ("strip_bound", "general_bound", "strict_bound"):
+            monkeypatch.setattr(hookbound.bounds, name, recorder(name))
+        return calls
+
+    def test_m1_calls_strip_bound(self, bound_calls):
+        cert = theorem_classify(Partition((10,) * 10), Fraction(2), Fraction(3, 2))
+        assert cert.aux["class"] == CLASS_M1
+        assert bound_calls == ["strip_bound"]
+
+    def test_m3_calls_general_then_strict_bound(self, bound_calls):
+        cert = theorem_classify(Partition((600,) * 20), ALPHA, BETA)
+        assert cert.aux["class"] == CLASS_M3
+        assert bound_calls == ["general_bound", "strict_bound"]
+
+
 class TestDispatchCaches:
     def test_square_degree_matches_degree(self):
-        _square_degree.cache_clear()
+        _degree.cache_clear()
         for d in range(1, 61):
-            assert _square_degree(d) == degree(Partition((d,) * d))
+            assert _degree(Partition((d,) * d)) == degree(Partition((d,) * d))
 
     def test_square_cache_is_bounded(self):
-        maxsize = _square_degree.cache_info().maxsize
+        maxsize = _degree.cache_info().maxsize
         assert maxsize is not None and maxsize <= 256
 
-    def test_sweep_evaluates_each_square_once(self, monkeypatch):
+    def test_sweep_evaluates_each_square_once(self, monkeypatch, cold_degrees):
         # one degree per row, plus one per distinct Durfee side of the M2 rows
         calls = []
 
@@ -325,7 +361,6 @@ class TestDispatchCaches:
             calls.append(p)
             return degree(p)
 
-        _square_degree.cache_clear()
         monkeypatch.setattr(hookbound.bounds, "degree", counted)
         report = build_growth_report("staircase", ALPHA, BETA, 403, 1203)
         m2_sides = {r.partition.diagonal() for r in report.rows if r.cls == CLASS_M2}
