@@ -4,8 +4,11 @@ Every operation here checks its hypotheses up front (HypothesisError names
 the first failing condition), builds the combinatorial construction behind
 the bound, asserts the construction's internal inequalities
 (ConsistencyError on violation, never a FAIL verdict), and only then
-compares the exact degree against the bound, exactly when the bit budget
-allows and in the log domain otherwise.
+compares the degree against the bound, exactly when the bit budget allows
+and in the log domain otherwise.  The degree is read from its certified
+ball (``degrees.degree_ball``), which decides every comparison it can and
+builds the exact degree only on a near-tie; ``rectangle_bound`` reads the
+exact ``degree``.
 """
 from __future__ import annotations
 
@@ -22,27 +25,28 @@ from .certificates import (
     _log2_power,
     exact_bit_budget,
     exact_power_ge,
-    log2_bracket,
     log_fraction,
     make_certificate,
     power_compare_bits,
 )
-from .degrees import _product_tree, degree
+from .degrees import DegreeBall, _product_tree, degree, degree_ball
 from .errors import ConsistencyError, HypothesisError
 from .partitions import Cell, Partition
 
 
 @lru_cache(maxsize=64)
-def _degree(lam: Partition) -> int:
-    """Degree of ``lam``, kept for the last 64 shapes.
+def _degree(lam: Partition) -> DegreeBall:
+    """Certified ball of the degree of ``lam``, kept for the last 64 shapes.
 
-    The bounds the theorem dispatches to read their degrees here, so the
-    dispatch reuses the degree its sub-bound computed and a run of shapes
-    with the same Durfee side evaluates the square once.  ``degree`` is
-    looked up in this module at each miss, so a wrapper put in its place
-    sees every evaluation.
+    The bounds read their degrees here, so the dispatch reuses the ball its
+    sub-bound computed and a run of shapes with the same Durfee side
+    evaluates the square once.  Every reading goes through the ball: its
+    ``log``, ``bit_length`` and certified ``log2`` bracket, and
+    ``at_least`` for the containment checks; the exact degree is built only
+    on a near-tie.  ``degree_ball`` is looked up in this module at each
+    miss, so a wrapper put in its place sees every evaluation.
     """
-    return degree(lam)
+    return degree_ball(lam)
 
 
 def _check_width_gates(lam: Partition, alpha: Fraction) -> None:
@@ -53,15 +57,15 @@ def _check_width_gates(lam: Partition, alpha: Fraction) -> None:
 
 def _power_certificate(
     bound_name: str,
-    f: int,
+    f: DegreeBall,
     base: Fraction,
     exponent: Fraction,
     parameters: dict,
     aux: dict,
     cells: tuple | None = None,
 ) -> BoundCertificate:
-    """Certificate for f >= base**exponent, where f is an exact degree."""
-    lhs_log = math.log(f)
+    """Certificate for f >= base**exponent, where f is a degree's ball."""
+    lhs_log = f.log()
     rhs_log = float(exponent) * log_fraction(base)
     exact = None
     if power_compare_bits(base, exponent, f.bit_length()) <= exact_bit_budget():
@@ -145,21 +149,24 @@ def _strip_rows(
     ]
 
 
-def _strip_ge(f: int, alpha: Fraction, n: int, m: int) -> bool:
+def _strip_ge(f: int | DegreeBall, alpha: Fraction, n: int, m: int) -> bool:
     """Decide ``f * q**n * n**m >= p**n`` exactly, for alpha = p/q.
 
-    The certified brackets of ``log2(f) + m*log2(n)`` and ``n*log2(alpha)``
-    decide it when they are disjoint; only a near-tie builds the powers
+    ``f`` is an integer or a degree's ball.  The certified brackets of
+    ``log2(f) + m*log2(n)`` and ``n*log2(alpha)`` decide it when they are
+    disjoint; only a near-tie builds the exact degree and the powers
     (``n**m`` alone has about ``m*log2(n)`` bits).  Adding the two left
     brackets rounds by 2**-53 of the sum, far inside their radii.
     """
-    f_lo, f_hi = log2_bracket(f)
+    f_lo, f_hi = _log2_power(f, 1)
     nm_lo, nm_hi = _log2_power(n, m)
     rhs_lo, rhs_hi = _log2_power(alpha, n)
     if f_lo + nm_lo > rhs_hi:
         return True
     if f_hi + nm_hi < rhs_lo:
         return False
+    if type(f) is DegreeBall:
+        f = f.exact()
     p, q = alpha.numerator, alpha.denominator
     return f * q**n * n**m >= p**n
 
@@ -237,7 +244,7 @@ def strip_bound(lam: Partition, k: int, l: int, alpha: Fraction) -> StripCertifi
     # f >= alpha^n / n^m, exact when the integers fit the budget
     f = _degree(lam)
     p, q = alpha.numerator, alpha.denominator
-    lhs_log = math.log(f)
+    lhs_log = f.log()
     rhs_log = n * log_fraction(alpha) - m * math.log(n)
     bits = (
         f.bit_length()
@@ -376,15 +383,16 @@ def _square_bound(
 
     ``eps`` is the gate as recorded (``eps_exact`` says whether it is the
     exact gate or a rational near a float one) and ``beta_log`` the
-    recorded ``ln(gamma)/eps``.  Both degrees come from ``_degree``, so a
-    run of shapes with the same Durfee side evaluates the square once.
+    recorded ``ln(gamma)/eps``.  Both degree balls come from ``_degree``,
+    so a run of shapes with the same Durfee side evaluates the square once,
+    and a square input compares equal to its own square with no build.
     """
     mu = Partition((delta,) * delta)
     if not lam.contains(mu):
         raise ConsistencyError("diagonal square does not fit inside the diagram")
     f_mu = _degree(mu)
     f_lam = _degree(lam)
-    if f_lam < f_mu:
+    if not f_lam.at_least(f_mu):
         raise ConsistencyError("containment monotonicity failed for the square")
     n = lam.n
     return _power_certificate(
@@ -394,8 +402,8 @@ def _square_bound(
         Fraction(n),
         {"eps": eps, "gamma": gamma, "delta": delta, "k_n": delta * delta, "n": n},
         aux={
-            "input_log_degree": math.log(f_lam),
-            "square_log_degree": math.log(f_mu),
+            "input_log_degree": f_lam.log(),
+            "square_log_degree": f_mu.log(),
             "beta_log": beta_log,
             "containment_exact": True,
             "eps_exact": eps_exact,
@@ -574,7 +582,7 @@ def general_bound(lam: Partition, alpha: Fraction) -> BoundCertificate:
     mu_cert = strict_bound(trace.mu, alpha)
 
     f_lam = _degree(lam)
-    if f_lam < _degree(trace.mu):
+    if not f_lam.at_least(_degree(trace.mu)):
         raise ConsistencyError("containment monotonicity failed in the reduction")
 
     n = lam.n
@@ -606,7 +614,7 @@ def general_bound(lam: Partition, alpha: Fraction) -> BoundCertificate:
             "n1": trace.n1,
             "mu": trace.mu.format(),
             "mu_certificate": mu_cert.to_json_dict(),
-            "lifted_margin": math.log(f_lam) - mu_cert.rhs_log,
+            "lifted_margin": f_lam.log() - mu_cert.rhs_log,
         },
     )
 
@@ -711,8 +719,8 @@ def theorem_classify(lam: Partition, alpha: Fraction, beta: Fraction) -> BoundCe
     M1, the square construction of ``overexponential_bound`` for M2 (with
     the recorded float eps, ``eps_exact: false``), and ``general_bound``,
     which chains ``strict_bound`` on the reduced diagram, for M3.  The
-    final comparison reads the input's degree from ``_degree``, where the
-    sub-bound left it, so each shape's degree is evaluated once.
+    final comparison reads the input's degree ball from ``_degree``, where
+    the sub-bound left it, so each shape's degree is evaluated once.
     """
     alpha = _require_alpha(alpha)
     if type(beta) is not Fraction:

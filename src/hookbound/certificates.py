@@ -14,7 +14,13 @@ bits, with a radius of ``2**-40`` relative to the midpoint (plus
 ``2**-40``), thousands of times the real rounding error.  Disjoint brackets
 decide the comparison; only a near-tie computes the powers, so every
 verdict stays exact.  The cell typing's aggregate product clause uses the
-same brackets.
+same brackets.  The left side may be a degree's ``DegreeBall``
+(``degrees``): its bracket runs from the lower bracket of the ball's lower
+end to the upper bracket of its upper end, taken from the mantissa and the
+scale without building the shifted integer, and only a near-tie builds the
+exact degree.  The bit budget of a degree certificate reads the ball's
+``bit_length`` and its ``lhs_log`` the ball's ``log``, both equal to the
+exact degree's.
 
 JSON field names (bound_name, parameters, exponent, lhs_log, rhs_log,
 margin, mode, verdict, and cells for typing-backed certificates) are a
@@ -22,7 +28,10 @@ stable contract shared with the CLI.  The ``cells`` of a typing-backed
 certificate are plain ``(row, col, type, color, N, hook)`` tuples, zipped
 from the typing's columns, and serialize as ``[row, col, type, color, N,
 hook]``.  Tuples are immutable, so ``to_json_dict`` and a nested
-certificate's JSON share the rows instead of copying them.
+certificate's JSON share the rows instead of copying them.  The list
+``to_json_dict`` emits is a ``_CellRows``, which encodes as a plain array;
+serializing a certificate that nests it copies the list and skips the
+per-scalar check other aux rows get.
 """
 from __future__ import annotations
 
@@ -34,6 +43,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 
+from .degrees import DegreeBall
 from .partitions import format_rational, parse_rational
 
 PASS = "PASS"
@@ -87,43 +97,58 @@ def power_compare_bits(base: Fraction, exponent: Fraction, lhs_bits: int) -> int
     return v * lhs_bits + abs(u) * fraction_bits(base)
 
 
-def log2_bracket(x: int) -> tuple[float, float]:
-    """Certified bracket ``lo <= log2(x) <= hi`` of an integer ``x >= 1``.
+def log2_bracket(x: int, scale: int = 0) -> tuple[float, float]:
+    """Certified bracket ``lo <= log2(x * 2**scale) <= hi`` of an integer ``x >= 1``.
 
-    The midpoint is ``log2`` of the top 53 bits of ``x`` (an exact float)
-    plus the number of bits below them.  Its error has three parts: the
-    dropped bits move ``log2(x)`` by less than 2**-51, ``math.log2`` is off
-    by at most an ulp (2**-52 of its value), and adding the shift rounds by
-    2**-53 of the midpoint.  The radius ``(midpoint + 1) * LOG2_SLACK``,
-    with ``LOG2_SLACK = 2**-40``, is thousands of times their sum.
+    The midpoint is ``log2`` of the top 53 bits of ``x * 2**scale`` (an
+    exact float) plus the number of bits below them.  Its error has three
+    parts: the dropped bits move the ``log2`` by less than 2**-51,
+    ``math.log2`` is off by at most an ulp (2**-52 of its value), and adding
+    the shift rounds by 2**-53 of the midpoint.  The radius
+    ``(midpoint + 1) * LOG2_SLACK``, with ``LOG2_SLACK = 2**-40``, is
+    thousands of times their sum.  ``scale >= 0`` spares building the
+    shifted integer; the bracket is the one of ``x << scale``.
     """
-    shift = max(x.bit_length() - 53, 0)
-    mid = math.log2(x >> shift) + shift
+    shift = max(x.bit_length() + scale - 53, 0)
+    top = x >> shift - scale if shift >= scale else x << scale - shift
+    mid = math.log2(top) + shift
     rad = (mid + 1.0) * LOG2_SLACK
     return mid - rad, mid + rad
 
 
-def _log2_power(x: int | Fraction, k: int) -> tuple[float, float]:
-    """Certified bracket of ``k * log2(x)`` for a rational ``x > 0``.
+def _log2_power(x: int | Fraction | DegreeBall, k: int) -> tuple[float, float]:
+    """Certified bracket of ``k * log2(x)`` for a rational ``x > 0`` or a degree ball.
 
-    The subtraction and the product round by 2**-53 of their result, far
-    inside the radii of the two brackets they combine.
+    A ball's bracket runs from the lower bracket of its lower end to the
+    upper bracket of its upper end.  The subtraction and the product round
+    by 2**-53 of their result, far inside the radii of the brackets they
+    combine.
     """
-    num_lo, num_hi = log2_bracket(x.numerator)
-    den_lo, den_hi = log2_bracket(x.denominator)
-    lo, hi = k * (num_lo - den_hi), k * (num_hi - den_lo)
+    if type(x) is DegreeBall:
+        if x.rad:
+            lo = log2_bracket(x.m, x.s)[0]
+            hi = log2_bracket(x.m + x.rad, x.s)[1]
+        else:
+            lo, hi = log2_bracket(x.m)
+    else:
+        num_lo, num_hi = log2_bracket(x.numerator)
+        den_lo, den_hi = log2_bracket(x.denominator)
+        lo, hi = num_lo - den_hi, num_hi - den_lo
+    lo, hi = k * lo, k * hi
     return (lo, hi) if k >= 0 else (hi, lo)
 
 
-def exact_power_ge(lhs: int | Fraction, base: Fraction, exponent: Fraction) -> bool:
+def exact_power_ge(
+    lhs: int | Fraction | DegreeBall, base: Fraction, exponent: Fraction
+) -> bool:
     """Decide lhs >= base**exponent exactly (lhs > 0, base > 0).
 
-    ``lhs`` may be an ``int`` (a degree), which has a numerator and a
-    denominator of 1 like a ``Fraction``.  With exponent u/v in lowest
-    terms this is lhs**v >= base**u.  The
-    certified brackets of ``v*log2(lhs)`` and ``u*log2(base)`` decide it
-    when they are disjoint; only a near-tie computes the two powers and
-    compares them as exact rationals.
+    ``lhs`` may be an ``int``, which has a numerator and a denominator of 1
+    like a ``Fraction``, or the ``DegreeBall`` of a degree.  With exponent
+    u/v in lowest terms this is lhs**v >= base**u.  The certified brackets
+    of ``v*log2(lhs)`` and ``u*log2(base)`` decide it when they are
+    disjoint; only a near-tie builds an exact degree, computes the two
+    powers and compares them as exact rationals.
     """
     u, v = exponent.numerator, exponent.denominator
     lhs_lo, lhs_hi = _log2_power(lhs, v)
@@ -132,6 +157,8 @@ def exact_power_ge(lhs: int | Fraction, base: Fraction, exponent: Fraction) -> b
         return True
     if lhs_hi < rhs_lo:
         return False
+    if type(lhs) is DegreeBall:
+        lhs = lhs.exact()
     return lhs**v >= base**u
 
 
@@ -179,11 +206,19 @@ class BoundCertificate:
         if "class" in self.aux:
             out["class"] = self.aux["class"]
         if self.cells is not None:
-            out["cells"] = list(self.cells)
+            out["cells"] = _CellRows(self.cells)
         return out
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_json_dict(), indent=indent)
+
+
+class _CellRows(list):
+    """The ``cells`` list ``to_json_dict`` emits: immutable rows of JSON scalars.
+
+    It encodes as a plain JSON array.  Serializing a certificate that nests
+    it copies the list and shares its rows, with no scan of the scalars.
+    """
 
 
 _JSON_SCALARS = frozenset((int, float, str, bool, type(None)))
@@ -193,14 +228,18 @@ _JSON_ROWS = frozenset((list, tuple))
 def _jsonify(value):
     # exact types first: isinstance against Fraction goes through the ABC
     # machinery.  Nested sub-certificates hold one row of scalars per cell:
-    # rows that are all tuples are immutable and shared, any other rows are
-    # copied into lists, both without a Python call per cell
+    # the cells list ``to_json_dict`` emitted is copied with its rows shared
+    # and unchecked; other rows that are all tuples are immutable and shared
+    # once every scalar is checked, and any other rows are copied into
+    # lists, all without a Python call per cell
     if type(value) in _JSON_SCALARS:
         return value
     if isinstance(value, Fraction):
         return format_rational(value)
     if isinstance(value, dict):
         return {k: _jsonify(v) for k, v in value.items()}
+    if type(value) is _CellRows:
+        return _CellRows(value)
     if isinstance(value, (list, tuple)):
         if all(map(_JSON_SCALARS.__contains__, map(type, value))):
             return list(value)

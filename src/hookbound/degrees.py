@@ -1,7 +1,8 @@
 """Exact character degrees and the independent oracles that validate them.
 
-``degree`` is the production path: the hook-length formula
-``f = n!/prod h`` evaluated by prime exponents, with no big division.
+``degree`` is the exact path: the hook-length formula ``f = n!/prod h``
+evaluated by prime exponents, with no big division.  The bounds read
+``degree_ball`` instead, a certified ball built from the same exponents.
 
 ``hook_counts`` gives the multiset of hook lengths as a list indexed by
 length, read from the parts alone: with beta numbers
@@ -22,7 +23,7 @@ whose parts are distinct.
 For each prime ``q <= top`` the exponent of ``q`` in ``n!/prod h`` is
 ``sum_j (n // q**j - sum(counts[q**j::q**j]))``: Legendre's formula for
 ``n!`` less the hooks divisible by each power of ``q``, one slice sum per
-power.  A prime ``q > top`` divides no hook, and ``top >= 2*sqrt(n) - 1``
+power up to ``top`` (no hook is larger).  A prime ``q > top`` divides no hook, and ``top >= 2*sqrt(n) - 1``
 makes ``q*q > n``, so its exponent is ``n // q``; the primes that share
 one ``v = n // q`` enter as one ``prod(q) ** v``, at most ``n/top`` powers
 in all.  The primes come from one bytearray sieve per process, re-run to
@@ -31,6 +32,47 @@ tree of these powers (Borwein, "On the complexity of calculating
 factorials", J. Algorithms 1985).  A negative prime exponent would mean the
 hook product does not divide ``n!``; a hook count past ``top``, on which
 both steps rely there being none, raises ``ArithmeticError`` as well.
+
+``degree_ball`` reads the same prime powers (``_prime_powers``, the
+exponent stage of ``degree``) into a certified ball ``DegreeBall``: a
+lower value ``m * 2**s`` and a radius ``rad`` with
+``m * 2**s <= f <= (m + rad) * 2**s``, after the model of Johansson's Arb
+(IEEE Trans. Computers 2017).  The bounds read only a bracket of
+``log2 f``, ``f.bit_length()`` and ``math.log(f)``, and the ball gives all
+three; ``exact()`` builds ``f`` from the same powers on demand.
+
+Radius.  With ``eps = 2**(1 - P)`` (``P = _BALL_BITS``), every value the
+product stage holds is an integer ``c``, a scale ``t`` and a count ``k``
+with ``c * 2**t <= x < c * 2**t * (1 + eps)**k`` for the true ``x``
+(``c * 2**t == x`` when ``k == 0``).  Exact products keep this with the
+counts added, a square doubles the count, and a truncation keeps it with
+one more: once ``c >= 2**(2P)`` it drops the low ``b`` bits so that
+``c' = c >> b`` has ``P`` bits, and ``c < (c' + 1) * 2**b <= c' * 2**b *
+(1 + eps)`` as ``c' >= 2**(P - 1)``.  So ``f < m * 2**s * (1 + eps)**k``
+at the end, and ``(1 + eps)**k <= exp(k*eps) <= 1 + 2*k*eps`` for
+``k*eps <= 1`` (``exp(x) - 1 - 2x`` is convex and not positive at 0 and
+1); ``m * 2*k*eps = m*k / 2**(P - 2)``, so ``rad = (m*k >> (P - 2)) + 1``
+covers it.  A count past ``2**(P - 1)`` would break ``k*eps <= 1``, and
+that ball is built exact instead.  The powers above ``top`` enter by
+partial products: with the runs of primes in falling ``v`` and ``r`` the
+product of the primes through a run, ``prod(run**v)`` is
+``prod(r**(v - v_next))``, mostly single products.  A degree with at most
+``_EXACT_BITS`` bits (known from ``f**2 <= n! < 2**(n * n.bit_length())``)
+is built exactly, by one running product of its few powers: at that size
+it costs less than the truncated loop, and below the Karatsuba cutoff a
+product tree saves nothing.
+
+Log.  For an ``int``, CPython's ``math.log`` converts its argument to
+the correctly rounded double, or, past the largest double, to the
+correctly rounded 53-bit mantissa and its exponent (``_PyLong_Frexp``), so
+it reads only ``f`` rounded to 53 bits, ties to even.  That rounding is
+monotone, so when both ends of the ball round to the same value, so does
+``f``, and ``math.log`` of that value rebuilt as an integer equals
+``math.log(f)`` bit for bit; a ball that holds a rounding midpoint builds
+``f``.  ``bit_length`` reads the ends of the ball the same way and builds
+``f`` only when they straddle a power of two.  ``at_least`` compares two
+balls: the same prime powers are equal degrees (a shape and its conjugate
+or itself), disjoint balls decide, and only an overlap builds both.
 
 ``count_syt_bruteforce`` grows every standard filling with no
 memoization and no hooks, so the two share nothing; the identity suites
@@ -150,11 +192,12 @@ def _product_tree(factors: list[int]) -> int:
     return factors[0] if factors else 1
 
 
-def degree(p: Partition) -> int:
-    """n! divided by the product of all hook lengths, by prime exponents.
+def _prime_powers(p: Partition) -> tuple[int, list[int], list[int]]:
+    """The exponent stage of ``degree``: ``n!/prod h`` as powers of primes.
 
-    Equals the number of standard tableaux of the shape.  The empty
-    partition has degree 1 by convention.
+    Returns ``(n, exponents, primes)``: ``exponents[i]`` is the exponent of
+    ``primes[i]`` for each prime up to the largest hook ``top``; a prime
+    ``q`` above ``top`` has exponent ``n // q`` (``_runs``).
     """
     counts = hook_counts(p)
     n = len(counts) - 1
@@ -168,28 +211,250 @@ def degree(p: Partition) -> int:
         raise ArithmeticError(f"hook counts of {p} reach past its largest hook {top}")
     counts = head
     primes = _prime_list(n)
-    mid = bisect_right(primes, top)
-    end = bisect_right(primes, n, mid)
-    powers = []
-    for q in primes[:mid]:
+    exponents = []
+    for q in primes[: bisect_right(primes, top)]:
         e = 0
         qj = q
-        while qj <= n:
+        while qj <= top:
             e += n // qj - sum(counts[qj::qj])
             qj *= q
-        if e:
-            if e < 0:
-                raise ArithmeticError(f"hook product does not divide n! for {p}")
-            powers.append(q**e)
-    # A prime q > top divides no hook, and top >= 2*sqrt(n) - 1 makes q*q > n,
-    # so the exponent of q is n // q: one power per run of equal n // q.
+        while qj <= n:
+            e += n // qj
+            qj *= q
+        if e < 0:
+            raise ArithmeticError(f"hook product does not divide n! for {p}")
+        exponents.append(e)
+    return n, exponents, primes
+
+
+def _runs(n: int, mid: int, primes: list[int]) -> list[tuple[int, int, int]]:
+    """``(i, j, v)`` for each run ``primes[i:j]`` of primes above ``top`` that share ``v``.
+
+    ``mid`` is the number of primes up to ``top``.  A prime ``q > top``
+    divides no hook, and ``top >= 2*sqrt(n) - 1`` makes ``q*q > n``, so the
+    exponent of ``q`` is ``v = n // q``: one power per run, in falling ``v``.
+    """
+    end = bisect_right(primes, n, mid)
+    runs = []
     i = mid
     while i < end:
         v = n // primes[i]
         j = bisect_right(primes, n // v, i, end)
-        powers.append(math.prod(primes[i:j]) ** v)
+        runs.append((i, j, v))
         i = j
-    return _product_tree(powers)
+    return runs
+
+
+def _powers(n: int, exponents: list[int], primes: list[int]) -> list[int]:
+    """The prime powers whose product is the degree, from ``_prime_powers``."""
+    powers = [q**e for q, e in zip(primes, exponents) if e]
+    powers += [math.prod(primes[i:j]) ** v for i, j, v in _runs(n, len(exponents), primes)]
+    return powers
+
+
+def degree(p: Partition) -> int:
+    """n! divided by the product of all hook lengths, by prime exponents.
+
+    Equals the number of standard tableaux of the shape.  The empty
+    partition has degree 1 by convention.
+    """
+    return _product_tree(_powers(*_prime_powers(p)))
+
+
+# P: the bits a degree ball keeps once its running product outgrows 2**(2*P)
+_BALL_BITS = 128
+# a degree with at most this many bits is built exactly: one running product
+# of its powers is then cheaper than the truncated loop
+_EXACT_BITS = 8192
+
+
+def _pow_ball(x: int, t: int, k: int, e: int) -> tuple[int, int, int]:
+    """``(x * 2**t)**e`` as a ball ``(m, s, j)``, for ``e >= 1``.
+
+    The base is a ball with count ``k``; squaring doubles a count and
+    multiplying by the base adds ``k``, and each truncation adds one.
+    """
+    bits = _BALL_BITS
+    cap = 1 << 2 * bits
+    m, s, j = x, t, k
+    for bit in bin(e)[3:]:
+        m *= m
+        s += s
+        j += j
+        if bit == "1":
+            m *= x
+            s += t
+            j += k
+        if m >= cap:
+            b = m.bit_length() - bits
+            m >>= b
+            s += b
+            j += 1
+    return m, s, j
+
+
+class DegreeBall:
+    """A certified ball around a degree ``f``: ``m * 2**s <= f <= (m + rad) * 2**s``.
+
+    Built by ``degree_ball``; see the module docstring for the radius.  A
+    ball with ``rad == 0`` is exact (``s`` is then 0).  The ball keeps ``n``
+    and the exponents of ``_prime_powers``, from which ``exact()`` builds
+    ``f`` once, on demand; equal ``n`` and exponents mean equal degrees.
+    """
+
+    __slots__ = ("m", "s", "rad", "_key", "_exact")
+
+    def __init__(self, m: int, s: int, rad: int, n: int, exponents: list[int]) -> None:
+        self.m, self.s, self.rad = m, s, rad
+        self._key = n, exponents
+        self._exact = m if rad == 0 else None
+
+    def exact(self) -> int:
+        """The exact degree, built from the prime powers on first use."""
+        if self._exact is None:
+            n, exponents = self._key
+            self._exact = _product_tree(_powers(n, exponents, _prime_list(n)))
+        return self._exact
+
+    def bit_length(self) -> int:
+        """``f.bit_length()``, from the ball unless it straddles a power of two."""
+        if self._exact is not None:
+            return self._exact.bit_length()
+        lo = self.m.bit_length()
+        if (self.m + self.rad).bit_length() == lo:
+            return lo + self.s
+        return self.exact().bit_length()
+
+    def log(self) -> float:
+        """``math.log(f)``, bit for bit: the log of ``f`` rounded to 53 bits.
+
+        Both ends of the ball round to the same 53-bit value unless the
+        ball holds a rounding midpoint; only then is ``f`` built.
+        """
+        if self._exact is not None:
+            return math.log(self._exact)
+        top, shift = _round53(self.m, self.s)
+        if (top, shift) != _round53(self.m + self.rad, self.s):
+            return math.log(self.exact())
+        return math.log(top << shift)
+
+    def at_least(self, other: DegreeBall) -> bool:
+        """``f >= g`` for the degree ``g`` of ``other``, exactly.
+
+        Balls of the same prime powers are equal; disjoint balls decide the
+        comparison; only an overlap builds both degrees.
+        """
+        if self._key == other._key:
+            return True
+        if self._exact is not None and other._exact is not None:
+            return self._exact >= other._exact
+        if _scaled_ge(self.m, self.s, other.m + other.rad, other.s):
+            return True
+        if not _scaled_ge(self.m + self.rad, self.s, other.m, other.s):
+            return False
+        return self.exact() >= other.exact()
+
+
+def _scaled_ge(a: int, s: int, b: int, t: int) -> bool:
+    """``a * 2**s >= b * 2**t`` for positive ``a`` and ``b``, by bit lengths first."""
+    la, lb = a.bit_length() + s, b.bit_length() + t
+    if la != lb:
+        return la > lb
+    return a << s - t >= b if s >= t else a >= b << t - s
+
+
+def _round53(m: int, s: int) -> tuple[int, int]:
+    """``m * 2**s`` rounded to 53 bits, ties to even, as ``(top, shift)``.
+
+    ``top << shift`` is the correctly rounded double of ``m * 2**s`` as an
+    integer; ``top`` has at most 53 bits.
+    """
+    drop = m.bit_length() - 53
+    if drop <= 0:
+        return m, s
+    top = m >> drop
+    rest = m - (top << drop)
+    half = 1 << drop - 1
+    if rest > half or (rest == half and top & 1):
+        top += 1
+        if top >> 53:
+            return top >> 1, drop + s + 1
+    return top, drop + s
+
+
+def _ball_product(n: int, exponents: list[int], primes: list[int]) -> tuple[int, int, int]:
+    """The degree from its prime powers as ``(m, s, k)``, a ball with count ``k``.
+
+    ``m * 2**s <= f < m * 2**s * (1 + eps)**k``, with equality when
+    ``k == 0``.  The running product stays exact while it is below
+    ``2**(2*P)``; past that it is truncated to ``P`` bits.
+    """
+    bits = _BALL_BITS
+    cap = 1 << 2 * bits
+    acc, s, k = 1, 0, 0
+    for q, e in zip(primes, exponents):
+        if e * q.bit_length() <= 2 * bits:
+            acc *= q**e
+        else:
+            x, t, c = _pow_ball(q, 0, 0, e)
+            acc *= x
+            s += t
+            k += c
+        if acc >= cap:
+            b = acc.bit_length() - bits
+            acc >>= b
+            s += b
+            k += 1
+    # The runs of primes above top come in falling v; with r the running
+    # product of the primes so far, prod(run**v) = prod(r**(v - v_next)).
+    r, rs, rk = 1, 0, 0
+    runs = _runs(n, len(exponents), primes)
+    chunk = max(4 * bits // n.bit_length(), 1)
+    for g, (i, j, v) in enumerate(runs):
+        for a in range(i, j, chunk):
+            r *= math.prod(primes[a : min(a + chunk, j)])
+            if r >= cap:
+                b = r.bit_length() - bits
+                r >>= b
+                rs += b
+                rk += 1
+        d = v - (runs[g + 1][2] if g + 1 < len(runs) else 0)
+        if d == 1:
+            acc *= r
+            s += rs
+            k += rk
+        else:
+            x, t, c = _pow_ball(r, rs, rk, d)
+            acc *= x
+            s += t
+            k += c
+        if acc >= cap:
+            b = acc.bit_length() - bits
+            acc >>= b
+            s += b
+            k += 1
+    return acc, s, k
+
+
+def degree_ball(p: Partition) -> DegreeBall:
+    """The degree of ``p`` as a certified ball, from the prime powers of ``degree``.
+
+    A shape with ``n * n.bit_length() <= 2 * _EXACT_BITS`` gets an exact
+    ball: ``f**2 <= n!`` (the squares of the degrees sum to ``n!``) and
+    ``n! < 2**(n * n.bit_length())``, so ``f`` has at most ``_EXACT_BITS``
+    bits.  So does a truncated product that never outgrew its cap.
+    """
+    n, exponents, primes = _prime_powers(p)
+    if n * n.bit_length() <= 2 * _EXACT_BITS:
+        # below the Karatsuba cutoff a running product beats the tree
+        return DegreeBall(math.prod(_powers(n, exponents, primes)), 0, 0, n, exponents)
+    m, s, k = _ball_product(n, exponents, primes)
+    bits = _BALL_BITS
+    if k == 0:
+        return DegreeBall(m, 0, 0, n, exponents)
+    if k >> bits - 1:  # 2*k*eps would pass 1: give up the ball
+        return DegreeBall(_product_tree(_powers(n, exponents, primes)), 0, 0, n, exponents)
+    return DegreeBall(m, s, (m * k >> bits - 2) + 1, n, exponents)
 
 
 def log_degree(p: Partition) -> float:

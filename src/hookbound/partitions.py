@@ -256,7 +256,10 @@ def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise HookBoundError(f"cannot parse rational {text!r} (expected p or p/q)")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise HookBoundError(f"cannot parse rational {text!r} (zero denominator)") from None
 
 
 def format_rational(value: Fraction | int) -> str:

@@ -106,6 +106,8 @@ def build_growth_report(
 ) -> GrowthReport:
     if family not in ("balanced", "staircase", "enumerate", "sample"):
         raise HookBoundError(f"unknown family {family!r}")
+    if samples < 1:
+        raise HookBoundError(f"samples must be at least 1, got {samples}")
     if family == "enumerate" and n_to > ENUMERATE_CAP:
         raise HookBoundError(
             f"enumerate family is capped at n <= {ENUMERATE_CAP}; use the sample family"

@@ -136,6 +136,24 @@ class TestCertifyCommand:
         code, _, err = run(capsys, "certify", "strict", STAIR, "--alpha", "1.1")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("typing", "3,2,1", "--alpha", "1/0"),
+            ("certify", "strict", STAIR, "--alpha", "1/0"),
+            ("certify", "theorem", STAIR, "--alpha", "1/0", "--beta", "21/20"),
+            ("certify", "theorem", STAIR, "--alpha", "11/10", "--beta", "1/0"),
+            ("sweep", "balanced", "--alpha", "2", "--beta", "1/0",
+             "--n-from", "40", "--n-to", "41"),
+        ],
+        ids=["typing-alpha", "strict-alpha", "theorem-alpha", "theorem-beta", "sweep-beta"],
+    )
+    def test_zero_denominator_is_one_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE == 1
+        assert out == ""
+        assert err == "cannot parse rational '1/0' (zero denominator)\n"
+
     def test_strict_includes_cells(self, capsys):
         code, out, _ = run(capsys, "certify", "strict", STAIR, "--alpha", "11/10")
         assert code == EXIT_PASS
@@ -230,6 +248,16 @@ class TestSweepCommand:
         )
         assert code == EXIT_USAGE
         assert "sample" in err
+
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_samples_below_one_exit_one(self, capsys, samples):
+        code, out, err = run(
+            capsys, "sweep", "sample", "--alpha", "2", "--beta", "3/2",
+            "--n-from", "30", "--n-to", "31", "--samples", samples,
+        )
+        assert code == EXIT_USAGE == 1
+        assert out == ""
+        assert err == f"samples must be at least 1, got {samples}\n"
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "report.csv"

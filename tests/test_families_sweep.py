@@ -220,3 +220,10 @@ class TestSweep:
             implied = verdict_from_logs(lhs, rhs, row.mode)
             band = 1e-9 * max(abs(lhs), abs(rhs), 1.0)
             assert row.verdict == implied or abs(row.margin) <= band
+
+
+@pytest.mark.parametrize("family", ["sample", "balanced"])
+@pytest.mark.parametrize("samples", [0, -1])
+def test_growth_report_needs_a_sample(family, samples):
+    with pytest.raises(HookBoundError, match="samples must be at least 1"):
+        build_growth_report(family, Fraction(2), Fraction(3, 2), 30, 31, samples=samples)

@@ -521,6 +521,11 @@ class TestRationalText:
         with pytest.raises(HookBoundError):
             parse_rational("1.5")
 
+    @pytest.mark.parametrize("text", ["1/0", "-3/0", "0/0"])
+    def test_zero_denominator_is_named(self, text):
+        with pytest.raises(HookBoundError, match=f"cannot parse rational '{text}'"):
+            parse_rational(text)
+
     def test_format(self):
         assert format_rational(Fraction(11, 10)) == "11/10"
         assert format_rational(Fraction(4, 2)) == "2"

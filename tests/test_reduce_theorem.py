@@ -19,7 +19,8 @@ from hookbound.bounds import (
     theorem_classify,
 )
 from hookbound.certificates import PASS, certificate_from_json, revalidate
-from hookbound.degrees import degree, log_degree
+import hookbound.degrees
+from hookbound.degrees import DegreeBall, degree, degree_ball, log_degree
 from hookbound.errors import HypothesisError
 from hookbound.families import balanced
 from hookbound.families import staircase as family_staircase
@@ -271,19 +272,43 @@ class TestTheorem:
         assert cert.aux["gamma"] == pytest.approx(expected)
 
 
+@pytest.fixture
+def ball_calls(monkeypatch, cold_degrees):
+    """The shapes whose degree ball the bounds evaluate, and every exact degree asked for.
+
+    ``"ball"`` lists the misses of the bounds' memo; ``"exact"`` lists the
+    shapes given to ``degree`` (through ``bounds`` or ``degrees``) and the
+    balls asked for their exact value, which a near-tie does.
+    """
+    calls = {"ball": [], "exact": []}
+
+    def counted_ball(p):
+        calls["ball"].append(p)
+        return degree_ball(p)
+
+    def counted_degree(p):
+        calls["exact"].append(p)
+        return degree(p)
+
+    exact = DegreeBall.exact
+
+    def counted_exact(ball):
+        calls["exact"].append(ball)
+        return exact(ball)
+
+    monkeypatch.setattr(hookbound.bounds, "degree_ball", counted_ball)
+    monkeypatch.setattr(hookbound.bounds, "degree", counted_degree)
+    monkeypatch.setattr(hookbound.degrees, "degree", counted_degree)
+    monkeypatch.setattr(DegreeBall, "exact", counted_exact)
+    return calls
+
+
 class TestDegreeReuse:
-    """Each bound evaluates the degree of each shape it touches once."""
+    """Each bound evaluates the degree ball of each shape it touches once.
 
-    @pytest.fixture
-    def degree_calls(self, monkeypatch, cold_degrees):
-        calls = []
-
-        def counted(p):
-            calls.append(p)
-            return degree(p)
-
-        monkeypatch.setattr(hookbound.bounds, "degree", counted)
-        return calls
+    None of these dispatches needs an exact degree: the balls decide every
+    comparison.
+    """
 
     @pytest.mark.parametrize(
         "lam, alpha, beta, cls, evaluations",
@@ -294,14 +319,16 @@ class TestDegreeReuse:
         ],
         ids=["M1", "M2", "M3"],
     )
-    def test_theorem_classify(self, degree_calls, lam, alpha, beta, cls, evaluations):
+    def test_theorem_classify(self, ball_calls, lam, alpha, beta, cls, evaluations):
         cert = theorem_classify(lam, alpha, beta)
         assert cert.aux["class"] == cls
-        assert len(degree_calls) == evaluations
+        assert len(ball_calls["ball"]) == evaluations
+        assert ball_calls["exact"] == []
 
-    def test_general_bound(self, degree_calls):
+    def test_general_bound(self, ball_calls):
         general_bound(staircase(21, 20), ALPHA)
-        assert len(degree_calls) == 2
+        assert len(ball_calls["ball"]) == 2
+        assert ball_calls["exact"] == []
 
     def test_bounds_do_not_import_log_degree(self):
         assert not hasattr(hookbound.bounds, "log_degree")
@@ -347,26 +374,22 @@ class TestDispatchCaches:
     def test_square_degree_matches_degree(self):
         _degree.cache_clear()
         for d in range(1, 61):
-            assert _degree(Partition((d,) * d)) == degree(Partition((d,) * d))
+            ball, f = _degree(Partition((d,) * d)), degree(Partition((d,) * d))
+            assert (ball.bit_length(), ball.log()) == (f.bit_length(), math.log(f))
+            assert ball.exact() == f
 
     def test_square_cache_is_bounded(self):
         maxsize = _degree.cache_info().maxsize
         assert maxsize is not None and maxsize <= 256
 
-    def test_sweep_evaluates_each_square_once(self, monkeypatch, cold_degrees):
-        # one degree per row, plus one per distinct Durfee side of the M2 rows
-        calls = []
-
-        def counted(p):
-            calls.append(p)
-            return degree(p)
-
-        monkeypatch.setattr(hookbound.bounds, "degree", counted)
+    def test_sweep_evaluates_each_square_once(self, ball_calls):
+        # one ball per row, plus one per distinct Durfee side of the M2 rows
         report = build_growth_report("staircase", ALPHA, BETA, 403, 1203)
         m2_sides = {r.partition.diagonal() for r in report.rows if r.cls == CLASS_M2}
         assert {r.cls for r in report.rows} == {CLASS_M1, CLASS_M2}
         assert len(report.rows) == 801 and len(m2_sides) > 1
-        assert len(calls) == len(report.rows) + len(m2_sides)
+        assert len(ball_calls["ball"]) == len(report.rows) + len(m2_sides)
+        assert ball_calls["exact"] == []
 
 
 class TestIntegerGates:
