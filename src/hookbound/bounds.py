@@ -7,8 +7,7 @@ the bound, asserts the construction's internal inequalities
 compares the degree against the bound, exactly when the bit budget allows
 and in the log domain otherwise.  The degree is read from its certified
 ball (``degrees.degree_ball``), which decides every comparison it can and
-builds the exact degree only on a near-tie; ``rectangle_bound`` reads the
-exact ``degree``.
+builds the exact degree only on a near-tie.
 """
 from __future__ import annotations
 
@@ -29,7 +28,7 @@ from .certificates import (
     make_certificate,
     power_compare_bits,
 )
-from .degrees import DegreeBall, _product_tree, degree, degree_ball
+from .degrees import DegreeBall, _product_tree, degree_ball
 from .errors import ConsistencyError, HypothesisError
 from .partitions import Cell, Partition
 
@@ -298,9 +297,8 @@ def rectangle_bound(a: int, b: int) -> BoundCertificate:
     if swapped:
         a, b = b, a
     n = a * b
-    shape = Partition((b,) * a)
-    f = degree(shape)
-    lhs_log = math.log(f)
+    f = _degree(Partition((b,) * a))
+    lhs_log = f.log()
 
     ln2 = math.log(2)
     est_bits = int(
@@ -311,8 +309,8 @@ def rectangle_bound(a: int, b: int) -> BoundCertificate:
     if est_bits <= exact_bit_budget():
         exact_rhs_num = factorial(n)
         exact_rhs_den = factorial(b) ** a * 4**n
-        exact_holds: bool | None = f * exact_rhs_den >= exact_rhs_num
-        weak_holds: bool | None = f * 4**n >= a**n
+        exact_holds: bool | None = f.exact() * exact_rhs_den >= exact_rhs_num
+        weak_holds: bool | None = exact_power_ge(f, Fraction(a, 4), Fraction(n))
         both: bool | None = exact_holds and weak_holds
     else:
         exact_holds = weak_holds = both = None

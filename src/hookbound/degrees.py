@@ -5,7 +5,9 @@ evaluated by prime exponents, with no big division.  The bounds read
 ``degree_ball`` instead, a certified ball built from the same exponents.
 
 ``hook_counts`` gives the multiset of hook lengths as a list indexed by
-length, read from the parts alone: with beta numbers
+length, read from the parts alone by ``_hook_counts``, which stops at the
+largest hook ``top = lambda_1 + k - 1``; the public list pads it to
+``n + 1`` entries.  With beta numbers
 ``l_i = lambda_i + k - i``, row ``i`` holds the hooks ``{1..l_i}`` less
 ``{l_i - l_j : j > i}`` (James and Kerber, *The Representation Theory of
 the Symmetric Group*, 2.7), so ``counts[h]`` is ``#{i : l_i >= h}`` less
@@ -16,22 +18,26 @@ consecutive beta numbers, and a run of beads times ``X - 1`` (``X`` the
 slot base) has two terms, so the product is a sum of two shifted copies of
 one bead string per block, divided once by ``X - 1``.  The cost is one
 big-integer shift per block end: a few on a long hook, a column or a
-rectangle, where a full product would cost about ``M(top)`` for the
-largest hook ``top = lambda_1 + k - 1``, and two per row on a staircase,
-whose parts are distinct.
+rectangle, where a full product would cost about ``M(top)``, and two per
+row on a staircase, whose parts are distinct.
 
 For each prime ``q <= top`` the exponent of ``q`` in ``n!/prod h`` is
 ``sum_j (n // q**j - sum(counts[q**j::q**j]))``: Legendre's formula for
 ``n!`` less the hooks divisible by each power of ``q``, one slice sum per
-power up to ``top`` (no hook is larger).  A prime ``q > top`` divides no hook, and ``top >= 2*sqrt(n) - 1``
-makes ``q*q > n``, so its exponent is ``n // q``; the primes that share
-one ``v = n // q`` enter as one ``prod(q) ** v``, at most ``n/top`` powers
-in all.  The primes come from one bytearray sieve per process, re-run to
-twice its reach when a larger ``n`` arrives.  The degree is the product
-tree of these powers (Borwein, "On the complexity of calculating
-factorials", J. Algorithms 1985).  A negative prime exponent would mean the
-hook product does not divide ``n!``; a hook count past ``top``, on which
-both steps rely there being none, raises ``ArithmeticError`` as well.
+power up to ``top`` (no hook is larger).  A prime ``q > top`` divides no
+hook, and ``top >= 2*sqrt(n) - 1`` makes ``q*q > n``, so its exponent is
+``n // q``; the primes that share one ``v = n // q`` enter as one
+``prod(q) ** v``, at most ``n/top`` powers in all.  The primes come from
+one bytearray sieve per process, re-run to twice its reach when a larger
+``n`` arrives.  ``_exact``, the one exact build, multiplies these powers:
+by one running product while ``n * n.bit_length() <= 2 * _EXACT_BITS``,
+where the degree has at most ``_EXACT_BITS`` bits (``f**2 <= n! <
+2**(n * n.bit_length())``) and a tree saves nothing below the Karatsuba
+cutoff, and by the product tree past that (Borwein, "On the complexity of
+calculating factorials", J. Algorithms 1985).  A negative prime exponent
+would mean the hook product does not divide ``n!`` and raises
+``ArithmeticError``; so does a count list of other than ``top + 1``
+entries, a hook past ``top``, since both steps rely on there being none.
 
 ``degree_ball`` reads the same prime powers (``_prime_powers``, the
 exponent stage of ``degree``) into a certified ball ``DegreeBall``: a
@@ -46,21 +52,21 @@ product stage holds is an integer ``c``, a scale ``t`` and a count ``k``
 with ``c * 2**t <= x < c * 2**t * (1 + eps)**k`` for the true ``x``
 (``c * 2**t == x`` when ``k == 0``).  Exact products keep this with the
 counts added, a square doubles the count, and a truncation keeps it with
-one more: once ``c >= 2**(2P)`` it drops the low ``b`` bits so that
+one more.  ``_truncate`` is the one place that truncates: once
+``c >= 2**(2P)`` it drops the low ``b`` bits so that
 ``c' = c >> b`` has ``P`` bits, and ``c < (c' + 1) * 2**b <= c' * 2**b *
 (1 + eps)`` as ``c' >= 2**(P - 1)``.  So ``f < m * 2**s * (1 + eps)**k``
 at the end, and ``(1 + eps)**k <= exp(k*eps) <= 1 + 2*k*eps`` for
 ``k*eps <= 1`` (``exp(x) - 1 - 2x`` is convex and not positive at 0 and
 1); ``m * 2*k*eps = m*k / 2**(P - 2)``, so ``rad = (m*k >> (P - 2)) + 1``
-covers it.  A count past ``2**(P - 1)`` would break ``k*eps <= 1``, and
-that ball is built exact instead.  The powers above ``top`` enter by
-partial products: with the runs of primes in falling ``v`` and ``r`` the
-product of the primes through a run, ``prod(run**v)`` is
-``prod(r**(v - v_next))``, mostly single products.  A degree with at most
-``_EXACT_BITS`` bits (known from ``f**2 <= n! < 2**(n * n.bit_length())``)
-is built exactly, by one running product of its few powers: at that size
-it costs less than the truncated loop, and below the Karatsuba cutoff a
-product tree saves nothing.
+covers it; with ``k == 0`` the ball is exact and ``rad = 0``.  A count
+past ``2**(P - 1)`` would break ``k*eps <= 1``, and that ball is built
+exact instead.  The powers above ``top`` enter by partial products: with
+the runs of primes in falling ``v`` and ``r`` the product of the primes
+through a run, ``prod(run**v)`` is ``prod(r**(v - v_next))``, mostly
+single products.  A degree with at most ``_EXACT_BITS`` bits is built
+by ``_exact`` instead: at that size its running product costs less than
+the truncated loop.
 
 Log.  For an ``int``, CPython's ``math.log`` converts its argument to
 the correctly rounded double, or, past the largest double, to the
@@ -69,10 +75,12 @@ it reads only ``f`` rounded to 53 bits, ties to even.  That rounding is
 monotone, so when both ends of the ball round to the same value, so does
 ``f``, and ``math.log`` of that value rebuilt as an integer equals
 ``math.log(f)`` bit for bit; a ball that holds a rounding midpoint builds
-``f``.  ``bit_length`` reads the ends of the ball the same way and builds
-``f`` only when they straddle a power of two.  ``at_least`` compares two
-balls: the same prime powers are equal degrees (a shape and its conjugate
-or itself), disjoint balls decide, and only an overlap builds both.
+``f``.  So ``log_degree`` is ``degree_ball(p).log()``, and builds ``f``
+only on such a midpoint.  ``bit_length`` reads the ends of the ball the
+same way and builds ``f`` only when they straddle a power of two.
+``at_least`` compares two balls: the same prime powers are equal degrees
+(a shape and its conjugate or itself), disjoint balls decide, and only an
+overlap builds both.
 
 ``count_syt_bruteforce`` grows every standard filling with no
 memoization and no hooks, so the two share nothing; the identity suites
@@ -104,7 +112,14 @@ Tableau = tuple[tuple[int, ...], ...]
 
 
 def hook_counts(p: Partition) -> list[int]:
-    """``counts[h]`` is the number of cells with hook length ``h``, for 0 <= h <= n.
+    """``counts[h]`` is the number of cells with hook length ``h``, for 0 <= h <= n."""
+    counts = _hook_counts(p.parts)
+    counts += [0] * (p.n + 1 - len(counts))
+    return counts
+
+
+def _hook_counts(parts: tuple[int, ...]) -> list[int]:
+    """The hook counts ``counts[h]`` for 0 <= h <= top, the largest hook ``top``.
 
     ``counts[h] = #{i : l_i >= h} - #{i < j : l_i - l_j = h}`` for the beta
     numbers ``l_i = lambda_i + k - i`` of the ``k`` parts.  In base
@@ -119,7 +134,6 @@ def hook_counts(p: Partition) -> list[int]:
     and the counts are the slots of one difference, read in native byte
     order and turned around on a big-endian machine.
     """
-    parts = p.parts
     k = len(parts)
     top = _largest_hook(parts)
     width, code = (1, "B") if k < 1 << 8 else (2, "H") if k < 1 << 16 else (4, "I")
@@ -139,9 +153,7 @@ def hook_counts(p: Partition) -> list[int]:
     pairs = ends // slot
     slots = ((fwd << shift) - k) // slot - (pairs >> shift * top)
     view = memoryview(slots.to_bytes((top + 1) * width, sys.byteorder)).cast(code)
-    counts = view.tolist() if sys.byteorder == "little" else view[::-1].tolist()
-    counts += [0] * (sum(parts) - top)
-    return counts
+    return view.tolist() if sys.byteorder == "little" else view[::-1].tolist()
 
 
 def _largest_hook(parts: tuple[int, ...]) -> int:
@@ -151,7 +163,7 @@ def _largest_hook(parts: tuple[int, ...]) -> int:
 
 def hook_product(p: Partition) -> int:
     """Product of the hook lengths of all cells."""
-    return math.prod(h**c for h, c in enumerate(hook_counts(p)) if c)
+    return math.prod(h**c for h, c in enumerate(_hook_counts(p.parts)) if c)
 
 
 def _primes_upto(n: int) -> list[int]:
@@ -199,17 +211,13 @@ def _prime_powers(p: Partition) -> tuple[int, list[int], list[int]]:
     ``primes[i]`` for each prime up to the largest hook ``top``; a prime
     ``q`` above ``top`` has exponent ``n // q`` (``_runs``).
     """
-    counts = hook_counts(p)
-    n = len(counts) - 1
+    n = p.n
     top = _largest_hook(p.parts)
+    counts = _hook_counts(p.parts)
     # No hook exceeds the corner hook top, so the slice sums below read only
-    # up to it and the primes above it divide no hook.  The n - top counts
-    # past top are all zero when the zeros of the whole list outnumber those
-    # up to top by n - top.
-    head = counts[: top + 1]
-    if counts.count(0) - head.count(0) != n - top:
+    # up to it and the primes above it divide no hook.
+    if len(counts) != top + 1:
         raise ArithmeticError(f"hook counts of {p} reach past its largest hook {top}")
-    counts = head
     primes = _prime_list(n)
     exponents = []
     for q in primes[: bisect_right(primes, top)]:
@@ -245,11 +253,21 @@ def _runs(n: int, mid: int, primes: list[int]) -> list[tuple[int, int, int]]:
     return runs
 
 
-def _powers(n: int, exponents: list[int], primes: list[int]) -> list[int]:
-    """The prime powers whose product is the degree, from ``_prime_powers``."""
+# P: the bits a degree ball keeps once its running product outgrows 2**(2*P)
+_BALL_BITS = 128
+# a degree with at most this many bits gets an exact ball: its running
+# product is then cheaper than the truncated loop
+_EXACT_BITS = 8192
+
+
+def _exact(n: int, exponents: list[int], primes: list[int]) -> int:
+    """The degree, built exactly from the prime powers of ``_prime_powers``."""
     powers = [q**e for q, e in zip(primes, exponents) if e]
     powers += [math.prod(primes[i:j]) ** v for i, j, v in _runs(n, len(exponents), primes)]
-    return powers
+    if n * n.bit_length() <= 2 * _EXACT_BITS:
+        # at most _EXACT_BITS bits: below the Karatsuba cutoff the tree saves nothing
+        return math.prod(powers)
+    return _product_tree(powers)
 
 
 def degree(p: Partition) -> int:
@@ -258,14 +276,19 @@ def degree(p: Partition) -> int:
     Equals the number of standard tableaux of the shape.  The empty
     partition has degree 1 by convention.
     """
-    return _product_tree(_powers(*_prime_powers(p)))
+    return _exact(*_prime_powers(p))
 
 
-# P: the bits a degree ball keeps once its running product outgrows 2**(2*P)
-_BALL_BITS = 128
-# a degree with at most this many bits is built exactly: one running product
-# of its powers is then cheaper than the truncated loop
-_EXACT_BITS = 8192
+def _truncate(m: int, s: int, k: int) -> tuple[int, int, int]:
+    """The ball ``(m, s, k)`` with ``m`` cut to ``P`` bits once it reaches ``2**(2*P)``.
+
+    A cut drops the low bits into the scale ``s`` and adds one to the count
+    ``k``; a smaller ``m`` passes unchanged.
+    """
+    b = m.bit_length() - _BALL_BITS
+    if b > _BALL_BITS:
+        return m >> b, s + b, k + 1
+    return m, s, k
 
 
 def _pow_ball(x: int, t: int, k: int, e: int) -> tuple[int, int, int]:
@@ -274,8 +297,6 @@ def _pow_ball(x: int, t: int, k: int, e: int) -> tuple[int, int, int]:
     The base is a ball with count ``k``; squaring doubles a count and
     multiplying by the base adds ``k``, and each truncation adds one.
     """
-    bits = _BALL_BITS
-    cap = 1 << 2 * bits
     m, s, j = x, t, k
     for bit in bin(e)[3:]:
         m *= m
@@ -285,11 +306,7 @@ def _pow_ball(x: int, t: int, k: int, e: int) -> tuple[int, int, int]:
             m *= x
             s += t
             j += k
-        if m >= cap:
-            b = m.bit_length() - bits
-            m >>= b
-            s += b
-            j += 1
+        m, s, j = _truncate(m, s, j)
     return m, s, j
 
 
@@ -313,7 +330,7 @@ class DegreeBall:
         """The exact degree, built from the prime powers on first use."""
         if self._exact is None:
             n, exponents = self._key
-            self._exact = _product_tree(_powers(n, exponents, _prime_list(n)))
+            self._exact = _exact(n, exponents, _prime_list(n))
         return self._exact
 
     def bit_length(self) -> int:
@@ -387,10 +404,9 @@ def _ball_product(n: int, exponents: list[int], primes: list[int]) -> tuple[int,
 
     ``m * 2**s <= f < m * 2**s * (1 + eps)**k``, with equality when
     ``k == 0``.  The running product stays exact while it is below
-    ``2**(2*P)``; past that it is truncated to ``P`` bits.
+    ``2**(2*P)``; past that ``_truncate`` cuts it to ``P`` bits.
     """
     bits = _BALL_BITS
-    cap = 1 << 2 * bits
     acc, s, k = 1, 0, 0
     for q, e in zip(primes, exponents):
         if e * q.bit_length() <= 2 * bits:
@@ -400,11 +416,7 @@ def _ball_product(n: int, exponents: list[int], primes: list[int]) -> tuple[int,
             acc *= x
             s += t
             k += c
-        if acc >= cap:
-            b = acc.bit_length() - bits
-            acc >>= b
-            s += b
-            k += 1
+        acc, s, k = _truncate(acc, s, k)
     # The runs of primes above top come in falling v; with r the running
     # product of the primes so far, prod(run**v) = prod(r**(v - v_next)).
     r, rs, rk = 1, 0, 0
@@ -412,27 +424,10 @@ def _ball_product(n: int, exponents: list[int], primes: list[int]) -> tuple[int,
     chunk = max(4 * bits // n.bit_length(), 1)
     for g, (i, j, v) in enumerate(runs):
         for a in range(i, j, chunk):
-            r *= math.prod(primes[a : min(a + chunk, j)])
-            if r >= cap:
-                b = r.bit_length() - bits
-                r >>= b
-                rs += b
-                rk += 1
+            r, rs, rk = _truncate(r * math.prod(primes[a : min(a + chunk, j)]), rs, rk)
         d = v - (runs[g + 1][2] if g + 1 < len(runs) else 0)
-        if d == 1:
-            acc *= r
-            s += rs
-            k += rk
-        else:
-            x, t, c = _pow_ball(r, rs, rk, d)
-            acc *= x
-            s += t
-            k += c
-        if acc >= cap:
-            b = acc.bit_length() - bits
-            acc >>= b
-            s += b
-            k += 1
+        x, t, c = (r, rs, rk) if d == 1 else _pow_ball(r, rs, rk, d)
+        acc, s, k = _truncate(acc * x, s + t, k + c)
     return acc, s, k
 
 
@@ -442,28 +437,25 @@ def degree_ball(p: Partition) -> DegreeBall:
     A shape with ``n * n.bit_length() <= 2 * _EXACT_BITS`` gets an exact
     ball: ``f**2 <= n!`` (the squares of the degrees sum to ``n!``) and
     ``n! < 2**(n * n.bit_length())``, so ``f`` has at most ``_EXACT_BITS``
-    bits.  So does a truncated product that never outgrew its cap.
+    bits.  So does a truncated product that never outgrew its cap: its
+    count ``k`` and its scale are 0, and so is its radius.
     """
     n, exponents, primes = _prime_powers(p)
-    if n * n.bit_length() <= 2 * _EXACT_BITS:
-        # below the Karatsuba cutoff a running product beats the tree
-        return DegreeBall(math.prod(_powers(n, exponents, primes)), 0, 0, n, exponents)
-    m, s, k = _ball_product(n, exponents, primes)
-    bits = _BALL_BITS
-    if k == 0:
-        return DegreeBall(m, 0, 0, n, exponents)
-    if k >> bits - 1:  # 2*k*eps would pass 1: give up the ball
-        return DegreeBall(_product_tree(_powers(n, exponents, primes)), 0, 0, n, exponents)
-    return DegreeBall(m, s, (m * k >> bits - 2) + 1, n, exponents)
+    if n * n.bit_length() > 2 * _EXACT_BITS:
+        m, s, k = _ball_product(n, exponents, primes)
+        bits = _BALL_BITS
+        if not k >> bits - 1:  # else 2*k*eps would pass 1: give up the ball
+            return DegreeBall(m, s, (m * k >> bits - 2) + 1 if k else 0, n, exponents)
+    return DegreeBall(_exact(n, exponents, primes), 0, 0, n, exponents)
 
 
 def log_degree(p: Partition) -> float:
-    """Natural log of the exact degree.
+    """Natural log of the degree, ``math.log(degree(p))`` bit for bit.
 
-    ``math.log`` on a big integer uses the top bits plus the bit count, so
-    the relative error is at the 1e-16 level, far inside the 1e-12 contract.
+    Read from ``degree_ball``, whose ``log`` builds the exact degree only
+    when the ball holds a rounding midpoint.
     """
-    return math.log(degree(p))
+    return degree_ball(p).log()
 
 
 def standard_tableaux(p: Partition) -> Iterator[Tableau]:

@@ -13,8 +13,11 @@ from hypothesis import strategies as st
 
 import hookbound.degrees
 from hookbound.degrees import (
+    _hook_counts,
+    _largest_hook,
     _prime_list,
     _primes_upto,
+    _truncate,
     count_syt_bruteforce,
     degree,
     hook_counts,
@@ -31,6 +34,20 @@ from hookbound.degrees import (
 from hookbound.errors import GuardExceededError
 from hookbound.families import balanced, staircase
 from hookbound.partitions import Partition, enumerate_partitions
+
+
+@pytest.fixture
+def tree_calls(monkeypatch):
+    """The lengths of the factor lists given to the product tree of ``degrees``."""
+    calls = []
+    tree = hookbound.degrees._product_tree
+
+    def counted(factors):
+        calls.append(len(factors))
+        return tree(factors)
+
+    monkeypatch.setattr(hookbound.degrees, "_product_tree", counted)
+    return calls
 
 
 class TestDegree:
@@ -57,6 +74,14 @@ class TestDegree:
             for p in enumerate_partitions(n):
                 assert degree(p) == count_syt_bruteforce(p)
 
+    def test_product_tree_only_past_the_exact_size(self, tree_calls):
+        # a sweep-sized degree is one running product; a certify-sized one is
+        # built by the product tree
+        degree(staircase(1200, Fraction(11, 10)))
+        assert tree_calls == []
+        degree(balanced(2000))
+        assert len(tree_calls) == 1
+
     def test_containment_monotone_small(self):
         shapes = [p for n in range(9) for p in enumerate_partitions(n)]
         for lam in shapes:
@@ -74,6 +99,7 @@ class TestPrimeExponentPath:
                 assert len(counts) == n + 1
                 grid = Counter(p.hook_grid().values())
                 assert {h: c for h, c in enumerate(counts) if c} == dict(grid)
+                assert_unpadded(p)
 
     @pytest.mark.parametrize(
         "shape",
@@ -114,14 +140,24 @@ class TestPrimeExponentPath:
     def test_negative_prime_exponent_raises(self, monkeypatch):
         shape = Partition((3, 3))
 
-        def one_hook_too_many(p):
-            counts = hook_counts(p)
+        def one_hook_too_many(parts):
+            counts = _hook_counts(parts) + [0, 0]
             counts[6] += 1  # f = 720/144 = 5 holds no factor 2 or 3 to spare
             return counts
 
-        monkeypatch.setattr(hookbound.degrees, "hook_counts", one_hook_too_many)
+        monkeypatch.setattr(hookbound.degrees, "_hook_counts", one_hook_too_many)
         with pytest.raises(ArithmeticError):
             degree(shape)
+
+    def test_count_past_largest_hook_raises(self, monkeypatch):
+        # a count at h = 5 on (3, 3), past its largest hook 4, that no slice
+        # sum reads: only the length check sees it
+        def one_hook_past_top(parts):
+            return _hook_counts(parts) + [1]
+
+        monkeypatch.setattr(hookbound.degrees, "_hook_counts", one_hook_past_top)
+        with pytest.raises(ArithmeticError, match="past its largest hook 4"):
+            degree(Partition((3, 3)))
 
 
 def determinantal_degree(parts):
@@ -156,6 +192,14 @@ def shapes(draw, max_n=300):
     return Partition(tuple(sorted(parts, reverse=True)))
 
 
+def assert_unpadded(p):
+    """The private counts stop at the largest hook, where the public ones are padded to n."""
+    counts = _hook_counts(p.parts)
+    top = _largest_hook(p.parts)
+    assert len(counts) == top + 1
+    assert counts == hook_counts(p)[: top + 1]
+
+
 def grid_counts(p):
     grid = Counter(p.hook_grid().values())
     return [grid[h] for h in range(p.n + 1)]
@@ -180,6 +224,7 @@ class TestSlotWidth:
         # one apart number k - 1, which needs the four-byte slots at 65537 rows.
         assert len(shape) == rows
         assert hook_counts(shape) == grid_counts(shape)
+        assert_unpadded(shape)
 
 
 class TestDeterminantalFormula:
@@ -191,14 +236,26 @@ class TestDeterminantalFormula:
     def test_extra_hook_within_largest_gives_negative_exponent(self, monkeypatch):
         shape = Partition((3, 3))
 
-        def one_hook_too_many(p):
-            counts = hook_counts(p)
+        def one_hook_too_many(parts):
+            counts = _hook_counts(parts)
             counts[4] += 1  # the corner hook again: two more factors of 2, and f = 5 has none
             return counts
 
-        monkeypatch.setattr(hookbound.degrees, "hook_counts", one_hook_too_many)
+        monkeypatch.setattr(hookbound.degrees, "_hook_counts", one_hook_too_many)
         with pytest.raises(ArithmeticError, match="does not divide"):
             degree(shape)
+
+
+class TestTruncate:
+    @pytest.mark.parametrize("bits", [8, 128])
+    def test_cuts_once_the_mantissa_reaches_twice_its_bits(self, monkeypatch, bits):
+        # below 2**(2P) the ball passes unchanged; at 2**(2P) it keeps P bits
+        # and counts one more cut
+        monkeypatch.setattr(hookbound.degrees, "_BALL_BITS", bits)
+        below = (1 << 2 * bits) - 1
+        assert _truncate(below, 3, 5) == (below, 3, 5)
+        assert _truncate(below + 1, 3, 5) == (1 << bits - 1, 4 + bits, 6)
+        assert _truncate(below << 7, 0, 0) == (below >> bits, bits + 7, 1)
 
 
 class TestPrimeList:
@@ -229,6 +286,18 @@ class TestLogDegree:
                     assert got == 0.0
                 else:
                     assert abs(got - ref) < 1e-12 * abs(ref) + 1e-300
+
+    def test_equals_log_of_degree(self):
+        # bit for bit, not within a tolerance
+        for n in range(21):
+            for p in enumerate_partitions(n):
+                assert log_degree(p) == math.log(degree(p)), p
+        p = staircase(12000, Fraction(11, 10))
+        assert log_degree(p) == math.log(degree(p))
+
+    def test_builds_no_exact_degree(self, tree_calls):
+        log_degree(balanced(40000))
+        assert tree_calls == []
 
     def test_huge_degree(self):
         p = Partition((60,) * 40)

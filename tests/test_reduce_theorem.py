@@ -277,8 +277,8 @@ def ball_calls(monkeypatch, cold_degrees):
     """The shapes whose degree ball the bounds evaluate, and every exact degree asked for.
 
     ``"ball"`` lists the misses of the bounds' memo; ``"exact"`` lists the
-    shapes given to ``degree`` (through ``bounds`` or ``degrees``) and the
-    balls asked for their exact value, which a near-tie does.
+    shapes given to ``degree`` and the balls asked for their exact value,
+    which a near-tie does.
     """
     calls = {"ball": [], "exact": []}
 
@@ -297,7 +297,6 @@ def ball_calls(monkeypatch, cold_degrees):
         return exact(ball)
 
     monkeypatch.setattr(hookbound.bounds, "degree_ball", counted_ball)
-    monkeypatch.setattr(hookbound.bounds, "degree", counted_degree)
     monkeypatch.setattr(hookbound.degrees, "degree", counted_degree)
     monkeypatch.setattr(DegreeBall, "exact", counted_exact)
     return calls

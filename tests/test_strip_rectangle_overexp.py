@@ -15,7 +15,7 @@ from hookbound.bounds import (
     theorem_classify,
 )
 from hookbound.certificates import FAIL, MODE_EXACT, PASS
-from hookbound.degrees import _product_tree, count_syt_bruteforce, degree
+from hookbound.degrees import DegreeBall, _product_tree, count_syt_bruteforce, degree
 from hookbound.errors import HypothesisError
 from hookbound.families import balanced, staircase
 from hookbound.partitions import Partition, enumerate_partitions
@@ -257,6 +257,31 @@ class TestRectangle:
     def test_rejects_nonpositive(self):
         with pytest.raises(HypothesisError):
             rectangle_bound(0, 3)
+
+    @pytest.mark.parametrize("a, b", [(20, 40), (20, 803)])
+    def test_reads_the_degree_ball(self, monkeypatch, cold_degrees, a, b):
+        # both forms agree with the exact degree, and only the factorial
+        # form, inside the bit budget, asks the ball for its exact value
+        assert not hasattr(hookbound.bounds, "degree")
+        builds = []
+        exact = DegreeBall.exact
+
+        def counted(ball):
+            builds.append(ball)
+            return exact(ball)
+
+        monkeypatch.setattr(DegreeBall, "exact", counted)
+        n, f = a * b, degree(Partition((b,) * a))
+        cert = rectangle_bound(a, b)
+        assert cert.mode == MODE_EXACT and cert.lhs_log == math.log(f)
+        assert cert.aux["weak_form_holds"] == (f * 4**n >= a**n)
+        assert cert.aux["factorial_form_holds"] == (f * factorial(b) ** a * 4**n >= factorial(n))
+        assert len(builds) == 1
+        cold_degrees()
+        builds.clear()
+        monkeypatch.setenv("HOOKBOUND_EXACT_BITS", "0")
+        cert = rectangle_bound(a, b)
+        assert cert.aux["weak_form_holds"] is None and builds == []
 
 
 class TestOverexponential:
