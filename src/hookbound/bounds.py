@@ -4,10 +4,11 @@ Every operation here checks its hypotheses up front (HypothesisError names
 the first failing condition), builds the combinatorial construction behind
 the bound, asserts the construction's internal inequalities
 (ConsistencyError on violation, never a FAIL verdict), and only then
-compares the degree against the bound, exactly when the bit budget allows
-and in the log domain otherwise.  The degree is read from its certified
-ball (``degrees.degree_ball``), which decides every comparison it can and
-builds the exact degree only on a near-tie.
+compares the degree against the bound.  Every comparison is one call of
+``certificates.powers_ge`` on the bound's terms, the degree's certified
+ball (``degrees.degree_ball``) among them: disjoint ``log2`` brackets decide
+it, and only a near-tie charges the bit budget and builds the exact degree
+and powers, falling back to the log domain past the budget.
 """
 from __future__ import annotations
 
@@ -21,12 +22,10 @@ from operator import add
 from .celltyping import _require_alpha, cell_typing, check_typing_hypotheses, check_widths, rho
 from .certificates import (
     BoundCertificate,
-    _log2_power,
-    exact_bit_budget,
     exact_power_ge,
     log_fraction,
     make_certificate,
-    power_compare_bits,
+    powers_ge,
 )
 from .degrees import DegreeBall, _product_tree, degree_ball
 from .errors import ConsistencyError, HypothesisError
@@ -63,12 +62,15 @@ def _power_certificate(
     aux: dict,
     cells: tuple | None = None,
 ) -> BoundCertificate:
-    """Certificate for f >= base**exponent, where f is a degree's ball."""
+    """Certificate for f >= base**exponent, where f is a degree's ball.
+
+    With exponent u/v in lowest terms, ``powers_ge`` decides f**v >= base**u
+    from the certified brackets and charges the bit budget only on a
+    near-tie, where it would build the powers.
+    """
     lhs_log = f.log()
     rhs_log = float(exponent) * log_fraction(base)
-    exact = None
-    if power_compare_bits(base, exponent, f.bit_length()) <= exact_bit_budget():
-        exact = exact_power_ge(f, base, exponent)
+    exact = powers_ge(((f, exponent.denominator),), ((base, exponent.numerator),))
     return make_certificate(
         bound_name, parameters, exponent, lhs_log, rhs_log, exact, aux, cells
     )
@@ -148,28 +150,6 @@ def _strip_rows(
     ]
 
 
-def _strip_ge(f: int | DegreeBall, alpha: Fraction, n: int, m: int) -> bool:
-    """Decide ``f * q**n * n**m >= p**n`` exactly, for alpha = p/q.
-
-    ``f`` is an integer or a degree's ball.  The certified brackets of
-    ``log2(f) + m*log2(n)`` and ``n*log2(alpha)`` decide it when they are
-    disjoint; only a near-tie builds the exact degree and the powers
-    (``n**m`` alone has about ``m*log2(n)`` bits).  Adding the two left
-    brackets rounds by 2**-53 of the sum, far inside their radii.
-    """
-    f_lo, f_hi = _log2_power(f, 1)
-    nm_lo, nm_hi = _log2_power(n, m)
-    rhs_lo, rhs_hi = _log2_power(alpha, n)
-    if f_lo + nm_lo > rhs_hi:
-        return True
-    if f_hi + nm_hi < rhs_lo:
-        return False
-    if type(f) is DegreeBall:
-        f = f.exact()
-    p, q = alpha.numerator, alpha.denominator
-    return f * q**n * n**m >= p**n
-
-
 def strip_bound(lam: Partition, k: int, l: int, alpha: Fraction) -> StripCertificate:
     """Certify f(lam) >= alpha^n / n^m for lam in H(k, l).
 
@@ -240,20 +220,11 @@ def strip_bound(lam: Partition, k: int, l: int, alpha: Fraction) -> StripCertifi
     if _product_tree(hooks_bc) > _product_tree([factorial(ti) for ti in t]):
         raise ConsistencyError("product of B and C hooks exceeds the t-factorial product")
 
-    # f >= alpha^n / n^m, exact when the integers fit the budget
+    # f * n^m >= alpha^n, built exactly only on a near-tie
     f = _degree(lam)
-    p, q = alpha.numerator, alpha.denominator
     lhs_log = f.log()
     rhs_log = n * log_fraction(alpha) - m * math.log(n)
-    bits = (
-        f.bit_length()
-        + n * q.bit_length()
-        + m * n.bit_length()
-        + n * p.bit_length()
-    )
-    exact = None
-    if bits <= exact_bit_budget():
-        exact = _strip_ge(f, alpha, n, m)
+    exact = powers_ge(((f, 1), (n, m)), ((alpha, n),))
     cert = make_certificate(
         "strip",
         {"alpha": alpha, "k": k, "l": l, "m": m, "n": n},
@@ -287,9 +258,12 @@ def strip_bound(lam: Partition, k: int, l: int, alpha: Fraction) -> StripCertifi
 def rectangle_bound(a: int, b: int) -> BoundCertificate:
     """Certify f(b^a) against n!/(b!)^a * 4^{-n} (exact) and (a/4)^n (weak).
 
-    The verdict is the conjunction of the two inequalities; the recorded
-    lhs/rhs logs belong to the comparison with the smaller margin, so the
-    verdict stays recomputable from the serialized logs.
+    Each form is decided on its own by ``powers_ge``, which builds the
+    exact degree and the products only on a near-tie inside the
+    bit budget.  The verdict is the conjunction of the two inequalities, in
+    log-domain mode when a form is left undecided; the recorded lhs/rhs
+    logs belong to the comparison with the smaller margin, so the verdict
+    stays recomputable from the serialized logs.
     """
     if a < 1 or b < 1:
         raise HypothesisError("a, b >= 1", f"a={a}, b={b}")
@@ -300,20 +274,11 @@ def rectangle_bound(a: int, b: int) -> BoundCertificate:
     f = _degree(Partition((b,) * a))
     lhs_log = f.log()
 
-    ln2 = math.log(2)
-    est_bits = int(
-        (math.lgamma(n + 1) + a * math.lgamma(b + 1)) / ln2
-    ) + f.bit_length() + 4 * n
     exact_rhs_log = math.lgamma(n + 1) - a * math.lgamma(b + 1) - n * math.log(4)
     weak_rhs_log = n * (math.log(a) - math.log(4))
-    if est_bits <= exact_bit_budget():
-        exact_rhs_num = factorial(n)
-        exact_rhs_den = factorial(b) ** a * 4**n
-        exact_holds: bool | None = f.exact() * exact_rhs_den >= exact_rhs_num
-        weak_holds: bool | None = exact_power_ge(f, Fraction(a, 4), Fraction(n))
-        both: bool | None = exact_holds and weak_holds
-    else:
-        exact_holds = weak_holds = both = None
+    exact_holds = powers_ge(((f, 1), (factorial(b), a), (4, n)), ((factorial(n), 1),))
+    weak_holds = powers_ge(((f, 1),), ((Fraction(a, 4), n),))
+    both = None if None in (exact_holds, weak_holds) else exact_holds and weak_holds
 
     margin_exact = lhs_log - exact_rhs_log
     margin_weak = lhs_log - weak_rhs_log

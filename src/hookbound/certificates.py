@@ -1,26 +1,20 @@
-"""Bound certificates: exact or log-domain comparisons with JSON serialization.
+"""Bound certificates: one certified comparison, exact or log-domain, and JSON.
 
 A certificate records one inequality "lhs >= rhs" about a character degree.
-When the cleared-denominator big-integer comparison fits the configured bit
-budget the verdict is decided exactly and carries no tolerance; otherwise
-the comparison runs in the log domain where verdicts within a 1e-9 relative
-band are MARGINAL.  lhs_log/rhs_log/margin are always recorded so a reader
-can re-derive the verdict from the serialized object.
-
-An exact comparison ``lhs**v >= base**u`` (``exact_power_ge``) is first
-filtered through certified brackets of ``log2`` of both sides.
+Every bound decides it with one routine, ``powers_ge``, which compares
+``prod x_i**k_i`` with ``prod y_j**l_j`` over integer, rational and
+degree-ball terms.  It first sums certified brackets of ``log2``.
 ``log2_bracket`` brackets an integer from its bit length and its top 53
 bits, with a radius of ``2**-40`` relative to the midpoint (plus
-``2**-40``), thousands of times the real rounding error.  Disjoint brackets
-decide the comparison; only a near-tie computes the powers, so every
-verdict stays exact.  The cell typing's aggregate product clause uses the
-same brackets.  The left side may be a degree's ``DegreeBall``
-(``degrees``): its bracket runs from the lower bracket of the ball's lower
-end to the upper bracket of its upper end, taken from the mantissa and the
-scale without building the shifted integer, and only a near-tie builds the
-exact degree.  The bit budget of a degree certificate reads the ball's
-``bit_length`` and its ``lhs_log`` the ball's ``log``, both equal to the
-exact degree's.
+``2**-40``), thousands of times the real rounding error; a degree's
+``DegreeBall`` (``degrees``) is bracketed from its two ends, read from the
+mantissa and the scale.  Disjoint brackets decide exactly.  Only an
+overlap charges the bit budget: within it the exact degrees and powers are
+built and compared, and past it the certificate runs in the log domain,
+where verdicts within a 1e-9 relative band are MARGINAL.
+``exact_power_ge`` is the call with no budget.  lhs_log/rhs_log/margin are
+always recorded so a reader can re-derive the verdict from the serialized
+object.  The cell typing's aggregate product clause uses the same brackets.
 
 JSON field names (bound_name, parameters, exponent, lhs_log, rhs_log,
 margin, mode, verdict, and cells for typing-backed certificates) are a
@@ -42,9 +36,13 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
+from typing import Sequence
 
 from .degrees import DegreeBall
 from .partitions import format_rational, parse_rational
+
+# the terms ``(base, exponent)`` of one side of ``powers_ge``
+Terms = Sequence[tuple[int | Fraction | DegreeBall, int]]
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -59,6 +57,9 @@ LOG2_SLACK = 2.0**-40
 
 _BUDGET_ENV = "HOOKBOUND_EXACT_BITS"
 _DEFAULT_BUDGET = 1 << 20
+
+# the default ``budget`` of ``powers_ge``: ``exact_bit_budget()``
+_FROM_ENV = object()
 
 
 def exact_bit_budget() -> int:
@@ -80,10 +81,6 @@ def exact_bit_budget() -> int:
         return _DEFAULT_BUDGET
 
 
-def fraction_bits(x: Fraction) -> int:
-    return x.numerator.bit_length() + x.denominator.bit_length()
-
-
 def log_fraction(x: Fraction) -> float:
     """Natural log of a positive rational, safe for huge operands."""
     if x <= 0:
@@ -91,10 +88,13 @@ def log_fraction(x: Fraction) -> float:
     return math.log(x.numerator) - math.log(x.denominator)
 
 
-def power_compare_bits(base: Fraction, exponent: Fraction, lhs_bits: int) -> int:
-    """Upper estimate of the bits needed to decide lhs >= base**exponent exactly."""
-    u, v = exponent.numerator, exponent.denominator
-    return v * lhs_bits + abs(u) * fraction_bits(base)
+def power_compare_bits(lhs: Terms, rhs: Terms) -> int:
+    """Upper estimate of the bits ``powers_ge`` builds: ``|k|`` times each base's bits."""
+    return sum(
+        abs(k) * x.bit_length() if type(x) is DegreeBall
+        else abs(k) * (x.numerator.bit_length() + x.denominator.bit_length())
+        for x, k in chain(lhs, rhs)
+    )
 
 
 def log2_bracket(x: int, scale: int = 0) -> tuple[float, float]:
@@ -138,28 +138,56 @@ def _log2_power(x: int | Fraction | DegreeBall, k: int) -> tuple[float, float]:
     return (lo, hi) if k >= 0 else (hi, lo)
 
 
-def exact_power_ge(
-    lhs: int | Fraction | DegreeBall, base: Fraction, exponent: Fraction
-) -> bool:
-    """Decide lhs >= base**exponent exactly (lhs > 0, base > 0).
+def powers_ge(lhs: Terms, rhs: Terms, budget: int | None = _FROM_ENV) -> bool | None:
+    """Decide ``prod x**k >= prod y**l`` over the terms ``(x, k)`` of each side.
 
-    ``lhs`` may be an ``int``, which has a numerator and a denominator of 1
-    like a ``Fraction``, or the ``DegreeBall`` of a degree.  With exponent
-    u/v in lowest terms this is lhs**v >= base**u.  The certified brackets
-    of ``v*log2(lhs)`` and ``u*log2(base)`` decide it when they are
-    disjoint; only a near-tie builds an exact degree, computes the two
-    powers and compares them as exact rationals.
+    A base is an ``int``, a positive ``Fraction`` or a degree's
+    ``DegreeBall``, and an exponent an integer of either sign.  The summed
+    brackets of ``_log2_power`` bound ``log2(lhs / rhs)``; each addition
+    rounds by 2**-53 of a partial sum, at most the sum of the terms' sizes,
+    while their radii add up to 2**-40 of it or more.  A bracket clear of 0
+    decides.  Only on an overlap is the bit budget charged: ``None``
+    (log-domain) when ``power_compare_bits`` exceeds it, else the exact
+    degrees and powers are built and compared.  ``budget`` is a bit cap,
+    ``None`` for none, and by default ``exact_bit_budget()``.
     """
-    u, v = exponent.numerator, exponent.denominator
-    lhs_lo, lhs_hi = _log2_power(lhs, v)
-    rhs_lo, rhs_hi = _log2_power(base, u)
-    if lhs_lo > rhs_hi:
+    lo = hi = 0.0
+    for x, k in chain(lhs, ((y, -l) for y, l in rhs)):
+        term_lo, term_hi = _log2_power(x, k)
+        lo += term_lo
+        hi += term_hi
+    if lo > 0.0:
         return True
-    if lhs_hi < rhs_lo:
+    if hi < 0.0:
         return False
-    if type(lhs) is DegreeBall:
-        lhs = lhs.exact()
-    return lhs**v >= base**u
+    if budget is _FROM_ENV:
+        budget = exact_bit_budget()
+    if budget is not None and power_compare_bits(lhs, rhs) > budget:
+        return None
+    lhs_num, lhs_den = _cleared(lhs)
+    rhs_num, rhs_den = _cleared(rhs)
+    return lhs_num * rhs_den >= rhs_num * lhs_den
+
+
+def _cleared(terms: Terms) -> tuple[int, int]:
+    """Numerator and denominator of ``prod x**k``, built exactly and unreduced."""
+    num = den = 1
+    for x, k in terms:
+        if type(x) is DegreeBall:
+            x = x.exact()
+        power = (x if k >= 0 else Fraction(x)) ** k
+        num *= power.numerator
+        den *= power.denominator
+    return num, den
+
+
+def exact_power_ge(lhs: int | Fraction | DegreeBall, base: Fraction, exponent: Fraction) -> bool:
+    """Decide lhs >= base**exponent (lhs > 0, base > 0) exactly, with no bit budget.
+
+    With exponent u/v in lowest terms this is ``powers_ge`` of lhs**v
+    against base**u with no cap: only a near-tie builds the powers.
+    """
+    return powers_ge(((lhs, exponent.denominator),), ((base, exponent.numerator),), None)
 
 
 def verdict_from_logs(lhs_log: float, rhs_log: float, mode: str) -> str:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import hookbound.celltyping
 from hookbound.bounds import (
     general_bound,
+    overexponential_bound,
     reduce_diagram,
     strict_bound,
     strip_bound,
@@ -23,7 +24,7 @@ from hookbound.celltyping import (
     check_typing_hypotheses,
     rho,
 )
-from hookbound.certificates import MODE_EXACT, PASS, certificate_from_json
+from hookbound.certificates import MARGINAL, MODE_EXACT, PASS, certificate_from_json
 from hookbound.degrees import degree
 from hookbound.errors import ConsistencyError, HypothesisError
 from hookbound.families import staircase, staircase_with_tail
@@ -313,11 +314,24 @@ class TestStrictBound:
         assert Fraction(f) ** v >= ALPHA**u
 
     def test_tiny_budget_falls_back_to_log_domain(self, monkeypatch):
+        # the budget is charged only where the brackets overlap, as on the
+        # exact tie f(1) = 1 >= 1**1, which falls back at 0 bits
+        monkeypatch.setenv("HOOKBOUND_EXACT_BITS", "0")
+        cert = overexponential_bound(Partition((1,)), 1, 1)
+        assert cert.mode == "log-domain"
+        assert cert.verdict == MARGINAL
+        # the dispatch decides its class with no budget, near-tie included
+        lam, beta = Partition((400,) * 36), Fraction(810074, 536305)
+        assert theorem_classify(lam, Fraction(2), beta).aux["class"] == "M3"
+        # disjoint brackets decide the strict bound within 64 bits
         monkeypatch.setenv("HOOKBOUND_EXACT_BITS", "64")
         cert = strict_bound(STAIR, ALPHA)
-        assert cert.mode == "log-domain"
+        assert cert.mode == MODE_EXACT
         assert cert.verdict == PASS
         assert cert.margin > 1e-9
+        monkeypatch.delenv("HOOKBOUND_EXACT_BITS")
+        cert = overexponential_bound(Partition((1,)), 1, 1)
+        assert cert.mode == MODE_EXACT and cert.verdict == PASS
 
 
 class TestCellsRoundTrip:

@@ -6,7 +6,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hookbound.certificates import (
@@ -15,6 +15,7 @@ from hookbound.certificates import (
     MODE_EXACT,
     MODE_LOG,
     PASS,
+    _log2_power,
     certificate_from_json,
     exact_bit_budget,
     exact_power_ge,
@@ -22,9 +23,13 @@ from hookbound.certificates import (
     log_fraction,
     make_certificate,
     power_compare_bits,
+    powers_ge,
     revalidate,
     verdict_from_logs,
 )
+from hookbound.degrees import DegreeBall, degree, degree_ball
+from hookbound.families import balanced, staircase
+from hookbound.partitions import Partition
 
 
 class TestExactPower:
@@ -95,9 +100,106 @@ class TestExactPower:
         assert time.perf_counter() - start < 1.0
 
     def test_bit_estimate_scales_with_exponent(self):
-        small = power_compare_bits(Fraction(11, 10), Fraction(10), 100)
-        big = power_compare_bits(Fraction(11, 10), Fraction(10000), 100)
+        f = 2**99  # 100 bits
+        small = power_compare_bits(((f, 1),), ((Fraction(11, 10), 10),))
+        big = power_compare_bits(((f, 1),), ((Fraction(11, 10), 10000),))
         assert big > small
+
+
+# degrees past the exact-build size, whose balls have a radius, and small
+# ones, whose balls are exact
+BALL_SHAPES = [
+    staircase(2000, Fraction(11, 10)), balanced(1800), Partition((60,) * 30),
+    Partition((5, 3, 1)),
+]
+_BALLS = {}
+_DEGREES = {}  # id of a ball in _BALLS -> its exact degree
+
+
+def _ball(i: int):
+    """``(ball, degree)`` of ``BALL_SHAPES[i]``, built once."""
+    if i not in _BALLS:
+        ball, f = _BALLS[i] = degree_ball(BALL_SHAPES[i]), degree(BALL_SHAPES[i])
+        _DEGREES[id(ball)] = f
+    return _BALLS[i]
+
+
+_RATIONALS = st.one_of(
+    st.integers(min_value=1, max_value=10**40),
+    st.fractions(min_value=Fraction(1, 10**9), max_value=10**9, max_denominator=10**9),
+)
+_EXPONENTS = st.integers(min_value=-30, max_value=30)
+_TERMS = st.lists(
+    st.one_of(
+        st.tuples(_RATIONALS, _EXPONENTS),
+        st.tuples(
+            st.integers(min_value=0, max_value=len(BALL_SHAPES) - 1).map(lambda i: _ball(i)[0]),
+            st.integers(min_value=-3, max_value=3),
+        ),
+    ),
+    max_size=3,
+)
+
+
+def _value(terms) -> Fraction:
+    """``prod x**k`` as a ``Fraction``, each ball read as its exact degree."""
+    out = Fraction(1)
+    for x, k in terms:
+        if isinstance(x, DegreeBall):
+            x = _DEGREES[id(x)]
+        out *= Fraction(x) ** k
+    return out
+
+
+def _brackets_overlap(lhs, rhs) -> bool:
+    """Whether the summed brackets of ``log2(lhs / rhs)`` hold 0."""
+    brackets = [_log2_power(x, k) for x, k in lhs] + [_log2_power(y, -l) for y, l in rhs]
+    return sum(lo for lo, _ in brackets) <= 0.0 <= sum(hi for _, hi in brackets)
+
+
+class TestPowersGe:
+    """``powers_ge`` against direct ``Fraction`` products."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_TERMS, _TERMS, st.one_of(st.none(), st.integers(0, 4000)), st.data())
+    def test_matches_fraction_products(self, lhs, rhs, budget, data):
+        if data.draw(st.booleans(), label="tie"):
+            # an exact tie, or one nudged by 2**-60: the right side holds the
+            # left side's terms, shuffled, with each exponent split in two
+            rhs = []
+            for x, k in lhs:
+                part = data.draw(st.integers(min_value=min(k, 0), max_value=max(k, 0)))
+                rhs += [(x, part), (x, k - part)]
+            nudge = data.draw(st.sampled_from([1, 2**60 + 1, 2**60 - 1]), label="nudge")
+            rhs.append((Fraction(nudge, 2**60), 1))
+            rhs = data.draw(st.permutations(rhs), label="rhs")
+        expected = _value(lhs) >= _value(rhs)
+        got = powers_ge(lhs, rhs, budget)
+        if got is None:
+            assert budget is not None
+            assert _brackets_overlap(lhs, rhs)
+            assert power_compare_bits(lhs, rhs) > budget
+        else:
+            assert got is expected
+
+    @pytest.mark.parametrize("i", range(len(BALL_SHAPES)))
+    @pytest.mark.parametrize("k", [1, -2])
+    def test_exact_tie_with_a_ball(self, i, k):
+        ball, f = _ball(i)
+        for budget in (None, 1 << 20):
+            assert powers_ge(((ball, k),), ((f, k),), budget) is True
+            assert powers_ge(((ball, k), (2, 1)), ((f, k),), budget) is True
+            assert powers_ge(((f, k),), ((ball, k), (2, 1)), budget) is False
+        assert powers_ge(((ball, k),), ((f, k),), 0) is None
+
+    def test_budget_is_charged_only_on_overlap(self, monkeypatch):
+        # disjoint brackets decide with any budget, the default one included
+        monkeypatch.setenv("HOOKBOUND_EXACT_BITS", "0")
+        assert powers_ge(((Fraction(10**100), 1),), ((Fraction(11, 10), 10**12),)) is False
+        assert powers_ge(((2, 10),), ((1000, 1),), 0) is True
+        assert powers_ge(((2, 10),), ((1024, 1),)) is None
+        monkeypatch.delenv("HOOKBOUND_EXACT_BITS")
+        assert powers_ge(((2, 10),), ((1024, 1),)) is True
 
 
 class TestLog2Bracket:

@@ -165,34 +165,45 @@ PINNED_P = ",".join(map(str, range(40, 10, -1)))
 
 
 @pytest.mark.parametrize(
-    "argv, digest",
+    "argv, digest, exact_paths",
     [
         (
             ("certify", "strict", PINNED_P, "--alpha", "11/10"),
             "c6a745e965c309eef05c0b52aa556e7b665ee2d6bba82811d700a920dda7501b",
+            [()],
         ),
         (
             ("certify", "general", staircase(2000, parse_rational("11/10")).format(),
              "--alpha", "11/10"),
-            "8999776cee3df5fd8b14d00232bd7959c4989a1a6e5852255a1846b36454c78f",
+            "f4f15e6ff6e2507f75c5e0738fc293fe81368d82cdc21a610010402c25e11fc7",
+            [(), ("mu_certificate",)],
         ),
         (
             ("certify", "theorem", ",".join(["600"] * 20), "--alpha", "11/10", "--beta", "21/20"),
-            "500a56329d1213066e28349db3a2bfeccd017ea93f8ffaadcc4e74aa7ed6c0f5",
+            "cf99648109f366eb2cd681ebfecb2d60e2386d61ed7730c8cd770780620fe846",
+            [(), ("sub_certificate",), ("sub_certificate", "mu_certificate")],
         ),
         (
             ("typing", PINNED_P, "--alpha", "11/10", "--format", "json"),
             "aba76352e37a47000c79a7a1610f72daf0b74f50679fb80d676d24a1b22bdb8f",
+            [],
         ),
         (
             ("typing", PINNED_P, "--alpha", "11/10"),
             "21b9ae69b9f2e110c6b149da59e0d780a5b002b16297af60304310943d3391a8",
+            [],
         ),
     ],
     ids=["certify-strict", "certify-general", "certify-theorem", "typing-json", "typing-grid"],
 )
-def test_pinned_stdout(capsys, argv, digest):
+def test_pinned_stdout(capsys, argv, digest, exact_paths):
     _, out, _ = run(capsys, *argv)
+    # every certificate, nested ones by their aux keys, is decided exactly
+    for path in exact_paths:
+        cert = json.loads(out)
+        for key in path:
+            cert = cert["aux"][key]
+        assert cert["mode"] == "exact", path
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 import hookbound.degrees
-from hookbound.bounds import _strip_ge, theorem_classify
-from hookbound.certificates import _log2_power, exact_power_ge, log2_bracket
+from hookbound.bounds import theorem_classify
+from hookbound.certificates import _log2_power, exact_power_ge, log2_bracket, powers_ge
 from hookbound.degrees import (
     DegreeBall,
     _ball_product,
@@ -206,8 +206,9 @@ class TestFallbacks:
         ball = degree_ball(staircase(3000, ALPHA))
         assert exact_power_ge(ball, Fraction(2), Fraction(3000))
         assert not exact_power_ge(ball, Fraction(2), Fraction(30000))
-        assert _strip_ge(ball, Fraction(2), 3000, 1000)
-        assert not _strip_ge(ball, Fraction(2), 30000, 0)
+        # the strip's f * n**m >= alpha**n, with no bit budget
+        assert powers_ge(((ball, 1), (3000, 1000)), ((Fraction(2), 3000),), None)
+        assert not powers_ge(((ball, 1), (30000, 0)), ((Fraction(2), 30000),), None)
         assert ball._exact is None
 
     @pytest.mark.parametrize("precision", [(26, 0)], indirect=True, ids=str)

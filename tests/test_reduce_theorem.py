@@ -18,7 +18,7 @@ from hookbound.bounds import (
     rho,
     theorem_classify,
 )
-from hookbound.certificates import PASS, certificate_from_json, revalidate
+from hookbound.certificates import MODE_EXACT, PASS, certificate_from_json, revalidate
 import hookbound.degrees
 from hookbound.degrees import DegreeBall, degree, degree_ball, log_degree
 from hookbound.errors import HypothesisError
@@ -479,15 +479,20 @@ class TestPinnedCertificateJson:
     @pytest.mark.parametrize(
         "width, digest",
         [
-            (600, "93e7d0dd53dd0423962dc7a9902c77504d5220de50194533dcec1e2d60cdb84a"),
-            (800, "9def01e766e143c090e81d25891f876bf5210af3231595d1715981f3a3285151"),
+            (600, "050d2506b607355c73baa5308ac45afe1d8a1d3dc444dc7df5070eca26cf3ac4"),
+            (800, "566eddc42467d71041d2b9d120fbec39df46d6855c358f7c3c12d90ebefe79d2"),
         ],
+        ids=["600", "800"],
     )
     def test_rectangle_m3(self, width, digest):
         cert = theorem_classify(Partition((width,) * 20), ALPHA, BETA)
         assert cert.aux["class"] == CLASS_M3
+        # the brackets decide the general bound and its strict bound on mu
+        sub = cert.aux["sub_certificate"]
+        assert sub["mode"] == sub["aux"]["mu_certificate"]["mode"] == MODE_EXACT
         assert _digest([cert]) == digest
 
     def test_general_staircase(self):
         cert = general_bound(family_staircase(2000, ALPHA), ALPHA)
-        assert _digest([cert]) == "44af9eea64c17b871a4c0b80089e42b2f851d033875c199c16f738fdf691ba85"
+        assert cert.mode == MODE_EXACT
+        assert _digest([cert]) == "a03167cdc51dc32ca888014a8ac2d6106d81d0b2d85fc0ee431c8956b9a6baed"

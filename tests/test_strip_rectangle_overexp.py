@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 
 import hookbound.bounds
 from hookbound.bounds import (
-    _strip_ge,
     overexponential_bound,
     rectangle_bound,
     strip_bound,
     theorem_classify,
 )
-from hookbound.certificates import FAIL, MODE_EXACT, PASS
+from hookbound.certificates import FAIL, MODE_EXACT, PASS, powers_ge
 from hookbound.degrees import DegreeBall, _product_tree, count_syt_bruteforce, degree
 from hookbound.errors import HypothesisError
 from hookbound.families import balanced, staircase
@@ -22,6 +21,11 @@ from hookbound.partitions import Partition, enumerate_partitions
 
 LAM = Partition.parse("9,6,4,2,2,1")
 ALPHA2 = Fraction(2)
+
+
+def strip_ge(f, alpha: Fraction, n: int, m: int) -> bool:
+    """The strip bound's comparison ``f * n**m >= alpha**n``, with no bit budget."""
+    return powers_ge(((f, 1), (n, m)), ((alpha, n),), None)
 
 
 class TestStripConstruction:
@@ -187,23 +191,23 @@ class TestStripExactFilter:
         least = -(-(p**n) // (q**n * n**m))
         for f in (least - 1, least, least + 1):
             if f >= 1:
-                assert _strip_ge(f, alpha, n, m) == (f * q**n * n**m >= p**n)
+                assert strip_ge(f, alpha, n, m) == (f * q**n * n**m >= p**n)
 
     def test_separated_sides_build_no_powers(self):
         products = []
 
         class Spy(int):
-            # the powers are built only as f * q**n * n**m
-            def __mul__(self, other):
-                products.append(other)
-                return int(self) * other
+            # the exact products raise every term, f included, to its power
+            def __pow__(self, k):
+                products.append(k)
+                return int(self) ** k
 
         for n in range(43, 404):
-            assert _strip_ge(Spy(degree(balanced(n))), ALPHA2, n, 1926)
-            assert _strip_ge(Spy(1), ALPHA2, n, 1926)
-            assert not _strip_ge(Spy(1), ALPHA2, n, 0)
+            assert strip_ge(Spy(degree(balanced(n))), ALPHA2, n, 1926)
+            assert strip_ge(Spy(1), ALPHA2, n, 1926)
+            assert not strip_ge(Spy(1), ALPHA2, n, 0)
         assert products == []
-        assert _strip_ge(Spy(16), ALPHA2, 64, 10) and len(products) == 1
+        assert strip_ge(Spy(16), ALPHA2, 64, 10) and len(products) == 1
 
     @given(
         st.integers(min_value=1, max_value=2**400),
@@ -213,7 +217,7 @@ class TestStripExactFilter:
     )
     def test_matches_direct_comparison(self, f, alpha, n, m):
         p, q = alpha.numerator, alpha.denominator
-        assert _strip_ge(f, alpha, n, m) == (f * q**n * n**m >= p**n)
+        assert strip_ge(f, alpha, n, m) == (f * q**n * n**m >= p**n)
 
 
 class TestRectangle:
@@ -260,8 +264,9 @@ class TestRectangle:
 
     @pytest.mark.parametrize("a, b", [(20, 40), (20, 803)])
     def test_reads_the_degree_ball(self, monkeypatch, cold_degrees, a, b):
-        # both forms agree with the exact degree, and only the factorial
-        # form, inside the bit budget, asks the ball for its exact value
+        # both forms agree with the exact comparisons, and the brackets
+        # decide each one on its own, so no bit budget, not even 0, makes
+        # the ball build its exact value
         assert not hasattr(hookbound.bounds, "degree")
         builds = []
         exact = DegreeBall.exact
@@ -270,18 +275,19 @@ class TestRectangle:
             builds.append(ball)
             return exact(ball)
 
-        monkeypatch.setattr(DegreeBall, "exact", counted)
         n, f = a * b, degree(Partition((b,) * a))
-        cert = rectangle_bound(a, b)
-        assert cert.mode == MODE_EXACT and cert.lhs_log == math.log(f)
-        assert cert.aux["weak_form_holds"] == (f * 4**n >= a**n)
-        assert cert.aux["factorial_form_holds"] == (f * factorial(b) ** a * 4**n >= factorial(n))
-        assert len(builds) == 1
-        cold_degrees()
-        builds.clear()
-        monkeypatch.setenv("HOOKBOUND_EXACT_BITS", "0")
-        cert = rectangle_bound(a, b)
-        assert cert.aux["weak_form_holds"] is None and builds == []
+        monkeypatch.setattr(DegreeBall, "exact", counted)
+        for budget in (None, "0"):
+            if budget is not None:
+                monkeypatch.setenv("HOOKBOUND_EXACT_BITS", budget)
+            cold_degrees()
+            cert = rectangle_bound(a, b)
+            assert cert.mode == MODE_EXACT and cert.lhs_log == math.log(f)
+            assert cert.aux["weak_form_holds"] == (f * 4**n >= a**n)
+            assert cert.aux["factorial_form_holds"] == (
+                f * factorial(b) ** a * 4**n >= factorial(n)
+            )
+            assert builds == [], budget
 
 
 class TestOverexponential:
