@@ -22,6 +22,7 @@ from operator import add
 from .celltyping import _require_alpha, cell_typing, check_typing_hypotheses, check_widths, rho
 from .certificates import (
     BoundCertificate,
+    CellTable,
     exact_power_ge,
     log_fraction,
     make_certificate,
@@ -60,7 +61,7 @@ def _power_certificate(
     exponent: Fraction,
     parameters: dict,
     aux: dict,
-    cells: tuple | None = None,
+    cells: CellTable | None = None,
 ) -> BoundCertificate:
     """Certificate for f >= base**exponent, where f is a degree's ball.
 
@@ -408,7 +409,7 @@ def strict_bound(lam: Partition, alpha: Fraction) -> BoundCertificate:
             "rounds_type2": typing.q,
             "counts": list(typing.counts),
         },
-        cells=tuple(typing.cell_tuples()),
+        cells=typing.table,
     )
 
 
@@ -539,7 +540,11 @@ def reduce_diagram(
 
 
 def general_bound(lam: Partition, alpha: Fraction) -> BoundCertificate:
-    """Certify f(lam) >= alpha^(n - (5/2 delta^2 + alpha rho)) via reduction."""
+    """Certify f(lam) >= alpha^(n - (5/2 delta^2 + alpha rho)) via reduction.
+
+    The strict certificate on the reduced diagram mu is kept in
+    ``aux["mu_certificate"]`` as a ``BoundCertificate``, cell table included.
+    """
     alpha = _require_alpha(alpha)
     trace = reduce_diagram(lam, alpha)
     mu_cert = strict_bound(trace.mu, alpha)
@@ -576,7 +581,7 @@ def general_bound(lam: Partition, alpha: Fraction) -> BoundCertificate:
             "conjugated": trace.conjugated,
             "n1": trace.n1,
             "mu": trace.mu.format(),
-            "mu_certificate": mu_cert.to_json_dict(),
+            "mu_certificate": mu_cert,
             "lifted_margin": f_lam.log() - mu_cert.rhs_log,
         },
     )
@@ -662,8 +667,9 @@ def theorem_classify(lam: Partition, alpha: Fraction, beta: Fraction) -> BoundCe
     The class is decided exactly (``_class_rule``); gamma, the maximal
     exponent fraction (ln alpha - ln beta)/ln alpha, and the class threshold
     are recorded in aux as floats for reading only.  The dispatched
-    sub-certificate is recorded in aux; the final verdict always compares
-    the exact degree against beta^n.
+    sub-certificate is kept in ``aux["sub_certificate"]`` as a
+    ``BoundCertificate``; the final verdict always compares the exact
+    degree against beta^n.
 
     An M2 class needs no test of the square's gate delta^2/n >= eps, as
     the class, gamma*n <= T = 5/2 delta^2 + alpha*rho, implies it.  For
@@ -711,6 +717,6 @@ def theorem_classify(lam: Partition, alpha: Fraction, beta: Fraction) -> BoundCe
             "class": cls,
             "gamma": gamma,
             "class_threshold": threshold,
-            "sub_certificate": sub.to_json_dict(),
+            "sub_certificate": sub,
         },
     )

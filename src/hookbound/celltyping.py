@@ -20,10 +20,13 @@ The construction works on flat row arrays: a running list of row lengths,
 peeled at the rows that end in a corner, and one list of numbers N per
 row.  Every round, shell and the type-4 block takes consecutive numbers, so
 the type and color of a cell are read off its number.  The typing keeps
-row-major columns of types, colors, numbers and hooks (of the original
-diagram).  ``cell_tuples`` zips them into plain ``(row, col, cell_type,
-color, number, hook)`` tuples; ``cells`` builds ``CellRecord`` named
-tuples, equal to those, on first use.
+row-major tuple columns of types, colors, numbers and hooks (of the
+original diagram), which the checks read.  ``table`` packs them, once, into
+a ``certificates.CellTable`` of typed arrays, the form a typing-backed
+certificate keeps; it iterates as plain ``(row, col, cell_type, color,
+number, hook)`` tuples.  ``cells`` builds ``CellRecord`` named tuples,
+equal to those, from the table on first use, and ``to_json_dict`` reads
+the same table.
 
 The returned typing has been checked against the invariants that make the
 peeling argument sound: the counter inequality alpha*h <= N for every
@@ -57,11 +60,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, compress, islice, repeat
 from operator import add, eq, ge, gt, lt, mul
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from .certificates import LOG2_SLACK, log2_bracket
+from .certificates import LOG2_SLACK, CellTable, log2_bracket
 from .degrees import _product_tree
 from .errors import ConsistencyError, HypothesisError
 from .partitions import Partition, corner_rows, format_rational
@@ -127,17 +130,15 @@ class CellTyping:
     def n(self) -> int:
         return self.partition.n
 
-    def cell_tuples(self) -> Iterator[tuple[int, int, int, int, int, int]]:
-        """Plain ``(row, col, type, color, N, hook)`` tuples in row-major order."""
-        parts = self.partition.parts
-        rows = chain.from_iterable(map(repeat, count(1), parts))
-        cols = chain.from_iterable(range(1, row + 1) for row in parts)
-        return zip(rows, cols, self.types, self.colors, self.numbers, self.hooks)
+    @cached_property
+    def table(self) -> CellTable:
+        """The cells as one ``CellTable`` of typed columns, built on first use."""
+        return CellTable(self.partition.parts, self.types, self.colors, self.numbers, self.hooks)
 
     @cached_property
     def cells(self) -> tuple[CellRecord, ...]:
         # tuple.__new__ is CellRecord._make minus a Python-level call per record
-        return tuple(map(tuple.__new__, repeat(CellRecord), self.cell_tuples()))
+        return tuple(map(tuple.__new__, repeat(CellRecord), self.table))
 
     def by_number(self) -> dict[int, CellRecord]:
         return {rec.number: rec for rec in self.cells}
@@ -167,7 +168,7 @@ class CellTyping:
             "s_rounds": list(self.s_rounds),
             "t_rounds": list(self.t_rounds),
             "counts": list(self.counts),
-            "cells": list(map(list, self.cell_tuples())),
+            "cells": list(map(list, self.table)),
         }
 
 

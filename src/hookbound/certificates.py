@@ -18,14 +18,17 @@ object.  The cell typing's aggregate product clause uses the same brackets.
 
 JSON field names (bound_name, parameters, exponent, lhs_log, rhs_log,
 margin, mode, verdict, and cells for typing-backed certificates) are a
-stable contract shared with the CLI.  The ``cells`` of a typing-backed
-certificate are plain ``(row, col, type, color, N, hook)`` tuples, zipped
-from the typing's columns, and serialize as ``[row, col, type, color, N,
-hook]``.  Tuples are immutable, so ``to_json_dict`` and a nested
-certificate's JSON share the rows instead of copying them.  The list
-``to_json_dict`` emits is a ``_CellRows``, which encodes as a plain array;
-serializing a certificate that nests it copies the list and skips the
-per-scalar check other aux rows get.
+stable contract shared with the CLI.  A typing-backed certificate holds its
+cells as one ``CellTable``: the diagram's parts and four typed ``array``
+columns (type, color, number N, hook), about 25 bytes per cell.  It
+iterates as plain ``(row, col, type, color, N, hook)`` tuples, read off the
+row-major layout, and these rows are built only when ``to_json_dict``
+emits them as ``[row, col, type, color, N, hook]``.  A sub-certificate in
+``aux`` stays a ``BoundCertificate`` and serializes through its own
+``to_json_dict``.  ``certificate_from_json`` rebuilds both: the cells as a
+table, checked to be the row-major cells of a partition, and every ``aux``
+value that carries all the contract fields as a nested certificate, so a
+reload serializes to the same bytes.
 """
 from __future__ import annotations
 
@@ -33,10 +36,12 @@ import json
 import math
 import os
 import warnings
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
-from typing import Sequence
+from itertools import chain, count, repeat
+from operator import eq, itemgetter
 
 from .degrees import DegreeBall
 from .partitions import format_rational, parse_rational
@@ -199,6 +204,72 @@ def verdict_from_logs(lhs_log: float, rhs_log: float, mode: str) -> str:
     return PASS if margin >= 0 else FAIL
 
 
+class CellTable:
+    """The cells of a typed diagram: its parts and four typed columns.
+
+    ``types`` is an ``array('b')`` and ``colors``, ``numbers`` and
+    ``hooks`` are ``array('q')``, one entry per cell in row-major order;
+    each cell's row and column come from ``parts``.  The table iterates as
+    plain ``(row, col, type, color, N, hook)`` tuples and compares equal to
+    any sequence of such rows, lists included.
+    """
+
+    __slots__ = ("parts", "types", "colors", "numbers", "hooks")
+
+    def __init__(self, parts, types, colors, numbers, hooks):
+        self.parts = tuple(parts)
+        self.types = array("b", types)
+        self.colors = array("q", colors)
+        self.numbers = array("q", numbers)
+        self.hooks = array("q", hooks)
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[Sequence[int]]) -> CellTable:
+        """The table of ``rows``, which must be the row-major cells of a partition.
+
+        Each row is ``(row, col, type, color, N, hook)``: rows run 1, 2, ...
+        and columns 1, 2, ... within a row, and no row is longer than the
+        one above it.  A ValueError names the first row that breaks this,
+        and is also raised for an entry that is not an integer in its
+        column's range.
+        """
+        parts: list[int] = []
+        for index, cell in enumerate(rows):
+            if len(cell) == 6:
+                row, col = cell[0], cell[1]
+                if row == len(parts) + 1 and col == 1:
+                    parts.append(1)
+                    continue
+                if parts and row == len(parts) and col == parts[-1] + 1 and (
+                    row == 1 or col <= parts[-2]
+                ):
+                    parts[-1] = col
+                    continue
+            raise ValueError(
+                f"cell {index} {list(cell)!r} is not the next row-major cell of a partition"
+            )
+        try:
+            return cls(parts, *(map(itemgetter(k), rows) for k in range(2, 6)))
+        except (OverflowError, TypeError) as err:
+            raise ValueError(f"cell entry out of its column's integer range: {err}") from None
+
+    def __len__(self) -> int:
+        return len(self.types)
+
+    def __iter__(self):
+        parts = self.parts
+        rows = chain.from_iterable(map(repeat, count(1), parts))
+        cols = chain.from_iterable(map(range, repeat(1), [row + 1 for row in parts]))
+        return zip(rows, cols, self.types, self.colors, self.numbers, self.hooks)
+
+    def __eq__(self, other):
+        if type(other) is CellTable:
+            return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(other) == len(self) and all(map(eq, self, map(tuple, other)))
+
+
 @dataclass(frozen=True)
 class BoundCertificate:
     bound_name: str
@@ -209,7 +280,7 @@ class BoundCertificate:
     mode: str
     verdict: str
     aux: dict = field(default_factory=dict)
-    cells: tuple | None = None
+    cells: CellTable | None = None
 
     @property
     def margin(self) -> float:
@@ -234,48 +305,28 @@ class BoundCertificate:
         if "class" in self.aux:
             out["class"] = self.aux["class"]
         if self.cells is not None:
-            out["cells"] = _CellRows(self.cells)
+            out["cells"] = list(self.cells)
         return out
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_json_dict(), indent=indent)
 
 
-class _CellRows(list):
-    """The ``cells`` list ``to_json_dict`` emits: immutable rows of JSON scalars.
-
-    It encodes as a plain JSON array.  Serializing a certificate that nests
-    it copies the list and shares its rows, with no scan of the scalars.
-    """
-
-
 _JSON_SCALARS = frozenset((int, float, str, bool, type(None)))
-_JSON_ROWS = frozenset((list, tuple))
 
 
 def _jsonify(value):
     # exact types first: isinstance against Fraction goes through the ABC
-    # machinery.  Nested sub-certificates hold one row of scalars per cell:
-    # the cells list ``to_json_dict`` emitted is copied with its rows shared
-    # and unchecked; other rows that are all tuples are immutable and shared
-    # once every scalar is checked, and any other rows are copied into
-    # lists, all without a Python call per cell
+    # machinery.  A nested certificate serializes itself
     if type(value) in _JSON_SCALARS:
         return value
     if isinstance(value, Fraction):
         return format_rational(value)
+    if type(value) is BoundCertificate:
+        return value.to_json_dict()
     if isinstance(value, dict):
         return {k: _jsonify(v) for k, v in value.items()}
-    if type(value) is _CellRows:
-        return _CellRows(value)
     if isinstance(value, (list, tuple)):
-        if all(map(_JSON_SCALARS.__contains__, map(type, value))):
-            return list(value)
-        row_types = set(map(type, value))
-        if row_types <= _JSON_ROWS and all(
-            map(_JSON_SCALARS.__contains__, map(type, chain.from_iterable(value)))
-        ):
-            return list(value) if row_types == {tuple} else list(map(list, value))
         return [_jsonify(v) for v in value]
     return value
 
@@ -288,7 +339,7 @@ def make_certificate(
     rhs_log: float,
     exact_result: bool | None,
     aux: dict | None = None,
-    cells: tuple | None = None,
+    cells: CellTable | None = None,
 ) -> BoundCertificate:
     """Assemble a certificate; ``exact_result`` of None means log-domain mode."""
     if exact_result is None:
@@ -314,18 +365,22 @@ def make_certificate(
     )
 
 
-def revalidate(obj: dict | str) -> bool:
-    """Re-read a serialized certificate and confirm the verdict follows from it.
+_CONTRACT_FIELDS = ("bound_name", "parameters", "exponent", "lhs_log", "rhs_log",
+                    "margin", "mode", "verdict")
+
+
+def revalidate(obj: BoundCertificate | dict | str) -> bool:
+    """Re-read a certificate, serialized or not, and confirm the verdict follows from it.
 
     The stored margin must match lhs_log - rhs_log, and the verdict must be
     the one implied by the logs.  In exact mode a stored PASS/FAIL is also
     accepted when the logs sit inside the float-indistinguishable band.
     """
+    if type(obj) is BoundCertificate:
+        obj = obj.to_json_dict()
     data = json.loads(obj) if isinstance(obj, str) else obj
-    for key in ("bound_name", "parameters", "exponent", "lhs_log", "rhs_log",
-                "margin", "mode", "verdict"):
-        if key not in data:
-            return False
+    if not all(map(data.__contains__, _CONTRACT_FIELDS)):
+        return False
     lhs, rhs = data["lhs_log"], data["rhs_log"]
     margin = data["margin"]
     if not math.isclose(margin, lhs - rhs, rel_tol=1e-12, abs_tol=1e-12):
@@ -340,6 +395,13 @@ def revalidate(obj: dict | str) -> bool:
 
 
 def certificate_from_json(obj: dict | str) -> BoundCertificate:
+    """Rebuild a certificate from its JSON, nested certificates and cell table included.
+
+    Every ``aux`` value that is an object carrying all the contract fields
+    is rebuilt as a nested ``BoundCertificate``, and ``cells`` as a
+    ``CellTable`` (``CellTable.from_rows``), so the result serializes to the
+    bytes it was read from.
+    """
     data = json.loads(obj) if isinstance(obj, str) else obj
     return BoundCertificate(
         bound_name=data["bound_name"],
@@ -349,6 +411,11 @@ def certificate_from_json(obj: dict | str) -> BoundCertificate:
         rhs_log=data["rhs_log"],
         mode=data["mode"],
         verdict=data["verdict"],
-        aux=data.get("aux", {}),
-        cells=None if data.get("cells") is None else tuple(tuple(c) for c in data["cells"]),
+        aux={
+            k: certificate_from_json(v)
+            if isinstance(v, dict) and all(map(v.__contains__, _CONTRACT_FIELDS))
+            else v
+            for k, v in data.get("aux", {}).items()
+        },
+        cells=None if data.get("cells") is None else CellTable.from_rows(data["cells"]),
     )

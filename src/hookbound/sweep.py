@@ -138,8 +138,8 @@ def build_growth_report(
                     mode=cert.mode,
                     log_degree_per_n=cert.lhs_log / n,
                     beta_log=cert.rhs_log / n,
-                    sub_bound=sub["bound_name"],
-                    sub_rhs_log_per_n=sub["rhs_log"] / n,
+                    sub_bound=sub.bound_name,
+                    sub_rhs_log_per_n=sub.rhs_log / n,
                     margin=cert.margin,
                 )
             )

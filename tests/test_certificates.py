@@ -1,7 +1,9 @@
+import gc
 import json
 import math
 import random
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -9,12 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hookbound.bounds import general_bound, strict_bound, theorem_classify
+from hookbound.celltyping import cell_typing
 from hookbound.certificates import (
     FAIL,
     MARGINAL,
     MODE_EXACT,
     MODE_LOG,
     PASS,
+    BoundCertificate,
+    CellTable,
     _log2_power,
     certificate_from_json,
     exact_bit_budget,
@@ -350,3 +356,138 @@ def test_log_fraction_matches_math_log():
     assert log_fraction(Fraction(3, 7)) == pytest.approx(math.log(3 / 7))
     with pytest.raises(ValueError):
         log_fraction(Fraction(0))
+
+
+STAIR = Partition(tuple(range(20, 10, -1)))  # (20,...,11) |- 155, delta = 10
+ALPHA = Fraction(11, 10)
+
+
+class TestCellTable:
+    def test_rows_and_length_match_the_typing(self):
+        ct = cell_typing(STAIR, ALPHA)
+        table = ct.table
+        assert len(table) == STAIR.n
+        assert list(table) == [tuple(rec) for rec in ct.cells]
+        assert all(type(row) is tuple for row in table)
+        assert [row[:2] for row in table] == [(c.row, c.col) for c in STAIR.cells()]
+
+    def test_equal_to_the_typing_cells_both_ways(self):
+        ct = cell_typing(STAIR, ALPHA)
+        cert = strict_bound(STAIR, ALPHA)
+        assert cert.cells == ct.cells and ct.cells == cert.cells
+        assert cert.cells == list(map(list, ct.cells))
+        assert cert.cells != ct.cells[:-1] and ct.cells[:-1] != cert.cells
+        bumped = ct.cells[:-1] + (ct.cells[-1]._replace(hook=2),)
+        assert cert.cells != bumped and bumped != cert.cells
+        assert cert.cells != 155
+
+    def test_typed_columns(self):
+        table = strict_bound(STAIR, ALPHA).cells
+        assert type(table) is CellTable
+        assert table.parts == STAIR.parts
+        assert table.types.typecode == "b"
+        assert {col.typecode for col in (table.colors, table.numbers, table.hooks)} == {"q"}
+        ct = cell_typing(STAIR, ALPHA)
+        assert (tuple(table.types), tuple(table.colors), tuple(table.numbers),
+                tuple(table.hooks)) == (ct.types, ct.colors, ct.numbers, ct.hooks)
+
+    def test_from_rows_round_trips(self):
+        table = cell_typing(STAIR, ALPHA).table
+        assert CellTable.from_rows(list(map(list, table))) == table
+        assert CellTable.from_rows([]) == []
+
+    def test_from_rows_rejects_shuffled_rows(self):
+        rows = list(cell_typing(STAIR, ALPHA).table)
+        rows[3], rows[4] = rows[4], rows[3]
+        with pytest.raises(ValueError, match=r"cell 3 \[1, 5, "):
+            CellTable.from_rows(rows)
+
+    @pytest.mark.parametrize(
+        "rows, index",
+        [
+            ([(2, 1, 1, 1, 1, 1)], 0),  # starts past row 1
+            ([(1, 2, 1, 1, 1, 1)], 0),  # starts past column 1
+            ([(1, 1, 1, 1, 1, 1), (1, 1, 1, 1, 2, 1)], 1),  # repeats a cell
+            ([(1, 1, 1, 1, 1, 1), (2, 1, 1, 1, 2, 1), (2, 2, 1, 1, 3, 1)], 2),  # longer row
+            ([(1, 1, 1, 1, 1, 1), (1, 2, 1, 1, 2)], 1),  # five entries
+        ],
+    )
+    def test_from_rows_names_the_first_bad_row(self, rows, index):
+        with pytest.raises(ValueError, match=f"cell {index} "):
+            CellTable.from_rows(rows)
+
+    @pytest.mark.parametrize("column, entry", [(2, 128), (2, 1.5), (5, 2**63), (5, "1")])
+    def test_from_rows_rejects_entries_outside_the_columns(self, column, entry):
+        row = [1] * 6
+        row[column] = entry
+        with pytest.raises(ValueError, match="integer range"):
+            CellTable.from_rows([row])
+
+
+class TestNestedCertificates:
+    """Sub-certificates stay objects and reload to the same bytes."""
+
+    @pytest.fixture(scope="class")
+    def general(self):
+        return general_bound(staircase(2000, ALPHA), ALPHA)
+
+    @pytest.fixture(scope="class")
+    def theorem_m3(self):
+        return theorem_classify(Partition((600,) * 20), ALPHA, Fraction(21, 20))
+
+    def test_mu_certificate_is_an_object(self, general):
+        mu_cert = general.aux["mu_certificate"]
+        assert type(mu_cert) is BoundCertificate
+        assert mu_cert.bound_name == "strict" and type(mu_cert.cells) is CellTable
+        assert general.to_json_dict()["aux"]["mu_certificate"] == mu_cert.to_json_dict()
+        embedded = json.loads(general.to_json())["aux"]["mu_certificate"]
+        assert embedded == json.loads(json.dumps(mu_cert.to_json_dict()))
+
+    @pytest.mark.parametrize("indent", [2, None])
+    def test_general_reloads_byte_for_byte(self, general, indent):
+        text = general.to_json(indent)
+        back = certificate_from_json(text)
+        assert back.to_json(indent) == text
+        assert type(back.aux["mu_certificate"]) is BoundCertificate
+        assert back.aux["mu_certificate"].cells == general.aux["mu_certificate"].cells
+
+    @pytest.mark.parametrize("indent", [2, None])
+    def test_m3_theorem_reloads_byte_for_byte(self, theorem_m3, indent):
+        assert theorem_m3.aux["class"] == "M3"
+        text = theorem_m3.to_json(indent)
+        back = certificate_from_json(text)
+        assert back.to_json(indent) == text
+        sub = back.aux["sub_certificate"]
+        assert type(sub) is BoundCertificate and sub.bound_name == "general"
+        assert type(sub.aux["mu_certificate"]) is BoundCertificate
+        assert type(sub.aux["mu_certificate"].cells) is CellTable
+
+    def test_revalidate_accepts_an_object(self, general, theorem_m3):
+        assert revalidate(general) and revalidate(general.aux["mu_certificate"])
+        assert revalidate(theorem_m3.aux["sub_certificate"])
+
+    def test_aux_dict_missing_a_contract_field_stays_a_dict(self):
+        data = make_certificate("demo", {}, None, 5.0, 1.0, True).to_json_dict()
+        partial = dict(data, aux={})
+        del partial["verdict"]
+        back = certificate_from_json(dict(data, aux={"nested": partial}))
+        assert back.aux["nested"] == partial
+
+    def test_retained_size_per_cell(self, cold_degrees):
+        # the certificate keeps its cells in typed columns, about 25 bytes
+        # a cell; 6-tuples of ints took about 120
+        lam = staircase(6000, ALPHA)
+        general_bound(lam, ALPHA)  # fills the diagram's own caches
+        cold_degrees()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            cert = general_bound(lam, ALPHA)
+            cold_degrees()
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        mu_cells = len(cert.aux["mu_certificate"].cells)
+        assert mu_cells == Partition.parse(cert.aux["mu"]).n
+        assert retained <= 40 * mu_cells

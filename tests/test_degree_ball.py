@@ -266,8 +266,8 @@ class TestFallbacks:
         monkeypatch.setattr(DegreeBall, "exact", counted)
         cert = theorem_classify(Partition((40,) * 40), ALPHA, BETA)
         assert cert.aux["class"] == "M2"
-        assert cert.aux["sub_certificate"]["bound_name"] == "overexponential"
-        assert cert.aux["sub_certificate"]["verdict"] == "PASS" and cert.passed
+        assert cert.aux["sub_certificate"].bound_name == "overexponential"
+        assert cert.aux["sub_certificate"].verdict == "PASS" and cert.passed
         assert built == []
         digest = hashlib.sha256(cert.to_json().encode()).hexdigest()
         assert digest == "c5ef77e6a13b9d4276fdede0ddaa3d27c0c0575aafde818c04f36ebc320ec480"

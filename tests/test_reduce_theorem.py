@@ -122,18 +122,16 @@ class TestGeneralBound:
 
     def test_margin_never_below_lifted_strict(self):
         # the chained exponent on mu dominates the claimed general exponent
-        from hookbound.partitions import parse_rational
-
         for c in (21, 22, 30, 40):
             cert = general_bound(staircase(c, 20), ALPHA)
             mu_cert = cert.aux["mu_certificate"]
             assert cert.margin >= cert.aux["lifted_margin"] - 1e-9
-            assert parse_rational(mu_cert["exponent"]) >= cert.exponent
+            assert mu_cert.exponent >= cert.exponent
 
     def test_nested_mu_certificate_revalidates(self):
         cert = general_bound(staircase(21, 20), ALPHA)
         assert revalidate(cert.aux["mu_certificate"])
-        nested = certificate_from_json(cert.aux["mu_certificate"])
+        nested = certificate_from_json(cert.aux["mu_certificate"].to_json_dict())
         assert nested.bound_name == "strict" and nested.verdict == PASS
 
     def test_bite_scale_pass(self):
@@ -175,8 +173,8 @@ class TestClassify:
         cert = theorem_classify(lam, alpha, beta)
         assert cert.aux["class"] == CLASS_M3
         sub = cert.aux["sub_certificate"]
-        assert sub["bound_name"] == "general"
-        assert sub["verdict"] == PASS
+        assert sub.bound_name == "general"
+        assert sub.verdict == PASS
         assert cert.verdict == PASS
 
     @pytest.mark.parametrize("width, cls", [(936, CLASS_M2), (937, CLASS_M3)])
@@ -236,7 +234,7 @@ class TestTheorem:
         cert = theorem_classify(lam, Fraction(2), Fraction(3, 2))
         assert cert.aux["class"] == CLASS_M1
         assert cert.verdict == PASS
-        sub = cert.aux["sub_certificate"]
+        sub = cert.aux["sub_certificate"].to_json_dict()
         assert sub["bound_name"] == "strip"
         # M1 dispatches with k = l = ceil(18*alpha)
         assert sub["parameters"]["k"] == "36" and sub["parameters"]["l"] == "36"
@@ -246,16 +244,16 @@ class TestTheorem:
         cert = theorem_classify(Partition((500,) * 20), ALPHA, BETA)
         assert cert.aux["class"] == CLASS_M2
         sub = cert.aux["sub_certificate"]
-        assert sub["bound_name"] == "overexponential"
-        assert sub["verdict"] == PASS
+        assert sub.bound_name == "overexponential"
+        assert sub.verdict == PASS
         assert cert.verdict == PASS
 
     def test_m3_dispatch_uses_reduction(self):
         cert = theorem_classify(Partition((600,) * 20), ALPHA, BETA)
         assert cert.aux["class"] == CLASS_M3
         sub = cert.aux["sub_certificate"]
-        assert sub["bound_name"] == "general"
-        assert sub["verdict"] == PASS
+        assert sub.bound_name == "general"
+        assert sub.verdict == PASS
         assert cert.verdict == PASS
 
     def test_final_verdict_is_exact_degree_vs_beta_power(self):
@@ -489,7 +487,7 @@ class TestPinnedCertificateJson:
         assert cert.aux["class"] == CLASS_M3
         # the brackets decide the general bound and its strict bound on mu
         sub = cert.aux["sub_certificate"]
-        assert sub["mode"] == sub["aux"]["mu_certificate"]["mode"] == MODE_EXACT
+        assert sub.mode == sub.aux["mu_certificate"].mode == MODE_EXACT
         assert _digest([cert]) == digest
 
     def test_general_staircase(self):

@@ -166,7 +166,7 @@ class TestStripRowSegments:
         ]:
             cert = theorem_classify(lam, alpha, beta)
             assert cert.aux["class"] == "M1"
-            assert cert.aux["sub_certificate"]["bound_name"] == "strip"
+            assert cert.aux["sub_certificate"].bound_name == "strip"
         sc = strip_bound(LAM, 4, 3, ALPHA2)
         assert len(sc.cells_b) == 3 and len(sc.cells_c) == 4
 
