@@ -10,7 +10,6 @@ log-domain comparison against the true degree.
 
 from .bounds import (
     ReductionTrace,
-    StripCertificate,
     general_bound,
     overexponential_bound,
     rectangle_bound,
@@ -71,7 +70,6 @@ __all__ = [
     "Partition",
     "ReductionTrace",
     "RemovalError",
-    "StripCertificate",
     "cell_typing",
     "certificate_from_json",
     "count_partitions",

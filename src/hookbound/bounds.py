@@ -13,7 +13,7 @@ and powers, falling back to the log domain past the budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -30,7 +30,7 @@ from .certificates import (
 )
 from .degrees import DegreeBall, _product_tree, degree_ball
 from .errors import ConsistencyError, HypothesisError
-from .partitions import Cell, Partition
+from .partitions import Partition
 
 
 @lru_cache(maxsize=64)
@@ -82,84 +82,21 @@ def _power_certificate(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StripCertificate:
-    """Construction record for the strip bound f >= alpha^n / n^m.
-
-    ``t`` is the column/row mass sequence of length k+l, ``m`` the bound's
-    polynomial degree, and ``diagram`` the working diagram: the input, or
-    its conjugate when k < l forced a swap.  The cell classes go by row
-    segments.  With ``K >= L`` the working parameters and
-    ``mu_i = L + K - i``, row ``i <= K`` starts with ``min(lambda_i, mu_i)``
-    cells of A and ends with ``lambda_i - mu_i`` cells of C (when
-    positive); every row below ``K`` is B.  ``cells_a``, ``cells_b`` and
-    ``cells_c`` list each class in row-major order, derived from
-    ``diagram`` on access; only their sizes reach the JSON.
-    """
-
-    k: int
-    l: int
-    conjugated: bool
-    t: tuple[int, ...]
-    m: int
-    diagram: Partition
-    bound_log: float
-    certificate: BoundCertificate
-
-    @property
-    def verdict(self) -> str:
-        return self.certificate.verdict
-
-    def _rows(self) -> list[tuple[int, int, int, bool]]:
-        return _strip_rows(self.diagram.parts, max(self.k, self.l), min(self.k, self.l))
-
-    @property
-    def cells_a(self) -> tuple[Cell, ...]:
-        return tuple(Cell(i, j) for i, _, a, _ in self._rows() for j in range(1, a + 1))
-
-    @property
-    def cells_b(self) -> tuple[Cell, ...]:
-        return tuple(
-            Cell(i, j)
-            for i, row, _, top in self._rows()
-            if not top
-            for j in range(1, row + 1)
-        )
-
-    @property
-    def cells_c(self) -> tuple[Cell, ...]:
-        return tuple(
-            Cell(i, j)
-            for i, row, a, top in self._rows()
-            if top
-            for j in range(a + 1, row + 1)
-        )
-
-
-def _strip_rows(
-    parts: tuple[int, ...], wk: int, wl: int
-) -> list[tuple[int, int, int, bool]]:
-    """``(i, lambda_i, a_i, i <= wk)`` for each row of the working diagram.
-
-    ``a_i`` is the number of A cells that open row i: ``min(lambda_i, mu_i)``
-    with ``mu_i = wl + wk - i`` for ``i <= wk``, and 0 below.  The rest of
-    the row is C when ``i <= wk`` and B otherwise.
-    """
-    return [
-        (i, row, min(row, wl + wk - i) if i <= wk else 0, i <= wk)
-        for i, row in enumerate(parts, start=1)
-    ]
-
-
-def strip_bound(lam: Partition, k: int, l: int, alpha: Fraction) -> StripCertificate:
+def strip_bound(lam: Partition, k: int, l: int, alpha: Fraction) -> BoundCertificate:
     """Certify f(lam) >= alpha^n / n^m for lam in H(k, l).
 
     H(k, l) is the set of diagrams whose row k+1 has at most l cells; a
     diagram outside it fails with a HypothesisError.  When k < l the
     construction runs on the conjugate, which lies in H(l, k), so the
-    working parameters always have K >= L (``conjugated`` records the
-    swap).  m = (2L + K - 1)K/2 is the size of the staircase
-    mu_i = L + K - i (i <= K) that holds the A cells.
+    working parameters always have K >= L (``aux["conjugated"]`` records
+    the swap).  m = (2L + K - 1)K/2 is the size of the staircase
+    mu_i = L + K - i (i <= K) that holds the A cells.  The cell classes go
+    by row segments of the working diagram: row ``i <= K`` starts with
+    ``min(lambda_i, mu_i)`` cells of A and ends with ``lambda_i - mu_i``
+    cells of C (when positive); every row below ``K`` is B.  The
+    certificate records ``k``, ``l``, ``m`` and ``n`` in ``parameters``,
+    and the mass sequence ``t`` of length k+l, ``conjugated`` and the class
+    sizes in ``aux``.
     """
     alpha = _require_alpha(alpha)
     if k < 0 or l < 0:
@@ -179,9 +116,9 @@ def strip_bound(lam: Partition, k: int, l: int, alpha: Fraction) -> StripCertifi
             f"part {wk + 1} of the working diagram is {work.part(wk + 1)} > {wl}",
         )
 
-    t = tuple(cols[s] if s < len(cols) else 0 for s in range(wl)) + tuple(
+    t = [cols[s] if s < len(cols) else 0 for s in range(wl)] + [
         max(work.part(s) - wl, 0) for s in range(1, wk + 1)
-    )
+    ]
     if sum(t) != n:
         raise ConsistencyError(f"t-sequence sums to {sum(t)}, not n={n}")
 
@@ -196,7 +133,9 @@ def strip_bound(lam: Partition, k: int, l: int, alpha: Fraction) -> StripCertifi
     # h - (t_{wl+i} - joff + 1) = lambda'_j - wk does not rise with j.
     size_a = size_b = size_c = 0
     hooks_bc: list[int] = []
-    for i, row, a, top in _strip_rows(work.parts, wk, wl):
+    for i, row in enumerate(work.parts, start=1):
+        top = i <= wk
+        a = min(row, wl + wk - i) if top else 0
         size_a += a
         j = a + 1
         if j > row:
@@ -226,7 +165,7 @@ def strip_bound(lam: Partition, k: int, l: int, alpha: Fraction) -> StripCertifi
     lhs_log = f.log()
     rhs_log = n * log_fraction(alpha) - m * math.log(n)
     exact = powers_ge(((f, 1), (n, m)), ((alpha, n),))
-    cert = make_certificate(
+    return make_certificate(
         "strip",
         {"alpha": alpha, "k": k, "l": l, "m": m, "n": n},
         Fraction(n),
@@ -235,19 +174,9 @@ def strip_bound(lam: Partition, k: int, l: int, alpha: Fraction) -> StripCertifi
         exact,
         aux={
             "conjugated": conjugated,
-            "t": list(t),
+            "t": t,
             "sizes": {"A": size_a, "B": size_b, "C": size_c},
         },
-    )
-    return StripCertificate(
-        k=k,
-        l=l,
-        conjugated=conjugated,
-        t=t,
-        m=m,
-        diagram=work,
-        bound_log=rhs_log,
-        certificate=cert,
     )
 
 
@@ -259,12 +188,14 @@ def strip_bound(lam: Partition, k: int, l: int, alpha: Fraction) -> StripCertifi
 def rectangle_bound(a: int, b: int) -> BoundCertificate:
     """Certify f(b^a) against n!/(b!)^a * 4^{-n} (exact) and (a/4)^n (weak).
 
-    Each form is decided on its own by ``powers_ge``, which builds the
-    exact degree and the products only on a near-tie inside the
-    bit budget.  The verdict is the conjunction of the two inequalities, in
-    log-domain mode when a form is left undecided; the recorded lhs/rhs
-    logs belong to the comparison with the smaller margin, so the verdict
-    stays recomputable from the serialized logs.
+    Each form is decided on its own by ``powers_ge``, which builds exact
+    values only on a near-tie inside the bit budget.  As f * prod(h) = n!,
+    the factorial form is the comparison (b!)^a * 4^n >= prod(h) over the
+    rectangle's hook multiset, which needs neither n! nor the degree.  The
+    verdict is the conjunction of the two inequalities, in log-domain mode
+    when a form is left undecided; the recorded lhs/rhs logs belong to the
+    comparison with the smaller margin, so the verdict stays recomputable
+    from the serialized logs.
     """
     if a < 1 or b < 1:
         raise HypothesisError("a, b >= 1", f"a={a}, b={b}")
@@ -277,14 +208,16 @@ def rectangle_bound(a: int, b: int) -> BoundCertificate:
 
     exact_rhs_log = math.lgamma(n + 1) - a * math.lgamma(b + 1) - n * math.log(4)
     weak_rhs_log = n * (math.log(a) - math.log(4))
-    exact_holds = powers_ge(((f, 1), (factorial(b), a), (4, n)), ((factorial(n), 1),))
+    # with a <= b, hook h occurs min(h, a, a + b - h) times, h = 1..a+b-1
+    hooks = [(h, min(h, a, a + b - h)) for h in range(1, a + b)]
+    exact_holds = powers_ge(((factorial(b), a), (4, n)), hooks)
     weak_holds = powers_ge(((f, 1),), ((Fraction(a, 4), n),))
     both = None if None in (exact_holds, weak_holds) else exact_holds and weak_holds
 
     margin_exact = lhs_log - exact_rhs_log
     margin_weak = lhs_log - weak_rhs_log
     rhs_log = exact_rhs_log if margin_exact <= margin_weak else weak_rhs_log
-    cert = make_certificate(
+    return make_certificate(
         "rectangle",
         {"a": a, "b": b, "n": n},
         Fraction(n),
@@ -299,7 +232,6 @@ def rectangle_bound(a: int, b: int) -> BoundCertificate:
             "weak_form_rhs_log": weak_rhs_log,
         },
     )
-    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +633,7 @@ def theorem_classify(lam: Partition, alpha: Fraction, beta: Fraction) -> BoundCe
     cls, rho_val, threshold = _class_rule(delta, n, alpha, beta)
 
     if cls == CLASS_M1:
-        sub = strip_bound(lam, kl, kl, alpha).certificate
+        sub = strip_bound(lam, kl, kl, alpha)
     elif cls == CLASS_M2:
         sub = _square_bound(lam, delta, beta, eps, False, beta_log)
     else:

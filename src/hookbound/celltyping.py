@@ -20,13 +20,13 @@ The construction works on flat row arrays: a running list of row lengths,
 peeled at the rows that end in a corner, and one list of numbers N per
 row.  Every round, shell and the type-4 block takes consecutive numbers, so
 the type and color of a cell are read off its number.  The typing keeps
-row-major tuple columns of types, colors, numbers and hooks (of the
-original diagram), which the checks read.  ``table`` packs them, once, into
-a ``certificates.CellTable`` of typed arrays, the form a typing-backed
-certificate keeps; it iterates as plain ``(row, col, cell_type, color,
-number, hook)`` tuples.  ``cells`` builds ``CellRecord`` named tuples,
-equal to those, from the table on first use, and ``to_json_dict`` reads
-the same table.
+its cells once, as the ``table``: a ``certificates.CellTable`` of row-major
+typed columns of types, colors, numbers and hooks (of the original
+diagram), packed straight from the per-row numbers.  It is the form a
+typing-backed certificate keeps, and it iterates as plain ``(row, col,
+cell_type, color, number, hook)`` tuples.  The checks read its columns;
+``cells`` builds ``CellRecord`` named tuples, equal to those rows, on first
+use, and ``grid_lines`` and ``to_json_dict`` read the same table.
 
 The returned typing has been checked against the invariants that make the
 peeling argument sound: the counter inequality alpha*h <= N for every
@@ -120,20 +120,12 @@ class CellTyping:
     s_rounds: tuple[int, ...]
     t_rounds: tuple[int, ...]
     counts: tuple[int, int, int, int]
-    types: tuple[int, ...]
-    colors: tuple[int, ...]
-    numbers: tuple[int, ...]
-    hooks: tuple[int, ...]
+    table: CellTable
     mu: Partition
 
     @property
     def n(self) -> int:
         return self.partition.n
-
-    @cached_property
-    def table(self) -> CellTable:
-        """The cells as one ``CellTable`` of typed columns, built on first use."""
-        return CellTable(self.partition.parts, self.types, self.colors, self.numbers, self.hooks)
 
     @cached_property
     def cells(self) -> tuple[CellRecord, ...]:
@@ -153,7 +145,7 @@ class CellTyping:
 
     def grid_lines(self) -> list[str]:
         """One character per cell (the type), one string per diagram row."""
-        types = map(str, self.types)
+        types = map(str, self.table.types)
         return ["".join(islice(types, row)) for row in self.partition.parts]
 
     def to_json_dict(self) -> dict:
@@ -315,9 +307,11 @@ def cell_typing(lam: Partition, alpha: Fraction) -> CellTyping:
     color_of += [0] * (n - t123)
 
     # each type is one run of numbers; the hook of cell (i, j) is
-    # (lambda_i - j) + (lambda'_j - i) + 1
+    # (lambda_i - j) + (lambda'_j - i) + 1.  The columns are packed from
+    # lists: an array fills from a list in one pass, and from an iterator
+    # about three times slower
     cols = lam.conjugate().parts
-    numbers = tuple(chain.from_iterable(nums))
+    numbers = list(chain.from_iterable(nums))
     t1, t2 = sum(s_rounds), sum(t_rounds)
     typing = CellTyping(
         partition=lam,
@@ -330,17 +324,23 @@ def cell_typing(lam: Partition, alpha: Fraction) -> CellTyping:
         s_rounds=tuple(s_rounds),
         t_rounds=tuple(t_rounds),
         counts=(t1, t2, t123 - t1 - t2, n - t123),
-        types=tuple(map(type_of.__getitem__, numbers)),
-        colors=tuple(map(color_of.__getitem__, numbers)),
-        numbers=numbers,
-        hooks=tuple(
-            chain.from_iterable(
-                map(add, range(row - i, -i, -1), cols[:row])
-                for i, row in enumerate(lam.parts, start=1)
-            )
+        table=CellTable(
+            lam.parts,
+            list(map(type_of.__getitem__, numbers)),
+            list(map(color_of.__getitem__, numbers)),
+            numbers,
+            list(
+                chain.from_iterable(
+                    map(add, range(row - i, -i, -1), cols[:row])
+                    for i, row in enumerate(lam.parts, start=1)
+                )
+            ),
         ),
         mu=mu,
     )
+    # the table now holds every cell: free the construction's lists before
+    # the check builds its own lists of the columns
+    del nums, numbers, type_of, color_of
     _check_typing(typing, t123)
     return typing
 
@@ -348,9 +348,10 @@ def cell_typing(lam: Partition, alpha: Fraction) -> CellTyping:
 def _check_typing(ct: CellTyping, t123: int) -> None:
     n = ct.n
     p, q = ct.alpha.numerator, ct.alpha.denominator
-    types, numbers, hooks = ct.types, ct.numbers, ct.hooks
+    table = ct.table
+    types, numbers, hooks = table.types.tolist(), table.numbers.tolist(), table.hooks.tolist()
 
-    if not len(types) == len(ct.colors) == len(numbers) == len(hooks) == n:
+    if not len(types) == len(table.colors) == len(numbers) == len(hooks) == n:
         raise ConsistencyError("typing columns do not hold one entry per cell")
     if sorted(numbers) != list(range(1, n + 1)):
         raise ConsistencyError("numbering is not a bijection onto 1..n")
@@ -361,7 +362,7 @@ def _check_typing(ct: CellTyping, t123: int) -> None:
     runs = [0]
     for cell_type, size in zip((1, 2, 3, 4), ct.counts):
         runs += [cell_type] * size
-    if tuple(map(runs.__getitem__, numbers)) != types:
+    if list(map(runs.__getitem__, numbers)) != types:
         by_type = ((t, list(compress(numbers, map(eq, types, repeat(t))))) for t in (1, 2, 3, 4))
         present = [(t, nums) for t, nums in by_type if nums]
         for (lo, a), (hi, b) in zip(present, present[1:]):

@@ -103,8 +103,11 @@ def _build_parser() -> _Parser:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise HookBoundError(f"cannot write --out {out_path}: {err.strerror}") from None
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -139,7 +142,7 @@ def _cmd_certify(args) -> int:
         lam = Partition.parse(args.partition)
         if bound == "strip":
             _need(args, ["alpha", "k", "l"])
-            cert = strip_bound(lam, args.k, args.l, parse_rational(args.alpha)).certificate
+            cert = strip_bound(lam, args.k, args.l, parse_rational(args.alpha))
         elif bound == "overexponential":
             _need(args, ["eps", "gamma"])
             cert = overexponential_bound(

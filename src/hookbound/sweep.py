@@ -11,8 +11,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from operator import attrgetter
 
 from . import families
 from .bounds import theorem_classify
@@ -20,19 +21,6 @@ from .errors import HookBoundError, HypothesisError
 from .partitions import Partition, count_partitions, enumerate_partitions, format_rational
 
 ENUMERATE_CAP = 30
-
-CSV_COLUMNS = (
-    "n",
-    "partition",
-    "class",
-    "verdict",
-    "mode",
-    "log_degree_per_n",
-    "beta_log",
-    "sub_bound",
-    "sub_rhs_log_per_n",
-    "margin",
-)
 
 
 @dataclass(frozen=True)
@@ -47,6 +35,13 @@ class GrowthRow:
     sub_bound: str
     sub_rhs_log_per_n: float
     margin: float
+
+
+# the CSV header and the JSON row keys: the fields of GrowthRow in order,
+# with ``cls`` written as "class"
+_FIELDS = tuple(f.name for f in fields(GrowthRow))
+CSV_COLUMNS = tuple("class" if name == "cls" else name for name in _FIELDS)
+_row_values = attrgetter(*_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -160,25 +155,17 @@ def _fmt(x: float) -> str:
     return format(x, ".15g")
 
 
+def _values(row: GrowthRow) -> list:
+    """The row's values in column order, the partition as its text."""
+    return [v.format() if type(v) is Partition else v for v in _row_values(row)]
+
+
 def render_csv(report: GrowthReport) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in report.rows:
-        writer.writerow(
-            [
-                row.n,
-                row.partition.format(),
-                row.cls,
-                row.verdict,
-                row.mode,
-                _fmt(row.log_degree_per_n),
-                _fmt(row.beta_log),
-                row.sub_bound,
-                _fmt(row.sub_rhs_log_per_n),
-                _fmt(row.margin),
-            ]
-        )
+        writer.writerow([_fmt(v) if type(v) is float else v for v in _values(row)])
     n0 = report.empirical_n0
     writer.writerow(["# empirical_n0", "not reached" if n0 is None else n0])
     return buf.getvalue()
@@ -196,20 +183,6 @@ def render_json(report: GrowthReport) -> str:
         "seed": report.seed,
         "empirical_n0": n0,
         "skipped": [list(s) for s in report.skipped],
-        "rows": [
-            {
-                "n": row.n,
-                "partition": row.partition.format(),
-                "class": row.cls,
-                "verdict": row.verdict,
-                "mode": row.mode,
-                "log_degree_per_n": row.log_degree_per_n,
-                "beta_log": row.beta_log,
-                "sub_bound": row.sub_bound,
-                "sub_rhs_log_per_n": row.sub_rhs_log_per_n,
-                "margin": row.margin,
-            }
-            for row in report.rows
-        ],
+        "rows": [dict(zip(CSV_COLUMNS, _values(row))) for row in report.rows],
     }
     return json.dumps(data, indent=2)

@@ -104,16 +104,15 @@ def test_criterion_05_strip_bound_sweep_and_example():
         for lam in enumerate_partitions(n, max_part=cap, max_parts=cap):
             if not lam.in_hook_class(3, 2):
                 continue
-            sc = strip_bound(lam, 3, 2, alpha)
-            cert = sc.certificate
+            cert = strip_bound(lam, 3, 2, alpha)
             if cert.mode == MODE_LOG:
                 assert cert.verdict == PASS and cert.margin > 1e-9, lam
             else:
                 assert cert.verdict == PASS, lam
             checked += 1
     example = strip_bound(Partition.parse("9,6,4,2,2,1"), 4, 3, alpha)
-    assert example.t == (6, 5, 3, 6, 3, 1, 0)
-    assert sum(example.t) == 24
+    assert example.aux["t"] == [6, 5, 3, 6, 3, 1, 0]
+    assert sum(example.aux["t"]) == 24
     ok = timed(120, started)
     assert report(
         5, ok, f"strip bound PASS on {checked} H(3,2) shapes in [10,18]; worked t-sequence exact"

@@ -24,7 +24,7 @@ from hookbound.celltyping import (
     check_typing_hypotheses,
     rho,
 )
-from hookbound.certificates import MARGINAL, MODE_EXACT, PASS, certificate_from_json
+from hookbound.certificates import MARGINAL, MODE_EXACT, PASS, CellTable, certificate_from_json
 from hookbound.degrees import degree
 from hookbound.errors import ConsistencyError, HypothesisError
 from hookbound.families import staircase, staircase_with_tail
@@ -40,12 +40,14 @@ def stair_typing():
 
 
 def _with_cells(ct, cells):
-    """``ct`` with its columns rebuilt from ``cells``, a tuple of records in
+    """``ct`` with its table rebuilt from ``cells``, a tuple of records in
     the diagram's row-major order (only types, colors, numbers and hooks
     may differ from ``ct.cells``)."""
     assert [(rec.row, rec.col) for rec in cells] == [(rec.row, rec.col) for rec in ct.cells]
-    _, _, types, colors, numbers, hooks = map(tuple, zip(*cells))
-    return dataclasses.replace(ct, types=types, colors=colors, numbers=numbers, hooks=hooks)
+    _, _, types, colors, numbers, hooks = zip(*cells)
+    return dataclasses.replace(
+        ct, table=CellTable(ct.partition.parts, types, colors, numbers, hooks)
+    )
 
 
 class TestRho:
@@ -389,7 +391,16 @@ def _set_number(ct, index, number):
 # as little as the clause allows where it compares counts
 CORRUPTIONS = {
     "column length": (
-        lambda ct: dataclasses.replace(ct, hooks=ct.hooks[:-1]),
+        lambda ct: dataclasses.replace(
+            ct,
+            table=CellTable(
+                ct.table.parts,
+                ct.table.types,
+                ct.table.colors,
+                ct.table.numbers,
+                ct.table.hooks[:-1],
+            ),
+        ),
         "typing columns do not hold one entry per cell",
     ),
     "bijection": (

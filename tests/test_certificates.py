@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import math
@@ -11,7 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hookbound.bounds import general_bound, strict_bound, theorem_classify
+from hookbound.bounds import (
+    general_bound,
+    overexponential_bound,
+    rectangle_bound,
+    strict_bound,
+    strip_bound,
+    theorem_classify,
+)
 from hookbound.celltyping import cell_typing
 from hookbound.certificates import (
     FAIL,
@@ -388,8 +396,10 @@ class TestCellTable:
         assert table.types.typecode == "b"
         assert {col.typecode for col in (table.colors, table.numbers, table.hooks)} == {"q"}
         ct = cell_typing(STAIR, ALPHA)
+        columns = list(zip(*ct.cells))[2:]
         assert (tuple(table.types), tuple(table.colors), tuple(table.numbers),
-                tuple(table.hooks)) == (ct.types, ct.colors, ct.numbers, ct.hooks)
+                tuple(table.hooks)) == tuple(columns)
+        assert dataclasses.replace(ct, table=CellTable(STAIR.parts, *columns)) == ct
 
     def test_from_rows_round_trips(self):
         table = cell_typing(STAIR, ALPHA).table
@@ -491,3 +501,24 @@ class TestNestedCertificates:
         mu_cells = len(cert.aux["mu_certificate"].cells)
         assert mu_cells == Partition.parse(cert.aux["mu"]).n
         assert retained <= 40 * mu_cells
+
+
+# one call of each public bound, by the bound name its certificate records
+PUBLIC_BOUNDS = {
+    "strip": lambda: strip_bound(Partition((9, 6, 4, 2, 2, 1)), 4, 3, Fraction(2)),
+    "rectangle": lambda: rectangle_bound(5, 3),
+    "overexponential": lambda: overexponential_bound(
+        Partition((6,) * 6), Fraction(1, 2), Fraction(3, 2)
+    ),
+    "strict": lambda: strict_bound(STAIR, ALPHA),
+    "general": lambda: general_bound(staircase(2000, ALPHA), ALPHA),
+    "theorem": lambda: theorem_classify(balanced(400), Fraction(2), Fraction(3, 2)),
+}
+
+
+@pytest.mark.parametrize("name", PUBLIC_BOUNDS)
+def test_public_bound_returns_a_reloadable_certificate(name):
+    cert = PUBLIC_BOUNDS[name]()
+    assert type(cert) is BoundCertificate and cert.bound_name == name
+    text = cert.to_json()
+    assert certificate_from_json(text).to_json() == text

@@ -280,7 +280,6 @@ class TestSweepCommand:
         assert out == ""
         assert path.read_text().startswith("n,partition")
 
-
     def test_csv_reports_skipped_n_on_stderr(self, capsys, cold_table):
         # the box (3000, 1000, 1000) of alpha 3 is tight: its rows recurse
         argv = [
@@ -298,6 +297,23 @@ class TestSweepCommand:
         code, out, err = run(capsys, *argv, "--format", "json")
         assert code == EXIT_PASS and err == ""
         assert [n for n, _ in json.loads(out)["skipped"]] == [3000]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "rectangle", "--a", "2", "--b", "2"],
+        ["sweep", "balanced", "--alpha", "2", "--beta", "3/2", "--n-from", "40", "--n-to", "41"],
+        ["typing", STAIR, "--alpha", "11/10"],
+    ],
+)
+def test_unwritable_out_is_one_error_line(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert code == EXIT_USAGE == 1
+    assert out == ""
+    assert err == f"cannot write --out {path}: No such file or directory\n"
+    assert not path.parent.exists()
 
 
 class TestOracleCommand:

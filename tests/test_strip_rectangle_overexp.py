@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -31,27 +32,22 @@ def strip_ge(f, alpha: Fraction, n: int, m: int) -> bool:
 class TestStripConstruction:
     def test_worked_example_t_sequence(self):
         sc = strip_bound(LAM, 4, 3, ALPHA2)
-        assert sc.t == (6, 5, 3, 6, 3, 1, 0)
-        assert sum(sc.t) == 24
+        assert sc.aux["t"] == [6, 5, 3, 6, 3, 1, 0]
+        assert sum(sc.aux["t"]) == 24
 
     def test_worked_example_cell_split(self):
         sc = strip_bound(LAM, 4, 3, ALPHA2)
-        assert sc.m == 18
-        assert len(sc.cells_a) == 17
-        assert len(sc.cells_b) == 3
-        assert len(sc.cells_c) == 4
-        all_cells = set(sc.cells_a) | set(sc.cells_b) | set(sc.cells_c)
-        assert len(all_cells) == 24
-        assert all_cells == set(LAM.cells())
-        assert set(sc.cells_b) == {(5, 1), (5, 2), (6, 1)}
+        assert sc.parameters["m"] == 18
+        assert sc.aux["sizes"] == {"A": 17, "B": 3, "C": 4}
+        assert sum(sc.aux["sizes"].values()) == LAM.n
 
     def test_square_small_case_fails_honestly(self):
         # m = (2*0+2-1)*2/2 = 1, so the bound is 2^4/4 = 4 > f = 2: FAIL at n=4
         sc = strip_bound(Partition((2, 2)), 2, 0, ALPHA2)
-        assert sc.m == 1
-        assert sc.certificate.mode == MODE_EXACT
+        assert sc.parameters["m"] == 1
+        assert sc.mode == MODE_EXACT
         assert sc.verdict == FAIL
-        assert sc.certificate.margin == pytest.approx(math.log(2) - math.log(4))
+        assert sc.margin == pytest.approx(math.log(2) - math.log(4))
 
     def test_hypothesis_gates(self):
         with pytest.raises(HypothesisError):
@@ -68,16 +64,16 @@ class TestStripConstruction:
         lam = Partition((5, 5, 4, 2, 2, 1, 1))  # n=20, lam_1=5<=10, lam'_1=7<=10
         a = strip_bound(lam, 2, 4, ALPHA2)
         b = strip_bound(lam.conjugate(), 4, 2, ALPHA2)
-        assert a.conjugated and not b.conjugated
-        assert a.m == b.m
+        assert a.aux["conjugated"] and not b.aux["conjugated"]
+        assert a.parameters["m"] == b.parameters["m"]
         assert a.verdict == b.verdict
-        assert a.t == b.t
+        assert a.aux["t"] == b.aux["t"]
 
     def test_bound_log_formula(self):
         sc = strip_bound(LAM, 4, 3, ALPHA2)
         n = LAM.n
-        assert sc.bound_log == pytest.approx(n * math.log(2) - sc.m * math.log(n))
-        assert sc.certificate.rhs_log == sc.bound_log
+        m = sc.parameters["m"]
+        assert sc.rhs_log == pytest.approx(n * math.log(2) - m * math.log(n))
 
     def test_h32_sweep_alpha2_passes(self):
         # every lambda |- n in [10, 18] inside H(3,2) with both widths <= n/2
@@ -87,7 +83,7 @@ class TestStripConstruction:
                 if not lam.in_hook_class(3, 2):
                     continue
                 sc = strip_bound(lam, 3, 2, ALPHA2)
-                assert sc.verdict == PASS, (lam, sc.certificate.margin)
+                assert sc.verdict == PASS, (lam, sc.margin)
                 checked += 1
         assert checked > 50
 
@@ -140,15 +136,14 @@ class TestStripRowSegments:
                         except HypothesisError:
                             continue
                         t, a, b, c, prod_bc = _per_cell_strip(lam, k, l)
-                        assert sc.t == t
-                        assert (sc.cells_a, sc.cells_b, sc.cells_c) == (a, b, c)
-                        sizes = sc.certificate.aux["sizes"]
+                        assert sc.aux["t"] == list(t)
+                        sizes = sc.aux["sizes"]
                         assert sizes == {"A": len(a), "B": len(b), "C": len(c)}
-                        assert sc.diagram == (lam.conjugate() if k < l else lam)
+                        assert sc.aux["conjugated"] == (k < l)
                         # the first product tree is prod_bc, the second prod t_i!
                         assert math.prod(trees[0]) == prod_bc
                         assert trees[1] == [factorial(ti) for ti in t]
-                        seen["conjugated"] += sc.conjugated
+                        seen["conjugated"] += sc.aux["conjugated"]
                         seen["B"] += bool(b)
                         seen["C"] += bool(c)
                         seen["B and C"] += bool(b and c)
@@ -168,7 +163,7 @@ class TestStripRowSegments:
             assert cert.aux["class"] == "M1"
             assert cert.aux["sub_certificate"].bound_name == "strip"
         sc = strip_bound(LAM, 4, 3, ALPHA2)
-        assert len(sc.cells_b) == 3 and len(sc.cells_c) == 4
+        assert sc.aux["sizes"]["B"] == 3 and sc.aux["sizes"]["C"] == 4
 
 
 class TestStripExactFilter:
@@ -177,8 +172,8 @@ class TestStripExactFilter:
         for n in range(43, 404):
             lam = balanced(n)
             sc = strip_bound(lam, 36, 36, ALPHA2)
-            assert sc.m == 1926 and sc.certificate.mode == MODE_EXACT
-            direct = degree(lam) * n**sc.m >= 2**n
+            assert sc.parameters["m"] == 1926 and sc.mode == MODE_EXACT
+            direct = degree(lam) * n**1926 >= 2**n
             assert sc.verdict == (PASS if direct else FAIL), n
 
     @pytest.mark.parametrize("alpha", [Fraction(2), Fraction(3, 2), Fraction(11, 10)])
@@ -261,6 +256,32 @@ class TestRectangle:
     def test_rejects_nonpositive(self):
         with pytest.raises(HypothesisError):
             rectangle_bound(0, 3)
+
+    def test_factorial_form_matches_direct_comparison(self):
+        # the form is decided as (b!)**a * 4**n >= prod(h), with no n!
+        for a in range(1, 13):
+            for b in range(1, 13):
+                n = a * b
+                lo, hi = sorted((a, b))
+                f = degree(Partition((hi,) * lo))
+                direct = f * factorial(hi) ** lo * 4**n >= factorial(n)
+                assert rectangle_bound(a, b).aux["factorial_form_holds"] is direct, (a, b)
+
+    @pytest.mark.parametrize("a, b", [(1, 1), (1, 7), (4, 4), (5, 9), (9, 5), (12, 29)])
+    def test_factorial_form_compares_the_hook_multiset(self, monkeypatch, a, b):
+        calls = []
+
+        def recorded(lhs, rhs, *args):
+            calls.append((list(lhs), list(rhs)))
+            return powers_ge(lhs, rhs, *args)
+
+        monkeypatch.setattr(hookbound.bounds, "powers_ge", recorded)
+        rectangle_bound(a, b)
+        lo, hi = sorted((a, b))
+        hooks = Partition((hi,) * lo).hook_grid().values()
+        lhs, rhs = calls[0]
+        assert lhs == [(factorial(hi), lo), (4, a * b)]
+        assert dict(rhs) == dict(Counter(hooks)) and len(rhs) == lo + hi - 1
 
     @pytest.mark.parametrize("a, b", [(20, 40), (20, 803)])
     def test_reads_the_degree_ball(self, monkeypatch, cold_degrees, a, b):
