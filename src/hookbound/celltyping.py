@@ -17,16 +17,24 @@ a type and a number N, 1..n:
   type 4   everything else, numbered last in row-major order.
 
 The construction works on flat row arrays: a running list of row lengths,
-peeled at the rows that end in a corner, and one list of numbers N per
-row.  Every round, shell and the type-4 block takes consecutive numbers, so
-the type and color of a cell are read off its number.  The typing keeps
-its cells once, as the ``table``: a ``certificates.CellTable`` of row-major
-typed columns of types, colors, numbers and hooks (of the original
-diagram), packed straight from the per-row numbers.  It is the form a
-typing-backed certificate keeps, and it iterates as plain ``(row, col,
-cell_type, color, number, hook)`` tuples.  The checks read its columns;
-``cells`` builds ``CellRecord`` named tuples, equal to those rows, on first
-use, and ``grid_lines`` and ``to_json_dict`` read the same table.
+peeled at the rows that end in a corner, and one list of numbers N per row.
+Every round, shell and the type-4 block takes consecutive numbers, so the
+type and color of a cell are read off its number.  Type-1 rounds peel cell
+by cell only while some nonempty row of the running diagram is not a
+corner.  Once every nonempty row is one (strictly decreasing rows, as in
+the top delta rows), each round peels every nonempty row and the rows stay
+strict, so round r peels k_r = #{i : w_i >= r} cells, the conjugate of the
+running rows w, and the rounds run while k_r >= ceil(2*alpha).  The cell
+that round r peels from row i (counted from 1) is numbered
+c + k_1 + ... + k_(r-1) + i, c the count before the first such round, and
+each row's numbers are one ``map`` over these prefix sums.  The typing
+keeps its cells once, as the ``table``: a ``certificates.CellTable`` of
+row-major typed columns of types, colors, numbers and hooks (of the
+original diagram), packed straight from the per-row numbers.  It is the
+form a typing-backed certificate keeps, and it iterates as plain ``(row,
+col, cell_type, color, number, hook)`` tuples.  ``cells`` builds
+``CellRecord`` named tuples, equal to those rows, on first use, and
+``grid_lines`` and ``to_json_dict`` read the same table.
 
 The returned typing has been checked against the invariants that make the
 peeling argument sound: the counter inequality alpha*h <= N for every
@@ -35,13 +43,21 @@ cell, the round lower bounds, the type-1 mass inequality, the type-4
 budget, the type-4 falling-factorial product bound, and the aggregate
 product over type-1/2/3 cells that the degree bound rests on.  A failed
 check raises ConsistencyError.  Every check is exact in integers: with
-alpha = p/q, alpha*h <= N reads p*h <= q*N, and the products are product
-trees over the cells' numbers and hooks.  The checks run on the columns;
-only a failed per-cell clause walks the cells, to name the first bad one.
-The aggregate product ``prod N * q^t >= p^t * prod h`` is first decided
+alpha = p/q, alpha*h <= N reads p*h <= q*N.  The check reads the columns
+by number: one pass scatters each cell's hook to slot N of a list, and the
+numbering is a bijection onto 1..n when every number lies in 1..n and no
+slot is left empty.  The type of each number, looked up in the runs that
+the counts cut 1..n into, must then equal the types column, byte for byte.
+The type-1/2/3 cells are the numbers 1..t, so the per-cell clauses compare
+hook slices against ranges of N, and the type-4 product reads the slice
+past t.  Only a failed per-cell clause walks the cells, to name the first
+bad one.  The aggregate product ``prod N * q^t >= p^t * prod h`` follows
+from the counter inequality, each of whose factors q*N/(p*h) is at least
+1, once the exact factors of a few cells from N = t down cover the
+shortfall of the cells below alpha; only when they do not is it decided
 from certified log2 brackets (``math.fsum`` of the exact ``math.log2`` of
 each number and hook, with the radius ``(log2(x) + 1) * 2**-40`` of
-``certificates.log2_bracket`` each); product trees are built only when
+``certificates.log2_bracket`` each), and product trees are built only when
 the brackets overlap.
 
 The per-cell inequality alpha*h <= N cannot hold for the cells numbered
@@ -57,11 +73,12 @@ permutation of the numbers.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress, islice, repeat
-from operator import add, eq, ge, gt, lt, mul
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import add, eq, le, mul, setitem
 from typing import NamedTuple, Sequence
 
 from .certificates import LOG2_SLACK, CellTable, log2_bracket
@@ -239,12 +256,13 @@ def cell_typing(lam: Partition, alpha: Fraction) -> CellTyping:
     color_of = [0]
     counter = 0
 
-    # type 1: full corner-peeling rounds while at least 2*alpha corners remain
+    # type 1: full corner-peeling rounds while at least 2*alpha corners
+    # remain, that is at least m2 = ceil(2*alpha); cell by cell only while
+    # some nonempty row is not a corner
+    m2 = -(-2 * p // q_)
     s_rounds: list[int] = []
-    while True:
-        corners = corner_rows(work)
-        if len(corners) * q_ < 2 * p:
-            break
+    corners = corner_rows(work)
+    while len(corners) >= m2 and len(corners) <= corners[-1]:
         s_rounds.append(len(corners))
         type_of += [1] * len(corners)
         color_of += [len(s_rounds)] * len(corners)
@@ -252,6 +270,27 @@ def cell_typing(lam: Partition, alpha: Fraction) -> CellTyping:
             counter += 1
             work[i] -= 1
             nums[i][work[i]] = counter
+        corners = corner_rows(work)
+    # Now every nonempty row is a corner, and stays one as each round peels
+    # them all: round r peels k_r = #{i : w_i >= r} cells of the running
+    # rows w, while k_r >= m2, that is for r <= w[m2-1].  Row i's cell of
+    # round r gets the number counter + k_1 + ... + k_(r-1) + i + 1, so
+    # starts[r-1] + i.
+    rounds = work[m2 - 1] if len(corners) >= m2 else 0
+    if rounds:
+        ks: list[int] = []  # ks[r-1] = k_r, the running rows' conjugate
+        for i in range(len(corners), 0, -1):
+            ks += [i] * (min(work[i - 1], rounds) - len(ks))
+        starts = list(accumulate(ks, initial=counter + 1))
+        for i, w in enumerate(work[: ks[0]]):
+            peeled = min(w, rounds)
+            nums[i][w - peeled : w] = map(i.__add__, starts[peeled - 1 :: -1])
+            work[i] = w - peeled
+        colors = range(len(s_rounds) + 1, len(s_rounds) + rounds + 1)
+        color_of += chain.from_iterable(map(repeat, colors, ks))
+        s_rounds += ks
+        type_of += [1] * (starts[-1] - 1 - counter)
+        counter = starts[-1] - 1
     r = len(s_rounds)
 
     # type 2: peel only corners outside the delta x delta square while >= alpha
@@ -308,9 +347,14 @@ def cell_typing(lam: Partition, alpha: Fraction) -> CellTyping:
 
     # each type is one run of numbers; the hook of cell (i, j) is
     # (lambda_i - j) + (lambda'_j - i) + 1.  The columns are packed from
-    # lists: an array fills from a list in one pass, and from an iterator
-    # about three times slower
+    # lists, the types from bytes and the hooks from an array filled a row
+    # at a time: an array fills from a list in one pass, from bytes or an
+    # array by one copy, and from an iterator about three times slower than
+    # from a list
     cols = lam.conjugate().parts
+    hooks = array("q")
+    for i, row in enumerate(lam.parts, start=1):
+        hooks.fromlist(list(map(add, range(row - i, -i, -1), cols[:row])))
     numbers = list(chain.from_iterable(nums))
     t1, t2 = sum(s_rounds), sum(t_rounds)
     typing = CellTyping(
@@ -326,21 +370,16 @@ def cell_typing(lam: Partition, alpha: Fraction) -> CellTyping:
         counts=(t1, t2, t123 - t1 - t2, n - t123),
         table=CellTable(
             lam.parts,
-            list(map(type_of.__getitem__, numbers)),
+            bytes(map(type_of.__getitem__, numbers)),
             list(map(color_of.__getitem__, numbers)),
             numbers,
-            list(
-                chain.from_iterable(
-                    map(add, range(row - i, -i, -1), cols[:row])
-                    for i, row in enumerate(lam.parts, start=1)
-                )
-            ),
+            hooks,
         ),
         mu=mu,
     )
     # the table now holds every cell: free the construction's lists before
-    # the check builds its own lists of the columns
-    del nums, numbers, type_of, color_of
+    # the check scatters the hooks to a list of its own
+    del nums, numbers, type_of, color_of, hooks
     _check_typing(typing, t123)
     return typing
 
@@ -349,20 +388,32 @@ def _check_typing(ct: CellTyping, t123: int) -> None:
     n = ct.n
     p, q = ct.alpha.numerator, ct.alpha.denominator
     table = ct.table
-    types, numbers, hooks = table.types.tolist(), table.numbers.tolist(), table.hooks.tolist()
+    numbers = table.numbers
 
-    if not len(types) == len(table.colors) == len(numbers) == len(hooks) == n:
+    if not len(table.types) == len(table.colors) == len(numbers) == len(table.hooks) == n:
         raise ConsistencyError("typing columns do not hold one entry per cell")
-    if sorted(numbers) != list(range(1, n + 1)):
+    # hook_of[N] is the hook of the cell numbered N (slot 0 unused); with
+    # every number in 0..n, the numbering is a bijection onto 1..n when no
+    # slot 1..n is left empty.  Read as unsigned, a number below 0 lies past
+    # n like one above n, and the scatter raises IndexError for either
+    hook_of = [None] * (n + 1)
+    try:
+        # setitem returns None, so any() runs the whole map
+        any(map(setitem, repeat(hook_of), memoryview(numbers).cast("B").cast("Q"), table.hooks))
+        bijection = None not in islice(hook_of, 1, None)
+    except IndexError:
+        bijection = False
+    if not bijection:
         raise ConsistencyError("numbering is not a bijection onto 1..n")
     if sum(ct.counts) != n:
         raise ConsistencyError("types do not partition the diagram")
-    # cut 1..n into runs of counts[0] 1s, counts[1] 2s, counts[2] 3s and
+    # 1..n cut into runs of counts[0] 1s, counts[1] 2s, counts[2] 3s and
     # counts[3] 4s: every cell must have the type of the run of its number
     runs = [0]
     for cell_type, size in zip((1, 2, 3, 4), ct.counts):
         runs += [cell_type] * size
-    if list(map(runs.__getitem__, numbers)) != types:
+    if bytes(map(runs.__getitem__, numbers)) != table.types.tobytes():
+        types = table.types
         by_type = ((t, list(compress(numbers, map(eq, types, repeat(t))))) for t in (1, 2, 3, 4))
         present = [(t, nums) for t, nums in by_type if nums]
         for (lo, a), (hi, b) in zip(present, present[1:]):
@@ -380,18 +431,19 @@ def _check_typing(ct: CellTyping, t123: int) -> None:
         if t * q < p:
             raise ConsistencyError("type-2 round ran with fewer than alpha corners")
 
-    # The type-1/2/3 cells are those numbered 1..t.  Each is held to the
-    # counter inequality p*h <= q*N if N*q >= p, else to h <= N; as p > q,
-    # the former implies h <= N.  A failure walks the cells to name the
-    # first bad one.  Then the aggregate product that the degree bound uses.
+    # The type-1/2/3 cells are those numbered 1..t.  The ones numbered N
+    # below alpha are held to h <= N, the rest to the counter inequality
+    # p*h <= q*N, which implies h <= N as p > q: hook slices against ranges
+    # of N.  A failure walks the cells to name the first bad one.  Then the
+    # aggregate product that the degree bound uses.
     t = n - ct.counts[3]
-    in_t123 = list(map(ge, repeat(t), numbers))
-    numbers123 = list(compress(numbers, in_t123))
-    hooks123 = list(compress(hooks, in_t123))
-    below = map(gt, map(mul, repeat(p), hooks123), map(mul, repeat(q), numbers123))
-    if any(num * q >= p or h > num for num, h in compress(zip(numbers123, hooks123), below)):
+    below = min(-(-p // q) - 1, t)
+    scaled = map(mul, repeat(p), hook_of[below + 1 : t + 1])
+    if not all(map(le, hook_of[1 : below + 1], range(1, below + 1))) or not all(
+        map(le, scaled, range((below + 1) * q, (t + 1) * q, q))
+    ):
         _raise_first_bad_cell(ct.cells, p, q)
-    if not _aggregate_ge(numbers123, hooks123, t123, p, q):
+    if not _aggregate_holds(hook_of, t, t123, p, q):
         raise ConsistencyError("aggregate product over type-1/2/3 cells below alpha^|T123|")
 
     # type-1 mass: |T1| >= 2*alpha*r + alpha*delta
@@ -404,7 +456,7 @@ def _check_typing(ct: CellTyping, t123: int) -> None:
     t4 = ct.counts[3]
     if t4 * q > ct.delta**2 * q + p * ct.rho:
         raise ConsistencyError(f"|T4|={t4} exceeds delta^2 + alpha*rho")
-    if _product_tree(list(compress(hooks, map(lt, repeat(t), numbers)))) > math.perm(n, t4):
+    if _product_tree(hook_of[t + 1 :]) > math.perm(n, t4):
         raise ConsistencyError("type-4 hook product exceeds the falling factorial")
 
 
@@ -417,6 +469,34 @@ def _raise_first_bad_cell(cells: tuple[CellRecord, ...], p: int, q: int) -> None
         if cell_type in _T123 and (h > num or num * q >= p and p * h > q * num):
             clause = "h <= N" if h > num else "alpha*h <= N"
             raise ConsistencyError(f"{clause} fails at cell ({row},{col}) with N={num}, h={h}")
+
+
+# how many cells numbered from t down may cover the shortfall of the cells
+# below alpha before the aggregate product is decided over all cells
+_COVER_CELLS = 8
+
+
+def _aggregate_holds(hook_of: Sequence[int], t: int, e: int, p: int, q: int) -> bool:
+    """Decide ``t! * q**e >= p**e * prod(hook_of[1:t + 1])`` for t, e >= 0.
+
+    ``hook_of[N]`` is the hook of the cell numbered N, and each cell with
+    N*q >= p must meet p*h <= q*N: its factor q*N/(p*h) of the product is
+    at least 1.  So the product holds once the exact factors of a few such
+    cells, from N = t down, cover the shortfall of the cells below alpha
+    (with the factor (q/p)**(e - t) when e != t).  Only when they do not
+    does ``_aggregate_ge`` decide it over all t cells.
+    """
+    below = min(-(-p // q) - 1, t)
+    need = Fraction(p, q) ** (e - t + below) * Fraction(
+        math.prod(hook_of[1 : below + 1]), math.factorial(below)
+    )
+    lhs, rhs = need.denominator, need.numerator
+    for num in range(t, max(t - _COVER_CELLS, below), -1):
+        if lhs >= rhs:
+            return True
+        lhs *= q * num
+        rhs *= p * hook_of[num]
+    return lhs >= rhs or _aggregate_ge(range(1, t + 1), hook_of[1 : t + 1], e, p, q)
 
 
 def _aggregate_ge(numbers: Sequence[int], hooks: Sequence[int], t: int, p: int, q: int) -> bool:

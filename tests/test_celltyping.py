@@ -1,11 +1,14 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import math
+import tracemalloc
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import hookbound.celltyping
@@ -18,7 +21,9 @@ from hookbound.bounds import (
     theorem_classify,
 )
 from hookbound.celltyping import (
+    CellTyping,
     _aggregate_ge,
+    _aggregate_holds,
     _check_typing,
     cell_typing,
     check_typing_hypotheses,
@@ -247,6 +252,90 @@ class TestAggregateFilter:
         monkeypatch.setattr(hookbound.celltyping, "_product_tree", counted)
         assert _aggregate_ge(numbers, hooks, t, 11, 10) is expected
         assert trees == [len(numbers), len(hooks)]
+
+
+# alpha = 3/2 puts the type-1 boundary k*q == 2*p at k = 3 corners
+ALPHAS = [Fraction(11, 10), Fraction(3, 2), Fraction(2), Fraction(3), Fraction(7, 3)]
+
+
+@st.composite
+def counter_hooks(draw):
+    """``(hook_of, t, e, p, q)``: the hooks by number 1..t of a typing that
+    meets h <= N below alpha and p*h <= q*N from alpha on, and an exponent
+    e near t.  Hooks at their largest make every factor q*N/(p*h) close
+    to 1, so that a few cells cannot cover the shortfall."""
+    alpha = draw(st.sampled_from(ALPHAS + [Fraction(5, 4), Fraction(9, 2)]))
+    p, q = alpha.numerator, alpha.denominator
+    t = draw(st.integers(0, 40))
+    tight = draw(st.booleans())
+    hook_of = [None]
+    for num in range(1, t + 1):
+        top = num if num * q < p else q * num // p
+        hook_of.append(top if tight else draw(st.integers(1, top)))
+    return hook_of, t, draw(st.integers(max(t - 2, 0), t + 2)), p, q
+
+
+class TestAggregateClause:
+    """Clause (d): prod N * q^|T123| >= p^|T123| * prod h over the type-1/2/3 cells."""
+
+    def test_aggregate_alone_rejects_a_typing(self, monkeypatch):
+        # alpha = 3: the cells numbered 1 and 2 lie below alpha and meet
+        # h <= N, the cells numbered 3 and 4 meet 3*h <= N, and every count
+        # clause holds, yet 4! = 24 < 3^4 * 1*2*1*1 = 162
+        ct = CellTyping(
+            partition=Partition((4,)),
+            alpha=Fraction(3),
+            delta=0,
+            rho=0,
+            tau=0,
+            r=0,
+            q=0,
+            s_rounds=(),
+            t_rounds=(),
+            counts=(4, 0, 0, 0),
+            table=CellTable((4,), [1] * 4, [1] * 4, [1, 2, 3, 4], [1, 2, 1, 1]),
+            mu=Partition(()),
+        )
+        assert [(rec.number, rec.hook) for rec in ct.eq1_violations()] == [(1, 1), (2, 2)]
+        with pytest.raises(ConsistencyError) as err:
+            _check_typing(ct, 4)
+        assert str(err.value) == "aggregate product over type-1/2/3 cells below alpha^|T123|"
+        monkeypatch.setattr(hookbound.celltyping, "_aggregate_holds", lambda *args: True)
+        _check_typing(ct, 4)
+
+    def test_matches_plain_products_on_both_routes(self, monkeypatch):
+        fallbacks = []
+
+        def counted(*args):
+            fallbacks.append(args)
+            return _aggregate_ge(*args)
+
+        monkeypatch.setattr(hookbound.celltyping, "_aggregate_ge", counted)
+        routes = set()
+
+        @settings(max_examples=300, deadline=None)
+        @given(counter_hooks())
+        def check(case):
+            hook_of, t, e, p, q = case
+            before = len(fallbacks)
+            decided = _aggregate_holds(hook_of, t, e, p, q)
+            expected = math.factorial(t) * q**e >= p**e * math.prod(hook_of[1:])
+            assert decided == expected
+            fell_back = len(fallbacks) > before
+            # the few-cell route only ever proves the product
+            assert fell_back or decided
+            routes.add(fell_back)
+
+        check()
+        assert routes == {False, True}
+
+    def test_reduced_staircases_take_the_few_cell_route(self, monkeypatch):
+        def unexpected(*args):
+            pytest.fail("the aggregate product fell back to the log2 brackets")
+
+        monkeypatch.setattr(hookbound.celltyping, "_aggregate_ge", unexpected)
+        for n in (2000, 6000):
+            general_bound(staircase(n, ALPHA), ALPHA)
 
 
 class TestTypingWithTail:
@@ -516,6 +605,42 @@ class TestCheckTypingBoundaries:
         assert str(err.value) == "type-3 numbers overlap type-4 numbers"
 
 
+def test_counter_inequality_binds_at_one_cleared_unit(stair_typing):
+    # cell (6,10) with h = 10 takes N = 11: 11*10 == 10*11, so alpha*h <= N
+    # holds with equality (cell (1,19) with h = 3 takes N = 56)
+    ct = stair_typing
+    _check_typing(_swap_numbers(ct, 11, 56), sum(ct.counts[:3]))
+    # cell (1,15) with h = 11 takes N = 12: 11*11 is one over 10*12
+    with pytest.raises(ConsistencyError) as err:
+        _check_typing(_swap_numbers(ct, 12, 51), sum(ct.counts[:3]))
+    assert str(err.value) == "alpha*h <= N fails at cell (1,15) with N=12, h=11"
+
+
+def test_cell_below_alpha_binds_at_one_past_its_number(stair_typing):
+    # cell (10,10) with h = 2 takes N = 1, one past h <= N
+    ct = stair_typing
+    with pytest.raises(ConsistencyError) as err:
+        _check_typing(_swap_numbers(ct, 1, 20), sum(ct.counts[:3]))
+    assert str(err.value) == "h <= N fails at cell (10,10) with N=1, h=2"
+
+
+@pytest.mark.parametrize(
+    "renumber",
+    [
+        lambda num, n: 0,  # fills the unused slot 0
+        lambda num, n: num - n - 1,  # as a list index, the slot of num itself
+        lambda num, n: n + 1,
+    ],
+    ids=["zero", "negative-alias", "past-n"],
+)
+def test_numbers_outside_one_to_n_are_not_a_bijection(stair_typing, renumber):
+    ct = stair_typing
+    bad = _set_number(ct, 0, renumber(ct.cells[0].number, ct.n))
+    with pytest.raises(ConsistencyError) as err:
+        _check_typing(bad, sum(ct.counts[:3]))
+    assert str(err.value) == "numbering is not a bijection onto 1..n"
+
+
 def _reference_typing(lam, alpha):
     """The Cell-keyed dict construction of cell_typing, without its checks."""
     delta, _ = check_typing_hypotheses(lam, alpha)
@@ -614,6 +739,64 @@ class TestAgainstCellDictReference:
         assert (ct.r, ct.q) == (len(s_rounds), len(t_rounds))
         assert [rec.as_list() for rec in ct.cells] == cells
         assert ct.counts == tuple(sum(1 for c in cells if c[2] == t) for t in (1, 2, 3, 4))
+
+
+@st.composite
+def typable_diagrams(draw):
+    """``(lambda, alpha)`` passing the typing's gate: a strict top of delta
+    rows over a tail of strict rows, blocks of equal rows and long columns.
+    A tail with equal rows is peeled cell by cell until its rows turn
+    strict, partway through the type-1 rounds."""
+    alpha = draw(st.sampled_from(ALPHAS))
+    delta = math.ceil(9 * alpha) + draw(st.integers(0, 2))
+    bottom = delta + draw(st.integers(0, 4))
+    gaps = draw(st.lists(st.integers(1, 3), min_size=delta - 1, max_size=delta - 1))
+    top = list(accumulate(gaps, initial=bottom))[::-1]
+    cap = min(delta, bottom - 1)  # tail rows keep the diagonal and row delta a corner
+    tail = []
+    for kind in draw(st.lists(st.sampled_from(["strict", "block", "column"]), max_size=4)):
+        if kind == "strict":
+            tail += draw(st.lists(st.integers(1, cap), unique=True, max_size=8))
+        elif kind == "block":
+            tail += [draw(st.integers(1, cap))] * draw(st.integers(2, 8))
+        else:
+            tail += [draw(st.integers(1, min(2, cap)))] * draw(st.integers(10, 150))
+    lam = Partition(tuple(top + sorted(tail, reverse=True)))
+    try:
+        check_typing_hypotheses(lam, alpha)
+    except HypothesisError:
+        assume(False)
+    return lam, alpha
+
+
+@settings(max_examples=80, deadline=None)
+@given(typable_diagrams())
+# a block of four rows of 5 under (20,...,11) turns strict after 3 rounds
+@example((Partition(tuple(range(20, 10, -1)) + (5,) * 4), ALPHA))
+def test_random_diagrams_match_reference(case):
+    lam, alpha = case
+    ct = cell_typing(lam, alpha)
+    s_rounds, t_rounds, mu, cells = _reference_typing(lam, alpha)
+    assert (ct.s_rounds, ct.t_rounds, ct.mu) == (s_rounds, t_rounds, mu)
+    assert ct.table == cells
+    assert ct.counts == tuple(sum(1 for c in cells if c[2] == t) for t in (1, 2, 3, 4))
+
+
+def test_typing_frees_its_construction_before_the_check():
+    # a warm typing of the 15,870 cells of the reduced (803,)*20 peaks at
+    # about 114 bytes a cell; with the construction's lists kept through
+    # the check, at about 152
+    alpha = Fraction(11, 10)
+    mu = reduce_diagram(Partition((803,) * 20), alpha).mu
+    cell_typing(mu, alpha)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        cell_typing(mu, alpha)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 132 * mu.n
 
 
 def test_reduced_rectangle_typing_digest():

@@ -11,7 +11,7 @@ import pytest
 import hookbound.cli
 import hookbound.degrees
 from hookbound.celltyping import cell_typing
-from hookbound.certificates import revalidate
+from hookbound.certificates import certificate_from_json, revalidate
 from hookbound.degrees import degree
 from hookbound.cli import EXIT_FAIL, EXIT_HYPOTHESIS, EXIT_PASS, EXIT_USAGE, main
 from hookbound.families import balanced, staircase
@@ -205,6 +205,41 @@ def test_pinned_stdout(capsys, argv, digest, exact_paths):
             cert = cert["aux"][key]
         assert cert["mode"] == "exact", path
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# a general bound on staircase(12000), the M3 dispatch on (803,)*20, the
+# rectangle bound on 20 rows of 40, the strip bound on (9,6,4,2,2,1) in
+# H(4,3) and the strict bound on (40,...,11)
+CERTIFY_COMMANDS = {
+    "general": ("general", staircase(12000, parse_rational("11/10")).format(),
+                "--alpha", "11/10"),
+    "theorem": ("theorem", ",".join(["803"] * 20), "--alpha", "11/10", "--beta", "21/20"),
+    "rectangle": ("rectangle", "--a", "20", "--b", "40"),
+    "strip": ("strip", "9,6,4,2,2,1", "--k", "4", "--l", "3", "--alpha", "2"),
+    "strict": ("strict", ",".join(map(str, range(40, 10, -1))), "--alpha", "11/10"),
+}
+
+
+def test_certify_commands_reload_and_revalidate(capsys):
+    # each output must re-validate and load back to the same bytes, each
+    # nested typing must hold one cell per cell of the recorded mu, and the
+    # general certificates and their strict bounds on mu must be decided in
+    # exact mode
+    outputs = {}
+    for name, argv in CERTIFY_COMMANDS.items():
+        code, out, _ = run(capsys, "certify", *argv)
+        assert code == EXIT_PASS, name
+        assert certificate_from_json(json.loads(out)).to_json() + "\n" == out, name
+        outputs[name] = json.loads(out)
+    for name, key in (("general", None), ("theorem", "sub_certificate")):
+        data = outputs[name]
+        general = data["aux"][key] if key else data
+        assert revalidate(data) and revalidate(general), name
+        mu_certificate = general["aux"]["mu_certificate"]
+        assert len(mu_certificate["cells"]) == Partition.parse(general["aux"]["mu"]).n, name
+        assert general["mode"] == mu_certificate["mode"] == "exact", name
+    for name in ("rectangle", "strip", "strict"):
+        assert revalidate(outputs[name]), name
 
 
 class TestTypingCommand:
