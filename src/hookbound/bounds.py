@@ -40,18 +40,13 @@ def _degree(lam: Partition) -> DegreeBall:
     The bounds read their degrees here, so the dispatch reuses the ball its
     sub-bound computed and a run of shapes with the same Durfee side
     evaluates the square once.  Every reading goes through the ball: its
-    ``log``, ``bit_length`` and certified ``log2`` bracket, and
-    ``at_least`` for the containment checks; the exact degree is built only
-    on a near-tie.  ``degree_ball`` is looked up in this module at each
-    miss, so a wrapper put in its place sees every evaluation.
+    ``log``, ``bit_length`` and certified ``log2`` bracket, which
+    ``powers_ge`` reads in every comparison, the containment checks
+    included; the exact degree is built only on a near-tie.
+    ``degree_ball`` is looked up in this module at each miss, so a wrapper
+    put in its place sees every evaluation.
     """
     return degree_ball(lam)
-
-
-def _check_width_gates(lam: Partition, alpha: Fraction) -> None:
-    if lam.n < 1:
-        raise HypothesisError("n >= 1", "empty partition")
-    check_widths(lam, alpha)
 
 
 def _power_certificate(
@@ -101,7 +96,7 @@ def strip_bound(lam: Partition, k: int, l: int, alpha: Fraction) -> BoundCertifi
     alpha = _require_alpha(alpha)
     if k < 0 or l < 0:
         raise HypothesisError("k, l >= 0", f"k={k}, l={l}")
-    _check_width_gates(lam, alpha)
+    check_widths(lam, alpha)
     n = lam.n
 
     if k >= l:
@@ -288,7 +283,7 @@ def _square_bound(
         raise ConsistencyError("diagonal square does not fit inside the diagram")
     f_mu = _degree(mu)
     f_lam = _degree(lam)
-    if not f_lam.at_least(f_mu):
+    if not powers_ge(((f_lam, 1),), ((f_mu, 1),), None):
         raise ConsistencyError("containment monotonicity failed for the square")
     n = lam.n
     return _power_certificate(
@@ -482,7 +477,7 @@ def general_bound(lam: Partition, alpha: Fraction) -> BoundCertificate:
     mu_cert = strict_bound(trace.mu, alpha)
 
     f_lam = _degree(lam)
-    if not f_lam.at_least(_degree(trace.mu)):
+    if not powers_ge(((f_lam, 1),), ((_degree(trace.mu), 1),), None):
         raise ConsistencyError("containment monotonicity failed in the reduction")
 
     n = lam.n
@@ -627,7 +622,7 @@ def theorem_classify(lam: Partition, alpha: Fraction, beta: Fraction) -> BoundCe
     if type(beta) is not Fraction:
         beta = Fraction(beta)
     gamma, eps, beta_log, kl = _dispatch_constants(alpha, beta)
-    _check_width_gates(lam, alpha)
+    check_widths(lam, alpha)
     n = lam.n
     delta = lam.diagonal()
     cls, rho_val, threshold = _class_rule(delta, n, alpha, beta)

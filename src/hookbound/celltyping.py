@@ -54,11 +54,9 @@ past t.  Only a failed per-cell clause walks the cells, to name the first
 bad one.  The aggregate product ``prod N * q^t >= p^t * prod h`` follows
 from the counter inequality, each of whose factors q*N/(p*h) is at least
 1, once the exact factors of a few cells from N = t down cover the
-shortfall of the cells below alpha; only when they do not is it decided
-from certified log2 brackets (``math.fsum`` of the exact ``math.log2`` of
-each number and hook, with the radius ``(log2(x) + 1) * 2**-40`` of
-``certificates.log2_bracket`` each), and product trees are built only when
-the brackets overlap.
+shortfall of the cells below alpha; only when they do not is it passed to
+``certificates.powers_ge``, as ``t! * q^t`` against ``p^t`` and the hook
+multiset, with no bit budget.
 
 The per-cell inequality alpha*h <= N cannot hold for the cells numbered
 below alpha (the very first peeled corner has N = 1 and hook 1, and
@@ -74,6 +72,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -81,7 +80,7 @@ from itertools import accumulate, chain, compress, islice, repeat
 from operator import add, eq, le, mul, setitem
 from typing import NamedTuple, Sequence
 
-from .certificates import LOG2_SLACK, CellTable, log2_bracket
+from .certificates import CellTable, powers_ge
 from .degrees import _product_tree
 from .errors import ConsistencyError, HypothesisError
 from .partitions import Partition, corner_rows, format_rational
@@ -181,16 +180,23 @@ class CellTyping:
         }
 
 
-def check_widths(lam: Partition, alpha: Fraction) -> None:
-    """Gate lambda_1 <= n/alpha, then lambda'_1 <= n/alpha (the number of rows).
+def _width_cap(n: int, alpha: Fraction) -> int:
+    """The widest first row or column that lambda_1 <= n/alpha allows: n*q // p for alpha = p/q."""
+    return n * alpha.denominator // alpha.numerator
 
-    With alpha = p/q each gate is the integer test ``width * p > n * q``.
+
+def check_widths(lam: Partition, alpha: Fraction) -> None:
+    """Gate n >= 1, lambda_1 <= n/alpha, then lambda'_1 <= n/alpha (the number of rows).
+
+    Each width gate is the integer test ``width > _width_cap(n, alpha)``.
     """
     n = lam.n
-    p, q = alpha.numerator, alpha.denominator
-    if lam.part(1) * p > n * q:
+    if n < 1:
+        raise HypothesisError("n >= 1", "empty partition")
+    cap = _width_cap(n, alpha)
+    if lam.part(1) > cap:
         raise HypothesisError("lambda_1 <= n/alpha", f"lambda_1={lam.part(1)}, n={n}")
-    if len(lam) * p > n * q:
+    if len(lam) > cap:
         raise HypothesisError("lambda'_1 <= n/alpha", f"lambda'_1={len(lam)}, n={n}")
 
 
@@ -484,7 +490,7 @@ def _aggregate_holds(hook_of: Sequence[int], t: int, e: int, p: int, q: int) -> 
     at least 1.  So the product holds once the exact factors of a few such
     cells, from N = t down, cover the shortfall of the cells below alpha
     (with the factor (q/p)**(e - t) when e != t).  Only when they do not
-    does ``_aggregate_ge`` decide it over all t cells.
+    does ``powers_ge`` decide it, over ``t!`` and the hook multiset.
     """
     below = min(-(-p // q) - 1, t)
     need = Fraction(p, q) ** (e - t + below) * Fraction(
@@ -496,25 +502,6 @@ def _aggregate_holds(hook_of: Sequence[int], t: int, e: int, p: int, q: int) -> 
             return True
         lhs *= q * num
         rhs *= p * hook_of[num]
-    return lhs >= rhs or _aggregate_ge(range(1, t + 1), hook_of[1 : t + 1], e, p, q)
-
-
-def _aggregate_ge(numbers: Sequence[int], hooks: Sequence[int], t: int, p: int, q: int) -> bool:
-    """Decide ``prod(numbers) * q**t >= p**t * prod(hooks)`` for t >= 0.
-
-    The log2 of each side is bracketed first and the product trees are
-    built only when the brackets overlap.  Every number and hook lies below
-    2**53, so ``math.log2`` sees it exactly; ``log2_bracket`` gives each such
-    term the radius ``(log2(x) + 1) * LOG2_SLACK``, and the radii of the
-    ``math.fsum`` of the terms add up.  Rounding in the few float operations
-    after that is below 2**-52 relative, far inside the radius.
-    """
-    p_lo, p_hi = log2_bracket(p)
-    q_lo, q_hi = log2_bracket(q)
-    num, den = math.fsum(map(math.log2, numbers)), math.fsum(map(math.log2, hooks))
-    rad = (num + den + len(numbers) + len(hooks)) * LOG2_SLACK
-    if num - den - rad + t * (q_lo - p_hi) > 0:
-        return True
-    if num - den + rad + t * (q_hi - p_lo) < 0:
-        return False
-    return _product_tree(numbers) * q**t >= p**t * _product_tree(hooks)
+    return lhs >= rhs or powers_ge(
+        ((math.factorial(t), 1), (q, e)), ((p, e), *Counter(hook_of[1 : t + 1]).items()), None
+    )

@@ -8,13 +8,17 @@ degree-ball terms.  It first sums certified brackets of ``log2``.
 bits, with a radius of ``2**-40`` relative to the midpoint (plus
 ``2**-40``), thousands of times the real rounding error; a degree's
 ``DegreeBall`` (``degrees``) is bracketed from its two ends, read from the
-mantissa and the scale.  Disjoint brackets decide exactly.  Only an
-overlap charges the bit budget: within it the exact degrees and powers are
-built and compared, and past it the certificate runs in the log domain,
-where verdicts within a 1e-9 relative band are MARGINAL.
-``exact_power_ge`` is the call with no budget.  lhs_log/rhs_log/margin are
-always recorded so a reader can re-derive the verdict from the serialized
-object.  The cell typing's aggregate product clause uses the same brackets.
+mantissa and the scale.  ``math.fsum`` adds the lower ends and the upper
+ends with one correct rounding each, which keeps the sign of the exact
+sum, so disjoint brackets decide exactly over any number of terms.  Sides
+of degree balls with the same prime powers are equal with no build.  Only
+an overlap charges the bit budget: within it the exact degrees and powers
+are built and compared, and past it the certificate runs in the log
+domain, where verdicts within a 1e-9 relative band are MARGINAL.
+``budget=None`` lifts the cap: ``exact_power_ge`` is that call, and so are
+the bounds' containment checks ``f(lambda) >= f(mu)`` and the cell
+typing's aggregate product clause.  lhs_log/rhs_log/margin are always
+recorded so a reader can re-derive the verdict from the serialized object.
 
 JSON field names (bound_name, parameters, exponent, lhs_log, rhs_log,
 margin, mode, verdict, and cells for typing-backed certificates) are a
@@ -147,24 +151,26 @@ def powers_ge(lhs: Terms, rhs: Terms, budget: int | None = _FROM_ENV) -> bool | 
     """Decide ``prod x**k >= prod y**l`` over the terms ``(x, k)`` of each side.
 
     A base is an ``int``, a positive ``Fraction`` or a degree's
-    ``DegreeBall``, and an exponent an integer of either sign.  The summed
-    brackets of ``_log2_power`` bound ``log2(lhs / rhs)``; each addition
-    rounds by 2**-53 of a partial sum, at most the sum of the terms' sizes,
-    while their radii add up to 2**-40 of it or more.  A bracket clear of 0
-    decides.  Only on an overlap is the bit budget charged: ``None``
-    (log-domain) when ``power_compare_bits`` exceeds it, else the exact
-    degrees and powers are built and compared.  ``budget`` is a bit cap,
-    ``None`` for none, and by default ``exact_bit_budget()``.
+    ``DegreeBall``, and an exponent an integer of either sign.  The
+    brackets of ``_log2_power`` bound ``log2(lhs / rhs)`` from both ends;
+    ``math.fsum`` adds each end with one correct rounding, which keeps the
+    sign of the exact sum whatever the number of terms, so a lower end
+    above 0 or an upper end below 0 decides.  On an overlap, sides of
+    degree balls with the same ``n``, prime exponents and exponents ``k``
+    (a shape and its conjugate, say) are equal.  Only then is the bit
+    budget charged: ``None`` (log-domain) when ``power_compare_bits``
+    exceeds it, else the exact degrees and powers are built and compared.
+    ``budget`` is a bit cap, ``None`` for none, and by default
+    ``exact_bit_budget()``.
     """
-    lo = hi = 0.0
-    for x, k in chain(lhs, ((y, -l) for y, l in rhs)):
-        term_lo, term_hi = _log2_power(x, k)
-        lo += term_lo
-        hi += term_hi
-    if lo > 0.0:
+    brackets = [_log2_power(x, k) for x, k in chain(lhs, ((y, -l) for y, l in rhs))]
+    if math.fsum(map(itemgetter(0), brackets)) > 0.0:
         return True
-    if hi < 0.0:
+    if math.fsum(map(itemgetter(1), brackets)) < 0.0:
         return False
+    keys = _degree_keys(lhs)
+    if keys and keys == _degree_keys(rhs):
+        return True
     if budget is _FROM_ENV:
         budget = exact_bit_budget()
     if budget is not None and power_compare_bits(lhs, rhs) > budget:
@@ -172,6 +178,17 @@ def powers_ge(lhs: Terms, rhs: Terms, budget: int | None = _FROM_ENV) -> bool | 
     lhs_num, lhs_den = _cleared(lhs)
     rhs_num, rhs_den = _cleared(rhs)
     return lhs_num * rhs_den >= rhs_num * lhs_den
+
+
+def _degree_keys(terms: Terms) -> list[tuple] | None:
+    """The terms as ``((n, exponents), k)``, or None unless every base is a degree ball.
+
+    Balls of the same ``n`` and prime exponents are the same degree, so
+    sides of the same keys are equal.
+    """
+    if all(type(x) is DegreeBall for x, _ in terms):
+        return [(x._key, k) for x, k in terms]
+    return None
 
 
 def _cleared(terms: Terms) -> tuple[int, int]:

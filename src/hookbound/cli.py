@@ -24,7 +24,6 @@ from .bounds import (
 )
 from .celltyping import cell_typing
 from .degrees import (
-    REMARK_GUARD,
     SUM_SQUARES_GUARD,
     SYT_COUNT_GUARD,
     count_syt_bruteforce,
@@ -202,38 +201,22 @@ def _cmd_oracle(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
+    # (label, the suite's own cap on n, the check of every shape of one n)
+    suites = (
+        ("sum-of-squares identity", SUM_SQUARES_GUARD, sum_squares_identity),
+        ("conjugation symmetry", SUM_SQUARES_GUARD,
+         lambda n: all(degree(p) == degree(p.conjugate()) for p in enumerate_partitions(n))),
+        ("brute-force tableau counts", min(DEGREE_SUITE_CAP, SYT_COUNT_GUARD),
+         lambda n: all(degree(p) == count_syt_bruteforce(p) for p in enumerate_partitions(n))),
+        ("tableau complement bound", REMARK_SUITE_CAP,
+         lambda n: all(map(verify_remark_N_ge_h, enumerate_partitions(n)))),
+    )
     failures = 0
-
-    cap = min(max_n, SUM_SQUARES_GUARD)
-    ok = all(sum_squares_identity(n) for n in range(1, cap + 1))
-    failures += not ok
-    print(f"sum-of-squares identity up to n={cap}: {'PASS' if ok else 'FAIL'}")
-
-    cap = min(max_n, SUM_SQUARES_GUARD)
-    ok = all(
-        degree(p) == degree(p.conjugate())
-        for n in range(cap + 1)
-        for p in enumerate_partitions(n)
-    )
-    failures += not ok
-    print(f"conjugation symmetry up to n={cap}: {'PASS' if ok else 'FAIL'}")
-
-    cap = min(max_n, DEGREE_SUITE_CAP, SYT_COUNT_GUARD)
-    ok = all(
-        degree(p) == count_syt_bruteforce(p)
-        for n in range(cap + 1)
-        for p in enumerate_partitions(n)
-    )
-    failures += not ok
-    print(f"brute-force tableau counts up to n={cap}: {'PASS' if ok else 'FAIL'}")
-
-    cap = min(max_n, REMARK_SUITE_CAP)
-    ok = all(
-        verify_remark_N_ge_h(p) for n in range(1, cap + 1) for p in enumerate_partitions(n)
-    )
-    failures += not ok
-    print(f"tableau complement bound up to n={cap}: {'PASS' if ok else 'FAIL'}")
-
+    for label, guard, check in suites:
+        cap = min(max_n, guard)
+        ok = all(map(check, range(cap + 1)))
+        failures += not ok
+        print(f"{label} up to n={cap}: {'PASS' if ok else 'FAIL'}")
     return EXIT_PASS if failures == 0 else EXIT_FAIL
 
 

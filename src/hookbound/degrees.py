@@ -78,9 +78,10 @@ monotone, so when both ends of the ball round to the same value, so does
 ``f``.  So ``log_degree`` is ``degree_ball(p).log()``, and builds ``f``
 only on such a midpoint.  ``bit_length`` reads the ends of the ball the
 same way and builds ``f`` only when they straddle a power of two.
-``at_least`` compares two balls: the same prime powers are equal degrees
-(a shape and its conjugate or itself), disjoint balls decide, and only an
-overlap builds both.
+Two degrees are compared by ``certificates.powers_ge``, which brackets
+both balls and reads equal prime powers (a shape and its conjugate or
+itself) as equal degrees, so only an overlap of different degrees builds
+them.
 
 ``count_syt_bruteforce`` grows every standard filling with no
 memoization and no hooks, so the two share nothing; the identity suites
@@ -354,30 +355,6 @@ class DegreeBall:
         if (top, shift) != _round53(self.m + self.rad, self.s):
             return math.log(self.exact())
         return math.log(top << shift)
-
-    def at_least(self, other: DegreeBall) -> bool:
-        """``f >= g`` for the degree ``g`` of ``other``, exactly.
-
-        Balls of the same prime powers are equal; disjoint balls decide the
-        comparison; only an overlap builds both degrees.
-        """
-        if self._key == other._key:
-            return True
-        if self._exact is not None and other._exact is not None:
-            return self._exact >= other._exact
-        if _scaled_ge(self.m, self.s, other.m + other.rad, other.s):
-            return True
-        if not _scaled_ge(self.m + self.rad, self.s, other.m, other.s):
-            return False
-        return self.exact() >= other.exact()
-
-
-def _scaled_ge(a: int, s: int, b: int, t: int) -> bool:
-    """``a * 2**s >= b * 2**t`` for positive ``a`` and ``b``, by bit lengths first."""
-    la, lb = a.bit_length() + s, b.bit_length() + t
-    if la != lb:
-        return la > lb
-    return a << s - t >= b if s >= t else a >= b << t - s
 
 
 def _round53(m: int, s: int) -> tuple[int, int]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .celltyping import _width_cap
 from .errors import EmptySampleSpaceError, HookBoundError
 from .partitions import Partition, sample_partition
 
@@ -70,7 +71,8 @@ def staircase(n: int, alpha: Fraction) -> Partition:
         parts.append(row)
         rest -= row
     lam = Partition(tuple(parts))
-    if lam.part(1) * alpha > n or len(lam) * alpha > n:
+    cap = _width_cap(n, alpha)
+    if lam.part(1) > cap or len(lam) > cap:
         raise HookBoundError(
             f"staircase family for n={n} violates the width constraint at alpha={alpha}"
         )
@@ -97,7 +99,7 @@ def staircase_with_tail(delta: int, c: int, tail_n: int, seed: int) -> Partition
 def constrained_sample(n: int, alpha: Fraction, seed: int) -> Partition:
     """Uniform partition of n with lambda_1, lambda'_1 <= n/alpha (exact bound)."""
     alpha = Fraction(alpha)
-    cap = int(Fraction(n) / alpha)  # floor of n/alpha
+    cap = _width_cap(n, alpha)
     try:
         return sample_partition(n, cap, cap, seed)
     except EmptySampleSpaceError:

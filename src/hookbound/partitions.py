@@ -153,18 +153,6 @@ class Partition:
             below = p
         return Partition(tuple(cols))
 
-    def arm(self, cell) -> int:
-        i, j = cell
-        if cell not in self:
-            raise CellOutOfDiagramError(Cell(i, j), self)
-        return self.parts[i - 1] - j
-
-    def leg(self, cell) -> int:
-        i, j = cell
-        if cell not in self:
-            raise CellOutOfDiagramError(Cell(i, j), self)
-        return self.conjugate().parts[j - 1] - i
-
     def hook_length(self, cell) -> int:
         """arm + leg + 1 of the cell, in this diagram."""
         i, j = cell

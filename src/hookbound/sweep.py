@@ -17,8 +17,9 @@ from operator import attrgetter
 
 from . import families
 from .bounds import theorem_classify
+from .celltyping import _width_cap
 from .errors import HookBoundError, HypothesisError
-from .partitions import Partition, count_partitions, enumerate_partitions, format_rational
+from .partitions import Partition, enumerate_partitions, format_rational
 
 ENUMERATE_CAP = 30
 
@@ -80,14 +81,12 @@ def _candidates(family, n, alpha, samples, seed):
     elif family == "staircase":
         yield families.staircase(n, alpha)
     elif family == "enumerate":
-        cap = int(Fraction(n) / alpha)
+        cap = _width_cap(n, Fraction(alpha))
         for lam in enumerate_partitions(n, max_part=cap, max_parts=cap):
             yield lam
     elif family == "sample":
         for i in range(samples):
             yield families.constrained_sample(n, alpha, (seed * 1_000_003 + n) * 1_000_003 + i)
-    else:
-        raise HookBoundError(f"unknown family {family!r}")
 
 
 def build_growth_report(

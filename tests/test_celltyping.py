@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import hookbound.celltyping
+import hookbound.certificates
 from hookbound.bounds import (
     general_bound,
     overexponential_bound,
@@ -22,14 +23,20 @@ from hookbound.bounds import (
 )
 from hookbound.celltyping import (
     CellTyping,
-    _aggregate_ge,
     _aggregate_holds,
     _check_typing,
     cell_typing,
     check_typing_hypotheses,
     rho,
 )
-from hookbound.certificates import MARGINAL, MODE_EXACT, PASS, CellTable, certificate_from_json
+from hookbound.certificates import (
+    MARGINAL,
+    MODE_EXACT,
+    PASS,
+    CellTable,
+    certificate_from_json,
+    powers_ge,
+)
 from hookbound.degrees import degree
 from hookbound.errors import ConsistencyError, HypothesisError
 from hookbound.families import staircase, staircase_with_tail
@@ -222,7 +229,16 @@ class TestTypingStructure:
         assert num * q**t123 >= p**t123 * den
 
 
+def aggregate_ge(numbers, hooks, t, p, q):
+    """``prod(numbers) * q**t >= p**t * prod(hooks)`` through ``powers_ge``."""
+    lhs = [(x, 1) for x in numbers] + [(q, t)]
+    rhs = [(p, t)] + [(h, 1) for h in hooks]
+    return powers_ge(lhs, rhs, None)
+
+
 class TestAggregateFilter:
+    """The aggregate clause's products, decided by ``powers_ge``."""
+
     @given(
         st.lists(st.integers(1, 60), max_size=30),
         st.lists(st.integers(1, 60), max_size=30),
@@ -232,7 +248,7 @@ class TestAggregateFilter:
     def test_matches_plain_products(self, numbers, hooks, t, alpha):
         p, q = alpha.numerator, alpha.denominator
         expected = math.prod(numbers) * q**t >= p**t * math.prod(hooks)
-        assert _aggregate_ge(numbers, hooks, t, p, q) == expected
+        assert aggregate_ge(numbers, hooks, t, p, q) == expected
 
     @pytest.mark.parametrize(
         "numbers, hooks, t, expected",
@@ -243,15 +259,16 @@ class TestAggregateFilter:
         ],
     )
     def test_near_ties_build_the_products(self, monkeypatch, numbers, hooks, t, expected):
-        trees = []
+        cleared = hookbound.certificates._cleared
+        built = []
 
-        def counted(factors):
-            trees.append(len(factors))
-            return math.prod(factors)
+        def counted(terms):
+            built.append(len(terms))
+            return cleared(terms)
 
-        monkeypatch.setattr(hookbound.celltyping, "_product_tree", counted)
-        assert _aggregate_ge(numbers, hooks, t, 11, 10) is expected
-        assert trees == [len(numbers), len(hooks)]
+        monkeypatch.setattr(hookbound.certificates, "_cleared", counted)
+        assert aggregate_ge(numbers, hooks, t, 11, 10) is expected
+        assert built == [len(numbers) + 1, len(hooks) + 1]
 
 
 # alpha = 3/2 puts the type-1 boundary k*q == 2*p at k = 3 corners
@@ -308,9 +325,9 @@ class TestAggregateClause:
 
         def counted(*args):
             fallbacks.append(args)
-            return _aggregate_ge(*args)
+            return powers_ge(*args)
 
-        monkeypatch.setattr(hookbound.celltyping, "_aggregate_ge", counted)
+        monkeypatch.setattr(hookbound.celltyping, "powers_ge", counted)
         routes = set()
 
         @settings(max_examples=300, deadline=None)
@@ -331,9 +348,9 @@ class TestAggregateClause:
 
     def test_reduced_staircases_take_the_few_cell_route(self, monkeypatch):
         def unexpected(*args):
-            pytest.fail("the aggregate product fell back to the log2 brackets")
+            pytest.fail("the aggregate product fell back to powers_ge")
 
-        monkeypatch.setattr(hookbound.celltyping, "_aggregate_ge", unexpected)
+        monkeypatch.setattr(hookbound.celltyping, "powers_ge", unexpected)
         for n in (2000, 6000):
             general_bound(staircase(n, ALPHA), ALPHA)
 

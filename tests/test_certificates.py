@@ -168,7 +168,7 @@ def _value(terms) -> Fraction:
 def _brackets_overlap(lhs, rhs) -> bool:
     """Whether the summed brackets of ``log2(lhs / rhs)`` hold 0."""
     brackets = [_log2_power(x, k) for x, k in lhs] + [_log2_power(y, -l) for y, l in rhs]
-    return sum(lo for lo, _ in brackets) <= 0.0 <= sum(hi for _, hi in brackets)
+    return math.fsum(lo for lo, _ in brackets) <= 0.0 <= math.fsum(hi for _, hi in brackets)
 
 
 class TestPowersGe:
@@ -205,6 +205,27 @@ class TestPowersGe:
             assert powers_ge(((ball, k), (2, 1)), ((f, k),), budget) is True
             assert powers_ge(((f, k),), ((ball, k), (2, 1)), budget) is False
         assert powers_ge(((ball, k),), ((f, k),), 0) is None
+
+    def test_ten_thousand_terms(self):
+        # each end's sum is rounded once, whatever the number of terms: near
+        # ties over 10,000 terms a side are decided as the exact products are
+        rng = random.Random(11)
+        lhs = [(rng.randrange(1, 1000), 1) for _ in range(5_000)]
+        lhs += [(Fraction(i + 1, i), rng.choice((1, -1))) for i in range(1, 5_001)]
+        tie = rng.sample(lhs, len(lhs))
+        x, k = tie[0]
+        value = _value(lhs)
+        for rhs in (
+            tie,
+            [(x + 1, k)] + tie[1:],
+            [(Fraction(x) / 2, k)] + tie[1:],
+            [(Fraction(1001, 1000), 1)] + tie,
+            [(Fraction(999, 1000), 1)] + tie,
+        ):
+            assert len(rhs) >= 10_000
+            rhs_value = _value(rhs)
+            assert powers_ge(lhs, rhs, None) is (value >= rhs_value)
+            assert powers_ge(rhs, lhs, None) is (rhs_value >= value)
 
     def test_budget_is_charged_only_on_overlap(self, monkeypatch):
         # disjoint brackets decide with any budget, the default one included

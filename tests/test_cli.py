@@ -357,6 +357,29 @@ class TestOracleCommand:
         assert code == EXIT_PASS
         assert out.count("PASS") == 4
         assert "FAIL" not in out
+        assert out.splitlines() == [
+            "sum-of-squares identity up to n=7: PASS",
+            "conjugation symmetry up to n=7: PASS",
+            "brute-force tableau counts up to n=7: PASS",
+            "tableau complement bound up to n=7: PASS",
+        ]
+
+    def test_suite_caps(self, capsys):
+        code, out, _ = run(capsys, "oracle", "--max-n", "9")
+        assert code == EXIT_PASS
+        assert out.splitlines() == [
+            "sum-of-squares identity up to n=9: PASS",
+            "conjugation symmetry up to n=9: PASS",
+            "brute-force tableau counts up to n=8: PASS",
+            "tableau complement bound up to n=7: PASS",
+        ]
+
+    def test_a_failure_at_the_cap_fails_the_run(self, capsys, monkeypatch):
+        monkeypatch.setattr(hookbound.cli, "verify_remark_N_ge_h", lambda p: p.n < 7)
+        code, out, _ = run(capsys, "oracle", "--max-n", "9")
+        assert code == EXIT_FAIL
+        assert out.splitlines()[-1] == "tableau complement bound up to n=7: FAIL"
+        assert out.count("PASS") == 3
 
     def test_guard(self, capsys):
         code, _, err = run(capsys, "oracle", "--max-n", "100")

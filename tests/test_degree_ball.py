@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import hookbound.bounds
 import hookbound.degrees
 from hookbound.bounds import theorem_classify
 from hookbound.certificates import _log2_power, exact_power_ge, log2_bracket, powers_ge
@@ -31,6 +32,12 @@ BENCHMARK_SHAPES = (
     + [staircase(n, ALPHA) for n in range(2000, 12001, 1000)]
     + [Partition((w,) * 20) for w in (600, 803)]
 )
+
+
+def at_least(a: DegreeBall, b: DegreeBall) -> bool:
+    """``f >= g`` for the degrees of two balls, decided as the containment checks decide it."""
+    return powers_ge(((a, 1),), ((b, 1),), None)
+
 
 # (P, exact bits): the defaults, then truncated products on small shapes
 PRECISIONS = [(128, 8192), (64, 0), (54, 0), (16, 0), (8, 0)]
@@ -240,18 +247,32 @@ class TestFallbacks:
         degrees = [degree(p) for p in shapes[::7]]
         for a, fa in zip(balls, degrees):
             for b, fb in zip(balls, degrees):
-                assert a.at_least(b) == (fa >= fb)
+                assert at_least(a, b) == (fa >= fb)
         built = sum(ball._exact is not None for ball in balls if ball.rad)
         assert built > 0
 
-    def test_equal_shapes_compare_equal_without_a_build(self):
+    def test_equal_shapes_compare_equal_without_a_build(self, monkeypatch):
         lam = staircase(3000, ALPHA)
         a, b, c = degree_ball(lam), degree_ball(lam), degree_ball(lam.conjugate())
+        smaller = degree_ball(staircase(2999, ALPHA))
+        exact = hookbound.degrees._exact
+        built = []
+
+        def counted(*args):
+            built.append(args[0])
+            return exact(*args)
+
+        monkeypatch.setattr(hookbound.degrees, "_exact", counted)
         assert a is not b
-        assert a.at_least(b) and b.at_least(a) and a.at_least(c) and c.at_least(a)
-        assert not degree_ball(staircase(2999, ALPHA)).at_least(a)
-        assert a.at_least(degree_ball(staircase(2999, ALPHA)))
+        assert at_least(a, b) and at_least(b, a) and at_least(a, c) and at_least(c, a)
+        assert not at_least(smaller, a)
+        assert at_least(a, smaller)
         assert (a._exact, b._exact, c._exact) == (None, None, None)
+        # a square input of the certify workload: its Durfee square is itself
+        hookbound.bounds._degree.cache_clear()
+        cert = theorem_classify(balanced(40000), 2, Fraction(3, 2))
+        assert cert.aux["class"] == "M2" and cert.passed
+        assert built == []
 
     def test_square_through_the_m2_route(self, monkeypatch):
         # the square is its own Durfee square: the containment check compares

@@ -9,15 +9,16 @@ from hookbound.bounds import (
     CLASS_M1,
     CLASS_M2,
     CLASS_M3,
-    _check_width_gates,
     _class_rule,
     _degree,
     classify,
     general_bound,
     reduce_diagram,
     rho,
+    strip_bound,
     theorem_classify,
 )
+from hookbound.celltyping import check_widths
 from hookbound.certificates import MODE_EXACT, PASS, certificate_from_json, revalidate
 import hookbound.degrees
 from hookbound.degrees import DegreeBall, degree, degree_ball, log_degree
@@ -402,7 +403,7 @@ class TestIntegerGates:
     def test_width_gates_pass_at_equality(self, parts, alpha):
         lam = Partition(parts)
         assert max(lam.part(1), len(lam)) * alpha == lam.n
-        _check_width_gates(lam, alpha)
+        check_widths(lam, alpha)
         assert theorem_classify(lam, alpha, (1 + alpha) / 2).aux["class"] == CLASS_M1
 
     @pytest.mark.parametrize(
@@ -419,11 +420,22 @@ class TestIntegerGates:
         # the message of the old Fraction gates ``width * alpha > n``
         lam = Partition(parts)
         with pytest.raises(HypothesisError) as err:
-            _check_width_gates(lam, alpha)
+            check_widths(lam, alpha)
         assert str(err.value) == "hypothesis violated: " + message
         with pytest.raises(HypothesisError) as err:
             theorem_classify(lam, alpha, (1 + alpha) / 2)
         assert str(err.value) == "hypothesis violated: " + message
+
+    def test_empty_partition_fails_the_width_gate(self):
+        empty = Partition(())
+        for gate in (
+            lambda: check_widths(empty, ALPHA),
+            lambda: strip_bound(empty, 1, 1, ALPHA),
+            lambda: theorem_classify(empty, ALPHA, (1 + ALPHA) / 2),
+        ):
+            with pytest.raises(HypothesisError) as err:
+                gate()
+            assert str(err.value) == "hypothesis violated: n >= 1 (empty partition)"
 
     def test_m1_gate_at_three_halves(self):
         alpha, beta = Fraction(3, 2), Fraction(5, 4)
