@@ -18,36 +18,29 @@ from .bounds import (
     strip_bound,
     theorem_classify,
 )
-from .celltyping import CellRecord, CellTyping, cell_typing, rho
+from .celltyping import CellTyping, cell_typing, rho
 from .certificates import BoundCertificate, certificate_from_json, revalidate
 from .degrees import (
     count_syt_bruteforce,
     degree,
     log_degree,
-    robbins_bounds,
-    robbins_log_bounds,
     standard_tableaux,
     sum_squares_identity,
     verify_remark_N_ge_h,
 )
 from .errors import (
-    CellOutOfDiagramError,
     ConsistencyError,
     DepthLimitError,
     EmptySampleSpaceError,
     GuardExceededError,
     HookBoundError,
     HypothesisError,
-    RemovalError,
 )
 from .partitions import (
-    Cell,
     Partition,
     count_partitions,
     enumerate_partitions,
-    format_partition,
     format_rational,
-    parse_partition,
     parse_rational,
     sample_partition,
     unrank_partition,
@@ -57,9 +50,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundCertificate",
-    "Cell",
-    "CellOutOfDiagramError",
-    "CellRecord",
     "CellTyping",
     "ConsistencyError",
     "DepthLimitError",
@@ -69,26 +59,21 @@ __all__ = [
     "HypothesisError",
     "Partition",
     "ReductionTrace",
-    "RemovalError",
     "cell_typing",
     "certificate_from_json",
     "count_partitions",
     "count_syt_bruteforce",
     "degree",
     "enumerate_partitions",
-    "format_partition",
     "format_rational",
     "general_bound",
     "log_degree",
     "overexponential_bound",
-    "parse_partition",
     "parse_rational",
     "rectangle_bound",
     "reduce_diagram",
     "revalidate",
     "rho",
-    "robbins_bounds",
-    "robbins_log_bounds",
     "sample_partition",
     "standard_tableaux",
     "strict_bound",

@@ -383,24 +383,21 @@ def _tilde(lam: Partition, delta: int) -> Partition:
     return Partition(tuple(parts))
 
 
-def reduce_diagram(
-    lam: Partition, alpha: Fraction, *, trace_only: bool = False
-) -> ReductionTrace:
+def reduce_diagram(lam: Partition, alpha: Fraction) -> ReductionTrace:
     """Reduce to a diagram satisfying the typing hypotheses, keeping f monotone.
 
-    With ``trace_only`` the construction runs without the delta >= 18*alpha
-    and n > delta^2 gates and without asserting that mu passes the typing
-    gate; used to trace the rules on small diagrams.
+    Gates delta >= 18*alpha, the widths and n > delta^2, in that order.
     """
     alpha = _require_alpha(alpha)
     n = lam.n
     if n < 1:
         raise HypothesisError("n >= 1", "empty partition")
     delta = lam.diagonal()
-    if not trace_only:
-        check_typing_hypotheses(lam, alpha, factor=18)
-        if n <= delta * delta:
-            raise HypothesisError("n > delta^2", f"n={n}, delta={delta}")
+    if delta < 18 * alpha:
+        raise HypothesisError("delta >= 18*alpha", f"delta={delta}, 18*alpha={18 * alpha}")
+    check_widths(lam, alpha)
+    if n <= delta * delta:
+        raise HypothesisError("n > delta^2", f"n={n}, delta={delta}")
 
     lam_tilde = _tilde(lam, delta)
     if not lam.contains(lam_tilde):
@@ -422,11 +419,10 @@ def reduce_diagram(
         s, t = t, s
 
     n1 = lam_tilde.n
-    if not trace_only:
-        if n1 < n - delta * delta + delta:
-            raise ConsistencyError(f"erased more than delta^2 - delta cells: n1={n1}")
-        if s < 1:
-            raise ConsistencyError("no staircased row exceeds delta despite n > delta^2")
+    if n1 < n - delta * delta + delta:
+        raise ConsistencyError(f"erased more than delta^2 - delta cells: n1={n1}")
+    if s < 1:
+        raise ConsistencyError("no staircased row exceeds delta despite n > delta^2")
 
     if s == delta:
         mu = lam_tilde
@@ -443,14 +439,11 @@ def reduce_diagram(
         raise ConsistencyError("mu is not contained in the input or its conjugate")
 
     delta_mu = mu.diagonal()
-    if not trace_only:
-        if delta_mu < delta // 2 + 1:
-            raise ConsistencyError(
-                f"delta(mu)={delta_mu} below [delta/2]+1={delta // 2 + 1}"
-            )
-        # mu must clear the typing gate for the chained bound to apply
-        check_typing_hypotheses(mu, alpha, factor=9)
-    rho_mu = rho(delta_mu, alpha) if delta_mu >= 1 else 0
+    if delta_mu < delta // 2 + 1:
+        raise ConsistencyError(f"delta(mu)={delta_mu} below [delta/2]+1={delta // 2 + 1}")
+    # mu must clear the typing gate for the chained bound to apply
+    check_typing_hypotheses(mu, alpha)
+    rho_mu = rho(delta_mu, alpha)
     return ReductionTrace(
         input=lam,
         lam_tilde=lam_tilde,

@@ -31,10 +31,10 @@ each row's numbers are one ``map`` over these prefix sums.  The typing
 keeps its cells once, as the ``table``: a ``certificates.CellTable`` of
 row-major typed columns of types, colors, numbers and hooks (of the
 original diagram), packed straight from the per-row numbers.  It is the
-form a typing-backed certificate keeps, and it iterates as plain ``(row,
-col, cell_type, color, number, hook)`` tuples.  ``cells`` builds
-``CellRecord`` named tuples, equal to those rows, on first use, and
-``grid_lines`` and ``to_json_dict`` read the same table.
+form a typing-backed certificate keeps, it is the typing's one
+representation of its cells, and it iterates as plain ``(row, col,
+cell_type, color, number, hook)`` tuples; ``eq1_violations``,
+``grid_lines`` and ``to_json_dict`` read it.
 
 The returned typing has been checked against the invariants that make the
 peeling argument sound: the counter inequality alpha*h <= N for every
@@ -75,10 +75,9 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import add, eq, le, mul, setitem
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .certificates import CellTable, powers_ge
 from .degrees import _product_tree
@@ -110,20 +109,6 @@ def rho(delta: int, alpha: Fraction) -> int:
     return delta * delta * q // (p % q) + 1
 
 
-class CellRecord(NamedTuple):
-    """One cell's typing: a plain tuple, so it compares equal to one."""
-
-    row: int
-    col: int
-    cell_type: int
-    color: int
-    number: int
-    hook: int
-
-    def as_list(self) -> list[int]:
-        return list(self)
-
-
 @dataclass(frozen=True)
 class CellTyping:
     partition: Partition
@@ -143,21 +128,11 @@ class CellTyping:
     def n(self) -> int:
         return self.partition.n
 
-    @cached_property
-    def cells(self) -> tuple[CellRecord, ...]:
-        # tuple.__new__ is CellRecord._make minus a Python-level call per record
-        return tuple(map(tuple.__new__, repeat(CellRecord), self.table))
-
-    def by_number(self) -> dict[int, CellRecord]:
-        return {rec.number: rec for rec in self.cells}
-
-    def of_type(self, t: int) -> tuple[CellRecord, ...]:
-        return tuple(rec for rec in self.cells if rec.cell_type == t)
-
-    def eq1_violations(self) -> tuple[CellRecord, ...]:
-        """Type-1/2/3 cells with alpha*hook > number (always numbered below alpha)."""
-        a = self.alpha
-        return tuple(r for r in self.cells if r.cell_type in _T123 and a * r.hook > r.number)
+    def eq1_violations(self) -> tuple[tuple[int, ...], ...]:
+        """Rows ``(row, col, type, color, N, hook)`` of the table for the type-1/2/3
+        cells with alpha*hook > N (always numbered below alpha)."""
+        p, q = self.alpha.numerator, self.alpha.denominator
+        return tuple(r for r in self.table if r[2] in _T123 and p * r[5] > q * r[4])
 
     def grid_lines(self) -> list[str]:
         """One character per cell (the type), one string per diagram row."""
@@ -200,41 +175,37 @@ def check_widths(lam: Partition, alpha: Fraction) -> None:
         raise HypothesisError("lambda'_1 <= n/alpha", f"lambda'_1={len(lam)}, n={n}")
 
 
-def check_typing_hypotheses(lam: Partition, alpha: Fraction, factor: int = 9) -> tuple[int, int]:
+def check_typing_hypotheses(lam: Partition, alpha: Fraction) -> tuple[int, int]:
     """Gate for the typing construction; returns (delta, tau).
 
-    Raises HypothesisError naming the first failing condition.  ``factor``
-    is 9 for the typing itself and 18 for the diagram reduction.
+    Raises HypothesisError naming the first failing condition.
     """
     alpha = _require_alpha(alpha)
     n = lam.n
     if n < 1:
         raise HypothesisError("n >= 1", "empty partition")
     delta = lam.diagonal()
-    if delta < factor * alpha:
-        raise HypothesisError(
-            f"delta >= {factor}*alpha", f"delta={delta}, {factor}*alpha={factor * alpha}"
-        )
+    if delta < 9 * alpha:
+        raise HypothesisError("delta >= 9*alpha", f"delta={delta}, 9*alpha={9 * alpha}")
     check_widths(lam, alpha)
     conj = lam.conjugate()
-    if factor == 9:
-        for i in range(1, delta):
-            if lam.part(i) <= lam.part(i + 1):
-                raise HypothesisError(
-                    "lambda_1 > ... > lambda_delta",
-                    f"lambda_{i}={lam.part(i)} <= lambda_{i + 1}={lam.part(i + 1)}",
-                )
-        # every one of the first delta rows must be a corner: row delta must
-        # reach the square (>= delta) and stick out past the next row
-        if lam.part(delta) < delta:
+    for i in range(1, delta):
+        if lam.part(i) <= lam.part(i + 1):
             raise HypothesisError(
-                "lambda_delta >= delta", f"lambda_delta={lam.part(delta)}, delta={delta}"
+                "lambda_1 > ... > lambda_delta",
+                f"lambda_{i}={lam.part(i)} <= lambda_{i + 1}={lam.part(i + 1)}",
             )
-        if lam.part(delta) <= lam.part(delta + 1):
-            raise HypothesisError(
-                "row delta is a corner",
-                f"lambda_delta={lam.part(delta)} <= lambda_{delta + 1}={lam.part(delta + 1)}",
-            )
+    # every one of the first delta rows must be a corner: row delta must
+    # reach the square (>= delta) and stick out past the next row
+    if lam.part(delta) < delta:
+        raise HypothesisError(
+            "lambda_delta >= delta", f"lambda_delta={lam.part(delta)}, delta={delta}"
+        )
+    if lam.part(delta) <= lam.part(delta + 1):
+        raise HypothesisError(
+            "row delta is a corner",
+            f"lambda_delta={lam.part(delta)} <= lambda_{delta + 1}={lam.part(delta + 1)}",
+        )
     tau = 0
     while (
         tau < delta
@@ -247,7 +218,7 @@ def check_typing_hypotheses(lam: Partition, alpha: Fraction, factor: int = 9) ->
 
 def cell_typing(lam: Partition, alpha: Fraction) -> CellTyping:
     alpha = Fraction(alpha)
-    delta, tau = check_typing_hypotheses(lam, alpha, factor=9)
+    delta, tau = check_typing_hypotheses(lam, alpha)
     n = lam.n
     rho_val = rho(delta, alpha)
     p, q_ = alpha.numerator, alpha.denominator
@@ -448,7 +419,7 @@ def _check_typing(ct: CellTyping, t123: int) -> None:
     if not all(map(le, hook_of[1 : below + 1], range(1, below + 1))) or not all(
         map(le, scaled, range((below + 1) * q, (t + 1) * q, q))
     ):
-        _raise_first_bad_cell(ct.cells, p, q)
+        _raise_first_bad_cell(ct.table, p, q)
     if not _aggregate_holds(hook_of, t, t123, p, q):
         raise ConsistencyError("aggregate product over type-1/2/3 cells below alpha^|T123|")
 
@@ -469,9 +440,9 @@ def _check_typing(ct: CellTyping, t123: int) -> None:
 _T123 = frozenset((1, 2, 3))
 
 
-def _raise_first_bad_cell(cells: tuple[CellRecord, ...], p: int, q: int) -> None:
+def _raise_first_bad_cell(table: CellTable, p: int, q: int) -> None:
     """Raise for the first type-1/2/3 cell, in cell order, with h > N or alpha*h > N >= alpha."""
-    for row, col, cell_type, _, num, h in cells:
+    for row, col, cell_type, _, num, h in table:
         if cell_type in _T123 and (h > num or num * q >= p and p * h > q * num):
             clause = "h <= N" if h > num else "alpha*h <= N"
             raise ConsistencyError(f"{clause} fails at cell ({row},{col}) with N={num}, h={h}")

@@ -516,24 +516,3 @@ def sum_squares_identity(n: int) -> bool:
         raise GuardExceededError("sum_squares_identity", n, SUM_SQUARES_GUARD)
     total = sum(degree(p) ** 2 for p in enumerate_partitions(n))
     return total == factorial(n)
-
-
-def robbins_log_bounds(n: int) -> tuple[float, float]:
-    """Two-sided Stirling bounds on ln(n!) with the 1/(12n) correction terms."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    base = 0.5 * math.log(2 * math.pi * n) + n * (math.log(n) - 1)
-    return base + 1.0 / (12 * n + 1), base + 1.0 / (12 * n)
-
-
-def robbins_bounds(n: int) -> tuple[float, float]:
-    """The bounds of ``robbins_log_bounds`` exponentiated (overflows past n~170)."""
-    lo, hi = robbins_log_bounds(n)
-    return math.exp(lo), math.exp(hi)
-
-
-def weak_stirling_log_lower(n: int) -> float:
-    """ln of the weak factorial lower bound n^n e^{-n}."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return n * (math.log(n) - 1)

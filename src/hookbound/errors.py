@@ -5,23 +5,6 @@ class HookBoundError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class CellOutOfDiagramError(HookBoundError):
-    """A cell coordinate lies outside the Young diagram."""
-
-    def __init__(self, cell, partition):
-        self.cell = cell
-        self.partition = partition
-        super().__init__(f"cell {tuple(cell)} not in diagram {partition}")
-
-
-class RemovalError(HookBoundError):
-    """A requested cell removal does not peel corners of the running diagram."""
-
-    def __init__(self, cell, message):
-        self.cell = cell
-        super().__init__(f"cannot remove {tuple(cell)}: {message}")
-
-
 class EmptySampleSpaceError(HookBoundError):
     """No partition satisfies the requested sampling constraints."""
 

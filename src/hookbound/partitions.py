@@ -50,20 +50,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, compress, count, islice, repeat
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
-from .errors import (
-    CellOutOfDiagramError,
-    DepthLimitError,
-    EmptySampleSpaceError,
-    HookBoundError,
-    RemovalError,
-)
-
-
-class Cell(NamedTuple):
-    row: int
-    col: int
+from .errors import DepthLimitError, EmptySampleSpaceError, HookBoundError
 
 
 @dataclass(frozen=True)
@@ -127,15 +116,11 @@ class Partition:
             raise HookBoundError(f"part index must be >= 1, got {i}")
         return self.parts[i - 1] if i <= len(self.parts) else 0
 
-    def cells(self) -> Iterator[Cell]:
-        """All cells in row-major order."""
+    def cells(self) -> Iterator[tuple[int, int]]:
+        """All cells ``(row, col)`` in row-major order."""
         for i, row in enumerate(self.parts, start=1):
             for j in range(1, row + 1):
-                yield Cell(i, j)
-
-    def __contains__(self, cell) -> bool:
-        i, j = cell
-        return 1 <= i <= len(self.parts) and 1 <= j <= self.parts[i - 1]
+                yield i, j
 
     # -- diagram operations -------------------------------------------------
 
@@ -153,19 +138,11 @@ class Partition:
             below = p
         return Partition(tuple(cols))
 
-    def hook_length(self, cell) -> int:
-        """arm + leg + 1 of the cell, in this diagram."""
-        i, j = cell
-        if cell not in self:
-            raise CellOutOfDiagramError(Cell(i, j), self)
-        conj = self.conjugate().parts
-        return (self.parts[i - 1] - j) + (conj[j - 1] - i) + 1
-
-    def hook_grid(self) -> dict[Cell, int]:
-        """Hook lengths of every cell, computed in one pass."""
+    def hook_grid(self) -> dict[tuple[int, int], int]:
+        """Hook lengths of every cell ``(row, col)``, computed in one pass."""
         conj = self.conjugate().parts
         return {
-            Cell(i, j): (row - j) + (conj[j - 1] - i) + 1
+            (i, j): (row - j) + (conj[j - 1] - i) + 1
             for i, row in enumerate(self.parts, start=1)
             for j in range(1, row + 1)
         }
@@ -177,46 +154,6 @@ class Partition:
         ``lambda_i >= i`` are exactly the square's rows.
         """
         return sum(map(operator.ge, self.parts, range(1, len(self.parts) + 1)))
-
-    def in_hook_class(self, k: int, l: int) -> bool:
-        """True iff part k+1 is at most l (diagram fits the k-row, l-column hook)."""
-        if k < 0 or l < 0:
-            raise HookBoundError("hook class parameters must be non-negative")
-        return self.part(k + 1) <= l
-
-    def corner_cells(self) -> tuple[Cell, ...]:
-        """Cells with hook length 1, top to bottom."""
-        return tuple(Cell(i + 1, self.parts[i]) for i in corner_rows(self.parts))
-
-    def remove_cells(self, cells: Iterable[Cell]) -> "Partition":
-        """Remove a set of cells that peels corners of the running diagram.
-
-        Validates that in each row the removed cells are exactly a rightmost
-        run and that the result is still a partition; otherwise the removal
-        could not have proceeded corner by corner in any order.
-        """
-        by_row: dict[int, set[int]] = {}
-        for cell in cells:
-            i, j = cell
-            if cell not in self:
-                raise CellOutOfDiagramError(Cell(i, j), self)
-            by_row.setdefault(i, set()).add(j)
-        new_parts = list(self.parts)
-        for i, cols in by_row.items():
-            row = self.parts[i - 1]
-            expected = set(range(row - len(cols) + 1, row + 1))
-            if cols != expected:
-                j = min(cols - expected)
-                raise RemovalError(Cell(i, j), "removed cells in a row must be a rightmost run")
-            new_parts[i - 1] = row - len(cols)
-        for idx in range(len(new_parts) - 1):
-            if new_parts[idx] < new_parts[idx + 1]:
-                bad_row = idx + 1
-                bad_col = min(by_row.get(bad_row, {new_parts[idx] + 1}))
-                raise RemovalError(
-                    Cell(bad_row, bad_col), "result is not weakly decreasing"
-                )
-        return Partition(tuple(p for p in new_parts if p > 0))
 
     def contains(self, other: "Partition") -> bool:
         """True iff ``other`` fits inside this diagram row by row."""
@@ -256,14 +193,6 @@ def format_rational(value: Fraction | int) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
-
-
-def parse_partition(text: str) -> Partition:
-    return Partition.parse(text)
-
-
-def format_partition(p: Partition) -> str:
-    return p.format()
 
 
 # -- enumeration, counting, exact-uniform sampling ---------------------------

@@ -102,7 +102,7 @@ def test_criterion_05_strip_bound_sweep_and_example():
     for n in range(10, 19):
         cap = n // 2
         for lam in enumerate_partitions(n, max_part=cap, max_parts=cap):
-            if not lam.in_hook_class(3, 2):
+            if lam.part(4) > 2:
                 continue
             cert = strip_bound(lam, 3, 2, alpha)
             if cert.mode == MODE_LOG:
@@ -172,18 +172,19 @@ def test_criterion_07_cell_typing_soundness():
         below_alpha = []
         prod_n = prod_h = 1
         t123 = 0
-        for rec in ct.cells:
-            if rec.cell_type not in (1, 2, 3):
+        for rec in ct.table:
+            _, _, cell_type, _, number, hook = rec
+            if cell_type not in (1, 2, 3):
                 continue
             t123 += 1
-            prod_n *= rec.number
-            prod_h *= rec.hook
-            if rec.hook > rec.number:
-                hook_failures.append((lam.format(), rec.number, rec.hook))
-            if Fraction(rec.number) < alpha:
+            prod_n *= number
+            prod_h *= hook
+            if hook > number:
+                hook_failures.append((lam.format(), number, hook))
+            if Fraction(number) < alpha:
                 below_alpha.append(rec)
-            elif alpha * rec.hook > rec.number:
-                counter_failures.append((lam.format(), rec.number, rec.hook))
+            elif alpha * hook > number:
+                counter_failures.append((lam.format(), number, hook))
         cells_checked += t123
         exempt += len(below_alpha)
         # equality also puts every eq1 violation below alpha
@@ -197,8 +198,9 @@ def test_criterion_07_cell_typing_soundness():
         if Fraction(ct.counts[3]) > ct.delta**2 + alpha * ct.rho:
             clause_failures.append(("eq6", lam.format()))
         prod = 1
-        for rec in ct.of_type(4):
-            prod *= rec.hook
+        for _, _, cell_type, _, _, hook in ct.table:
+            if cell_type == 4:
+                prod *= hook
         falling = 1
         for i in range(ct.counts[3]):
             falling *= lam.n - i

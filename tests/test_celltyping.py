@@ -40,10 +40,12 @@ from hookbound.certificates import (
 from hookbound.degrees import degree
 from hookbound.errors import ConsistencyError, HypothesisError
 from hookbound.families import staircase, staircase_with_tail
-from hookbound.partitions import Cell, Partition
+from hookbound.partitions import Partition, corner_rows
 
 ALPHA = Fraction(11, 10)
 STAIR = Partition(tuple(range(20, 10, -1)))  # (20,...,11) |- 155, delta = 10
+# a table row is (row, col, type, color, N, hook)
+TYPE, NUMBER, HOOK = 2, 4, 5
 
 
 @pytest.fixture(scope="module")
@@ -52,10 +54,10 @@ def stair_typing():
 
 
 def _with_cells(ct, cells):
-    """``ct`` with its table rebuilt from ``cells``, a tuple of records in
-    the diagram's row-major order (only types, colors, numbers and hooks
-    may differ from ``ct.cells``)."""
-    assert [(rec.row, rec.col) for rec in cells] == [(rec.row, rec.col) for rec in ct.cells]
+    """``ct`` with its table rebuilt from ``cells``, rows ``(row, col, type,
+    color, N, hook)`` in the diagram's row-major order (only types, colors,
+    numbers and hooks may differ from the rows of ``ct.table``)."""
+    assert [tuple(cell[:2]) for cell in cells] == list(ct.partition.cells())
     _, _, types, colors, numbers, hooks = zip(*cells)
     return dataclasses.replace(
         ct, table=CellTable(ct.partition.parts, types, colors, numbers, hooks)
@@ -134,14 +136,14 @@ class TestTypingStructure:
         assert sum(stair_typing.counts) == STAIR.n
 
     def test_numbering_is_bijection(self, stair_typing):
-        numbers = sorted(r.number for r in stair_typing.cells)
+        numbers = sorted(number for _, _, _, _, number, _ in stair_typing.table)
         assert numbers == list(range(1, STAIR.n + 1))
 
     def test_type_blocks_ordered(self, stair_typing):
         maxmin = {}
-        for r in stair_typing.cells:
-            lo, hi = maxmin.get(r.cell_type, (10**9, -1))
-            maxmin[r.cell_type] = (min(lo, r.number), max(hi, r.number))
+        for _, _, cell_type, _, number, _ in stair_typing.table:
+            lo, hi = maxmin.get(cell_type, (10**9, -1))
+            maxmin[cell_type] = (min(lo, number), max(hi, number))
         present = sorted(maxmin)
         for a, b in zip(present, present[1:]):
             assert maxmin[a][1] < maxmin[b][0]
@@ -160,26 +162,26 @@ class TestTypingStructure:
 
     def test_hooks_are_original(self, stair_typing):
         hooks = STAIR.hook_grid()
-        for rec in stair_typing.cells:
-            assert rec.hook == hooks[(rec.row, rec.col)]
+        for row, col, _, _, _, hook in stair_typing.table:
+            assert hook == hooks[(row, col)]
 
     def test_round_one_cells_are_original_corners(self, stair_typing):
-        by_number = stair_typing.by_number()
-        corners = STAIR.corner_cells()
-        for i, cell in enumerate(corners, start=1):
-            rec = by_number[i]
-            assert (rec.row, rec.col) == cell
-            assert rec.color == 1 and rec.cell_type == 1
+        by_number = {rec[NUMBER]: rec for rec in stair_typing.table}
+        for number, i in enumerate(corner_rows(STAIR.parts), start=1):
+            row, col, cell_type, color, _, _ = by_number[number]
+            assert (row, col) == (i + 1, STAIR.parts[i])
+            assert color == 1 and cell_type == 1
 
     def test_counter_inequality_exact_for_cells_at_least_alpha(self, stair_typing):
-        for rec in stair_typing.cells:
-            if rec.cell_type in (1, 2, 3) and Fraction(rec.number) >= ALPHA:
-                assert ALPHA * rec.hook <= rec.number, rec
+        for rec in stair_typing.table:
+            _, _, cell_type, _, number, hook = rec
+            if cell_type in (1, 2, 3) and Fraction(number) >= ALPHA:
+                assert ALPHA * hook <= number, rec
 
     def test_only_violations_are_the_sub_alpha_prefix(self, stair_typing):
         # alpha*h <= N cannot hold at N=1 (h=1, alpha>1); nothing else violates
         violations = stair_typing.eq1_violations()
-        assert [(v.number, v.hook) for v in violations] == [(1, 1)]
+        assert [(number, hook) for _, _, _, _, number, hook in violations] == [(1, 1)]
 
     def test_sub_alpha_cell_with_long_hook_is_rejected(self, stair_typing):
         # rotate the type-1 numbers so the last type-1 cell becomes N = 1:
@@ -187,14 +189,12 @@ class TestTypingStructure:
         # under permuting the numbers), only h <= N catches it
         ct = stair_typing
         last = ct.counts[0]
-        rotated = tuple(
-            rec._replace(number=rec.number % last + 1)
-            if rec.cell_type == 1
-            else rec
-            for rec in ct.cells
-        )
-        moved = next(rec for rec in rotated if rec.cell_type == 1 and rec.number == 1)
-        assert moved.hook > 1
+        rotated = [
+            (row, col, cell_type, color, number % last + 1 if cell_type == 1 else number, hook)
+            for row, col, cell_type, color, number, hook in ct.table
+        ]
+        moved = next(rec for rec in rotated if rec[TYPE] == 1 and rec[NUMBER] == 1)
+        assert moved[HOOK] > 1
         with pytest.raises(ConsistencyError, match=r"^h <= N fails"):
             _check_typing(_with_cells(ct, rotated), sum(ct.counts[:3]))
 
@@ -209,8 +209,9 @@ class TestTypingStructure:
     def test_type4_product_below_falling_factorial(self, stair_typing):
         ct = stair_typing
         prod = 1
-        for rec in ct.of_type(4):
-            prod *= rec.hook
+        for _, _, cell_type, _, _, hook in ct.table:
+            if cell_type == 4:
+                prod *= hook
         falling = 1
         for i in range(ct.counts[3]):
             falling *= STAIR.n - i
@@ -220,10 +221,10 @@ class TestTypingStructure:
         ct = stair_typing
         num = den = 1
         t123 = 0
-        for rec in ct.cells:
-            if rec.cell_type in (1, 2, 3):
-                num *= rec.number
-                den *= rec.hook
+        for _, _, cell_type, _, number, hook in ct.table:
+            if cell_type in (1, 2, 3):
+                num *= number
+                den *= hook
                 t123 += 1
         p, q = ALPHA.numerator, ALPHA.denominator
         assert num * q**t123 >= p**t123 * den
@@ -313,7 +314,7 @@ class TestAggregateClause:
             table=CellTable((4,), [1] * 4, [1] * 4, [1, 2, 3, 4], [1, 2, 1, 1]),
             mu=Partition(()),
         )
-        assert [(rec.number, rec.hook) for rec in ct.eq1_violations()] == [(1, 1), (2, 2)]
+        assert [row[4:] for row in ct.eq1_violations()] == [(1, 1), (2, 2)]
         with pytest.raises(ConsistencyError) as err:
             _check_typing(ct, 4)
         assert str(err.value) == "aggregate product over type-1/2/3 cells below alpha^|T123|"
@@ -362,7 +363,7 @@ class TestTypingWithTail:
         assert sum(ct.counts) == lam.n
         assert ct.delta == 10
         violations = ct.eq1_violations()
-        assert all(Fraction(v.number) < ALPHA for v in violations)
+        assert all(Fraction(number) < ALPHA for _, _, _, _, number, _ in violations)
 
     def test_wide_tail_on_conjugate_side(self):
         # two long rows over the staircase are two tall columns of the conjugate
@@ -448,7 +449,7 @@ class TestCellsRoundTrip:
     def test_strict_certificate(self, stair_typing):
         cert = strict_bound(STAIR, ALPHA)
         assert all(type(row) is tuple for row in cert.cells)
-        assert cert.cells == stair_typing.cells
+        assert cert.cells == stair_typing.table
         assert certificate_from_json(cert.to_json()).cells == cert.cells
 
     def test_general_certificate(self):
@@ -457,40 +458,34 @@ class TestCellsRoundTrip:
         mu = Partition.parse(cert.aux["mu"])
         nested = json.loads(cert.to_json())["aux"]["mu_certificate"]
         assert len(nested["cells"]) == mu.n
-        assert certificate_from_json(nested).cells == cell_typing(mu, ALPHA).cells
+        assert certificate_from_json(nested).cells == cell_typing(mu, ALPHA).table
 
 
 def _swap_numbers_past_alpha(ct):
     # a type-1 cell A with hook h >= 2 and number N > h trades numbers with
     # the cell numbered h: A then has h <= N = h < alpha*h, and the other
     # cell, now numbered N > h, still meets both per-cell clauses
-    a = next(r for r in ct.cells if r.cell_type == 1 and 2 <= r.hook < r.number)
-    b = ct.by_number()[a.hook]
-    swapped = {
-        a: a._replace(number=b.number),
-        b: b._replace(number=a.number),
-    }
-    return _with_cells(ct, tuple(swapped.get(r, r) for r in ct.cells))
+    cells = list(map(list, ct.table))
+    a = next(r for r in cells if r[TYPE] == 1 and 2 <= r[HOOK] < r[NUMBER])
+    return _swap_numbers(ct, a[NUMBER], a[HOOK])
 
 
 def _relabel_last_cell(ct, cell_type):
-    n = ct.n
-    cells = tuple(
-        r._replace(cell_type=cell_type) if r.number == n else r for r in ct.cells
-    )
+    cells = list(map(list, ct.table))
+    next(r for r in cells if r[NUMBER] == ct.n)[TYPE] = cell_type
     return _with_cells(ct, cells)
 
 
 def _set_hook(ct, cell_type, hook):
-    first = next(r for r in ct.cells if r.cell_type == cell_type)
-    cells = tuple(r._replace(hook=hook) if r is first else r for r in ct.cells)
+    cells = list(map(list, ct.table))
+    next(r for r in cells if r[TYPE] == cell_type)[HOOK] = hook
     return _with_cells(ct, cells)
 
 
 def _set_number(ct, index, number):
-    cells = list(ct.cells)
-    cells[index] = cells[index]._replace(number=number)
-    return _with_cells(ct, tuple(cells))
+    cells = list(map(list, ct.table))
+    cells[index][NUMBER] = number
+    return _with_cells(ct, cells)
 
 
 # each corruption of the (20,...,11) typing breaks exactly one clause, by
@@ -510,7 +505,7 @@ CORRUPTIONS = {
         "typing columns do not hold one entry per cell",
     ),
     "bijection": (
-        lambda ct: _set_number(ct, 0, ct.cells[1].number),
+        lambda ct: _set_number(ct, 0, ct.table.numbers[1]),
         "numbering is not a bijection onto 1..n",
     ),
     "types partition": (
@@ -572,9 +567,10 @@ class TestCheckTypingClauses:
 
 
 def _swap_numbers(ct, m, k):
-    recs = ct.by_number()
-    swapped = {recs[m]: recs[m]._replace(number=k), recs[k]: recs[k]._replace(number=m)}
-    return _with_cells(ct, tuple(swapped.get(r, r) for r in ct.cells))
+    cells = list(map(list, ct.table))
+    by_number = {r[NUMBER]: r for r in cells}
+    by_number[m][NUMBER], by_number[k][NUMBER] = k, m
+    return _with_cells(ct, cells)
 
 
 class TestCheckTypingBoundaries:
@@ -598,8 +594,9 @@ class TestCheckTypingBoundaries:
     def test_last_type123_cell_is_held_to_h_at_most_n(self, stair_typing):
         # cell (3,1) is numbered |T123| = 152, the last type-1/2/3 number
         ct = stair_typing
-        last = ct.by_number()[152]
-        bad = _with_cells(ct, tuple(r._replace(hook=153) if r is last else r for r in ct.cells))
+        cells = list(map(list, ct.table))
+        next(r for r in cells if r[NUMBER] == 152)[HOOK] = 153
+        bad = _with_cells(ct, cells)
         with pytest.raises(ConsistencyError) as err:
             _check_typing(bad, sum(ct.counts[:3]))
         assert str(err.value) == "h <= N fails at cell (3,1) with N=152, h=153"
@@ -652,14 +649,14 @@ def test_cell_below_alpha_binds_at_one_past_its_number(stair_typing):
 )
 def test_numbers_outside_one_to_n_are_not_a_bijection(stair_typing, renumber):
     ct = stair_typing
-    bad = _set_number(ct, 0, renumber(ct.cells[0].number, ct.n))
+    bad = _set_number(ct, 0, renumber(ct.table.numbers[0], ct.n))
     with pytest.raises(ConsistencyError) as err:
         _check_typing(bad, sum(ct.counts[:3]))
     assert str(err.value) == "numbering is not a bijection onto 1..n"
 
 
 def _reference_typing(lam, alpha):
-    """The Cell-keyed dict construction of cell_typing, without its checks."""
+    """The cell-keyed dict construction of cell_typing, without its checks."""
     delta, _ = check_typing_hypotheses(lam, alpha)
     rho_val = rho(delta, alpha)
     hooks = lam.hook_grid()
@@ -669,7 +666,7 @@ def _reference_typing(lam, alpha):
         for i, row in enumerate(parts, start=1):
             nxt = parts[i] if i < len(parts) else 0
             if row > 0 and row > nxt:
-                out.append(Cell(i, row))
+                out.append((i, row))
         return out
 
     assigned = {}
@@ -685,10 +682,10 @@ def _reference_typing(lam, alpha):
         for cell in corners:
             counter += 1
             assigned[cell] = (1, color, counter)
-            work[cell.row - 1] -= 1
+            work[cell[0] - 1] -= 1
     t_rounds = []
     while True:
-        outside = [c for c in corners_of(work) if c.row > delta or c.col > delta]
+        outside = [(i, j) for i, j in corners_of(work) if i > delta or j > delta]
         if Fraction(len(outside)) < alpha:
             break
         color += 1
@@ -696,13 +693,13 @@ def _reference_typing(lam, alpha):
         for cell in outside:
             counter += 1
             assigned[cell] = (2, color, counter)
-            work[cell.row - 1] -= 1
+            work[cell[0] - 1] -= 1
     mu = Partition(tuple(p for p in work if p > 0))
     mu_conj = mu.conjugate()
     k_max = max(mu.part(1), mu_conj.part(1)) if mu else 0
     for m in range(k_max, delta + rho_val, -1):
-        row_seg = [Cell(m, j) for j in range(1, mu.part(m) + 1)]
-        col_seg = [Cell(i, m) for i in range(1, mu_conj.part(m) + 1)]
+        row_seg = [(m, j) for j in range(1, mu.part(m) + 1)]
+        col_seg = [(i, m) for i in range(1, mu_conj.part(m) + 1)]
         for cell in row_seg + col_seg:
             counter += 1
             assigned[cell] = (3, m, counter)
@@ -710,7 +707,7 @@ def _reference_typing(lam, alpha):
         if cell not in assigned:
             counter += 1
             assigned[cell] = (4, 0, counter)
-    cells = [[c.row, c.col, *assigned[c], hooks[c]] for c in lam.cells()]
+    cells = [[*c, *assigned[c], hooks[c]] for c in lam.cells()]
     return tuple(s_rounds), tuple(t_rounds), mu, cells
 
 
@@ -743,7 +740,12 @@ class TestAgainstCellDictReference:
         assert all(any(ct.counts[t] for ct in typings) for t in range(4))
         # type-3 cells below row delta come from row segments, the rest from
         # column segments; a row segment of two cells fixes its order
-        type3 = [(rec.row > ct.delta, rec.col) for ct in typings for rec in ct.of_type(3)]
+        type3 = [
+            (row > ct.delta, col)
+            for ct in typings
+            for row, col, cell_type, _, _, _ in ct.table
+            if cell_type == 3
+        ]
         assert {below for below, _ in type3} == {True, False}
         assert (True, 2) in type3
 
@@ -754,7 +756,7 @@ class TestAgainstCellDictReference:
         s_rounds, t_rounds, mu, cells = _reference_typing(lam, alpha)
         assert (ct.s_rounds, ct.t_rounds, ct.mu) == (s_rounds, t_rounds, mu)
         assert (ct.r, ct.q) == (len(s_rounds), len(t_rounds))
-        assert [rec.as_list() for rec in ct.cells] == cells
+        assert list(map(list, ct.table)) == cells
         assert ct.counts == tuple(sum(1 for c in cells if c[2] == t) for t in (1, 2, 3, 4))
 
 
@@ -817,7 +819,7 @@ def test_typing_frees_its_construction_before_the_check():
 
 
 def test_reduced_rectangle_typing_digest():
-    # recorded from the Cell-dict construction: same records, byte for byte
+    # recorded from the cell-keyed dict construction: same records, byte for byte
     alpha = Fraction(11, 10)
     ct = cell_typing(reduce_diagram(Partition((800,) * 20), alpha).mu, alpha)
     digest = hashlib.sha256(json.dumps(ct.to_json_dict()).encode()).hexdigest()

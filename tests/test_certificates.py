@@ -396,17 +396,18 @@ class TestCellTable:
         ct = cell_typing(STAIR, ALPHA)
         table = ct.table
         assert len(table) == STAIR.n
-        assert list(table) == [tuple(rec) for rec in ct.cells]
         assert all(type(row) is tuple for row in table)
-        assert [row[:2] for row in table] == [(c.row, c.col) for c in STAIR.cells()]
+        assert [row[:2] for row in table] == list(STAIR.cells())
+        hooks = STAIR.hook_grid()
+        assert [row[5] for row in table] == [hooks[row[:2]] for row in table]
 
     def test_equal_to_the_typing_cells_both_ways(self):
-        ct = cell_typing(STAIR, ALPHA)
+        rows = tuple(cell_typing(STAIR, ALPHA).table)
         cert = strict_bound(STAIR, ALPHA)
-        assert cert.cells == ct.cells and ct.cells == cert.cells
-        assert cert.cells == list(map(list, ct.cells))
-        assert cert.cells != ct.cells[:-1] and ct.cells[:-1] != cert.cells
-        bumped = ct.cells[:-1] + (ct.cells[-1]._replace(hook=2),)
+        assert cert.cells == rows and rows == cert.cells
+        assert cert.cells == list(map(list, rows))
+        assert cert.cells != rows[:-1] and rows[:-1] != cert.cells
+        bumped = rows[:-1] + (rows[-1][:5] + (2,),)
         assert cert.cells != bumped and bumped != cert.cells
         assert cert.cells != 155
 
@@ -417,7 +418,7 @@ class TestCellTable:
         assert table.types.typecode == "b"
         assert {col.typecode for col in (table.colors, table.numbers, table.hooks)} == {"q"}
         ct = cell_typing(STAIR, ALPHA)
-        columns = list(zip(*ct.cells))[2:]
+        columns = list(zip(*ct.table))[2:]
         assert (tuple(table.types), tuple(table.colors), tuple(table.numbers),
                 tuple(table.hooks)) == tuple(columns)
         assert dataclasses.replace(ct, table=CellTable(STAIR.parts, *columns)) == ct

@@ -24,12 +24,9 @@ from hookbound.degrees import (
     hook_product,
     is_standard_tableau,
     log_degree,
-    robbins_bounds,
-    robbins_log_bounds,
     standard_tableaux,
     sum_squares_identity,
     verify_remark_N_ge_h,
-    weak_stirling_log_lower,
 )
 from hookbound.errors import GuardExceededError
 from hookbound.families import balanced, staircase
@@ -358,26 +355,3 @@ class TestSumSquares:
     def test_guard(self):
         with pytest.raises(GuardExceededError):
             sum_squares_identity(13)
-
-
-class TestRobbins:
-    def test_brackets_exact_factorial(self):
-        for n in (1, 2, 5, 10, 25, 60):
-            lo, hi = robbins_log_bounds(n)
-            exact = math.log(factorial(n))
-            assert lo <= exact <= hi
-
-    def test_linear_form_n10(self):
-        lo, hi = robbins_bounds(10)
-        assert lo <= 3628800 <= hi
-
-    def test_weak_form_n50(self):
-        assert weak_stirling_log_lower(50) <= math.log(factorial(50))
-
-    def test_weak_form_is_weaker(self):
-        for n in (1, 3, 10, 40):
-            assert weak_stirling_log_lower(n) <= robbins_log_bounds(n)[0]
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            robbins_log_bounds(0)

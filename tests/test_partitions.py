@@ -9,20 +9,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 import hookbound.partitions
-from hookbound.errors import (
-    CellOutOfDiagramError,
-    DepthLimitError,
-    EmptySampleSpaceError,
-    HookBoundError,
-    RemovalError,
-)
+from hookbound.bounds import strip_bound
+from hookbound.errors import DepthLimitError, EmptySampleSpaceError, HookBoundError, HypothesisError
 from hookbound.partitions import (
-    Cell,
     Partition,
+    corner_rows,
     count_partitions,
     enumerate_partitions,
     format_rational,
-    parse_partition,
     parse_rational,
     sample_partition,
     unrank_partition,
@@ -76,7 +70,7 @@ class TestConstruction:
     def test_parse_format_roundtrip(self):
         assert Partition.parse("9,6,4,2,2,1") == LAM
         assert LAM.format() == "9,6,4,2,2,1"
-        assert parse_partition("") == Partition(())
+        assert Partition.parse("") == Partition(())
         assert Partition(()).format() == ""
 
     def test_parse_garbage(self):
@@ -118,24 +112,27 @@ class TestConjugate:
 
 class TestHooks:
     def test_corner_hook_is_one(self):
-        for c in LAM.corner_cells():
-            assert LAM.hook_length(c) == 1
+        hooks = LAM.hook_grid()
+        for i in corner_rows(LAM.parts):
+            assert hooks[(i + 1, LAM.parts[i])] == 1
 
     def test_examples(self):
-        assert LAM.hook_length((1, 1)) == 14
-        assert Partition((2, 1)).hook_length((1, 1)) == 3
+        assert LAM.hook_grid()[(1, 1)] == 14
+        assert Partition((2, 1)).hook_grid()[(1, 1)] == 3
 
     def test_out_of_diagram(self):
-        with pytest.raises(CellOutOfDiagramError) as err:
-            LAM.hook_length((1, 10))
-        assert err.value.cell == Cell(1, 10)
+        # the grid is keyed by exactly the diagram's cells, as plain tuples
+        hooks = LAM.hook_grid()
+        assert (1, 10) not in hooks
+        assert list(hooks) == list(LAM.cells())
+        assert all(type(cell) is tuple for cell in hooks)
 
     def test_hook_symmetry_all_small(self):
         for n in range(16):
             for p in enumerate_partitions(n):
-                conj = p.conjugate()
+                conj = p.conjugate().hook_grid()
                 for (i, j), h in p.hook_grid().items():
-                    assert conj.hook_length((j, i)) == h
+                    assert conj[(j, i)] == h
 
     def test_hook_multiset_conjugation_invariant(self):
         for n in range(16):
@@ -171,59 +168,69 @@ class TestDiagonal:
 
 
 class TestHookClass:
+    """H(k, l), the diagrams whose row k+1 has at most l cells, is the
+    hypothesis gate of ``strip_bound``; LAM has n = 24 and fits the widths
+    at alpha = 2."""
+
     def test_wide_example(self):
-        assert LAM.in_hook_class(4, 3)
+        assert strip_bound(LAM, 4, 3, Fraction(2)).parameters["k"] == 4
 
     def test_negative_case(self):
-        assert not LAM.in_hook_class(1, 1)
+        with pytest.raises(HypothesisError) as err:
+            strip_bound(LAM, 1, 1, Fraction(2))
+        assert err.value.condition == "lambda in H(k,l)"
 
     def test_trivial(self):
-        assert LAM.in_hook_class(LAM.n, 0)
+        assert strip_bound(LAM, LAM.n, 0, Fraction(2)).parameters["l"] == 0
 
     def test_bad_parameters(self):
-        with pytest.raises(HookBoundError):
-            LAM.in_hook_class(-1, 2)
+        with pytest.raises(HypothesisError) as err:
+            strip_bound(LAM, -1, 2, Fraction(2))
+        assert err.value.condition == "k, l >= 0"
+
+
+def _peel(parts):
+    """The rows left after one cell comes off each row that ends in a corner."""
+    rows = list(parts)
+    for i in corner_rows(rows):
+        rows[i] -= 1
+    return rows
 
 
 class TestCorners:
     def test_example(self):
-        assert LAM.corner_cells() == (
-            Cell(1, 9), Cell(2, 6), Cell(3, 4), Cell(5, 2), Cell(6, 1),
-        )
+        assert corner_rows(LAM.parts) == [0, 1, 2, 4, 5]
 
     def test_rectangle_single_corner(self):
-        assert Partition((4, 4, 4)).corner_cells() == (Cell(3, 4),)
+        assert corner_rows((4, 4, 4)) == [2]
 
     def test_empty(self):
-        assert Partition(()).corner_cells() == ()
+        assert corner_rows(()) == []
+
+    def test_trailing_zeros(self):
+        # the running rows of a diagram being peeled end in zeros
+        assert corner_rows([3, 1, 0, 0]) == [0, 1]
 
     def test_corner_count_is_number_of_distinct_parts(self):
         for n in range(16):
             for p in enumerate_partitions(n):
-                assert len(p.corner_cells()) == len(set(p.parts))
+                rows = corner_rows(p.parts)
+                assert len(rows) == len(set(p.parts))
+                hooks = p.hook_grid()
+                assert all(hooks[(i + 1, p.parts[i])] == 1 for i in rows)
 
 
 class TestRemoveCells:
+    """Removing every corner cell at once, row by row, as the typing peels."""
+
     def test_peel_one_round(self):
-        assert LAM.remove_cells(LAM.corner_cells()) == Partition((8, 5, 3, 2, 1))
+        assert _peel(LAM.parts) == [8, 5, 3, 2, 1, 0]
 
     def test_two_from_hook(self):
-        assert Partition((2, 1)).remove_cells([(1, 2), (2, 1)]) == Partition((1,))
+        assert _peel((2, 1)) == [1, 0]
 
     def test_rectangle_corner(self):
-        assert Partition((4, 4, 4)).remove_cells([(3, 4)]) == Partition((4, 4, 3))
-
-    def test_non_corner_rejected(self):
-        with pytest.raises(RemovalError):
-            Partition((4, 4)).remove_cells([(1, 4)])
-
-    def test_inner_cell_rejected(self):
-        with pytest.raises(RemovalError):
-            Partition((3,)).remove_cells([(1, 1)])
-
-    def test_out_of_diagram_rejected(self):
-        with pytest.raises(CellOutOfDiagramError):
-            Partition((3,)).remove_cells([(2, 1)])
+        assert _peel((4, 4, 4)) == [4, 4, 3]
 
     def test_peel_keeps_corner_invariant(self):
         # peeled diagram has at least as many corners as distinct part values
@@ -231,8 +238,9 @@ class TestRemoveCells:
             for p in enumerate_partitions(n):
                 if not p:
                     continue
-                peeled = p.remove_cells(p.corner_cells())
-                assert len(peeled.corner_cells()) >= len(set(peeled.parts))
+                peeled = _peel(p.parts)
+                Partition(tuple(filter(None, peeled)))  # still weakly decreasing
+                assert len(corner_rows(peeled)) >= len(set(peeled) - {0})
 
 
 class TestContains:

@@ -38,11 +38,13 @@ def staircase(c, delta):
 
 class TestTilde:
     def test_rule_trace_small(self):
-        tr = reduce_diagram(Partition((5, 5, 3, 2, 1)), ALPHA, trace_only=True)
-        # row rule: 5 >= 3 -> 5; 5 >= 4 -> 4; 3 < 5 -> delta = 3
-        assert tr.lam_tilde.parts[:3] == (5, 4, 3)
+        # delta = 20 is the least side that clears delta >= 18*alpha: the
+        # staircase (40,...,21) over five rows of 20
+        tr = reduce_diagram(Partition(tuple(range(40, 20, -1)) + (20,) * 5), ALPHA)
+        # row rule: 40 - 0 -> 40 kept; 39 - 1 -> 38 trimmed; 29 - 11 < 20 -> delta
+        assert tr.lam_tilde.parts[:2] == (40, 38) and tr.lam_tilde.part(12) == 20
         assert tr.input.contains(tr.lam_tilde)
-        assert tr.s == 2 and tr.t == 1
+        assert tr.s == 10 and tr.t == 5
         assert tr.n1 == tr.lam_tilde.n
 
     def test_erasure_budget(self):

@@ -80,7 +80,7 @@ class TestStripConstruction:
         checked = 0
         for n in range(10, 19):
             for lam in enumerate_partitions(n, max_part=n // 2, max_parts=n // 2):
-                if not lam.in_hook_class(3, 2):
+                if lam.part(4) > 2:
                     continue
                 sc = strip_bound(lam, 3, 2, ALPHA2)
                 assert sc.verdict == PASS, (lam, sc.margin)
@@ -103,7 +103,7 @@ def _per_cell_strip(lam, k, l):
     cells_a, cells_b, cells_c, prod_bc = [], [], [], 1
     for cell in work.cells():
         i, j = cell
-        if cell in mu:
+        if j <= mu.part(i):
             cells_a.append(cell)
         elif i >= wk + 1:
             cells_b.append(cell)
