@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import factorial
 from operator import add
 
-from .celltyping import _require_alpha, cell_typing, check_typing_hypotheses, check_widths, rho
+from .celltyping import _require_alpha, cell_typing, check_widths, rho
 from .certificates import (
     BoundCertificate,
     CellTable,
@@ -367,26 +367,24 @@ class ReductionTrace:
     rho_mu: int
 
 
-def _tilde(lam: Partition, delta: int) -> Partition:
-    """Apply the row and column staircasing rules and reassemble the diagram."""
-    conj = lam.conjugate()
-    rows = [max(lam.part(i) - (i - 1), delta) for i in range(1, delta + 1)]
-    cols = [max(conj.part(j) - (j - 1), delta) for j in range(1, delta + 1)]
-    parts = list(rows)
-    level = delta + 1
-    while True:
-        width = sum(1 for c in cols if c >= level)
-        if width == 0:
-            break
-        parts.append(width)
-        level += 1
-    return Partition(tuple(parts))
+def _tilde(lam: Partition, conj: Partition, delta: int) -> Partition:
+    """Apply the row and column staircasing rules to ``lam`` (conjugate ``conj``).
+
+    The first delta rows are the staircased rows; below the square, the
+    tail is the conjugate of the staircased columns' overhangs past delta.
+    """
+    rows = tuple(max(lam.part(i) - (i - 1), delta) for i in range(1, delta + 1))
+    over = (conj.part(j) - (j - 1) - delta for j in range(1, delta + 1))
+    tail = Partition(tuple(c for c in over if c > 0)).conjugate().parts
+    return Partition(rows + tail)
 
 
 def reduce_diagram(lam: Partition, alpha: Fraction) -> ReductionTrace:
-    """Reduce to a diagram satisfying the typing hypotheses, keeping f monotone.
+    """Staircase lam -> lam~ -> mu, inside lam or its conjugate, so f(lam) >= f(mu).
 
-    Gates delta >= 18*alpha, the widths and n > delta^2, in that order.
+    Gates delta >= 18*alpha, the widths and n > delta^2, in that order.  The
+    typing gate of mu is not checked here: ``strict_bound(mu)`` runs it, so
+    ``general_bound`` raises its ``HypothesisError`` for a mu that fails it.
     """
     alpha = _require_alpha(alpha)
     n = lam.n
@@ -399,23 +397,19 @@ def reduce_diagram(lam: Partition, alpha: Fraction) -> ReductionTrace:
     if n <= delta * delta:
         raise HypothesisError("n > delta^2", f"n={n}, delta={delta}")
 
-    lam_tilde = _tilde(lam, delta)
+    conj = lam.conjugate()
+    lam_tilde = _tilde(lam, conj, delta)
     if not lam.contains(lam_tilde):
         # the rules only erase cells, so this is a construction bug
         raise ConsistencyError("staircased diagram is not contained in the input")
 
-    def last_above(p: Partition) -> int:
-        s = 0
-        for i in range(1, delta + 1):
-            if p.part(i) > delta:
-                s = i
-        return s
-
-    s = last_above(lam_tilde)
-    t = last_above(lam_tilde.conjugate())
+    # the first delta parts weakly decrease: the last one past delta is their count
+    s = sum(p > delta for p in lam_tilde.parts[:delta])
+    tilde_conj = lam_tilde.conjugate()
+    t = sum(p > delta for p in tilde_conj.parts[:delta])
     conjugated = s < t
     if conjugated:
-        lam_tilde = lam_tilde.conjugate()
+        lam_tilde = tilde_conj
         s, t = t, s
 
     n1 = lam_tilde.n
@@ -435,14 +429,12 @@ def reduce_diagram(lam: Partition, alpha: Fraction) -> ReductionTrace:
     expected_n2 = n1 - (delta - s - 1) * (delta - s) // 2 if s < delta else n1
     if n2 != expected_n2:
         raise ConsistencyError(f"mu has {n2} cells, expected {expected_n2}")
-    if not (lam.contains(mu) or lam.conjugate().contains(mu)):
+    if not (lam.contains(mu) or conj.contains(mu)):
         raise ConsistencyError("mu is not contained in the input or its conjugate")
 
     delta_mu = mu.diagonal()
     if delta_mu < delta // 2 + 1:
         raise ConsistencyError(f"delta(mu)={delta_mu} below [delta/2]+1={delta // 2 + 1}")
-    # mu must clear the typing gate for the chained bound to apply
-    check_typing_hypotheses(mu, alpha)
     rho_mu = rho(delta_mu, alpha)
     return ReductionTrace(
         input=lam,

@@ -98,9 +98,13 @@ def log_fraction(x: Fraction) -> float:
 
 
 def power_compare_bits(lhs: Terms, rhs: Terms) -> int:
-    """Upper estimate of the bits ``powers_ge`` builds: ``|k|`` times each base's bits."""
+    """Upper estimate of the bits ``powers_ge`` builds: ``|k|`` times each base's bits.
+
+    A degree ball counts the bits of its upper end, so the estimate builds
+    nothing.
+    """
     return sum(
-        abs(k) * x.bit_length() if type(x) is DegreeBall
+        abs(k) * ((x.m + x.rad).bit_length() + x.s) if type(x) is DegreeBall
         else abs(k) * (x.numerator.bit_length() + x.denominator.bit_length())
         for x, k in chain(lhs, rhs)
     )
@@ -389,9 +393,10 @@ _CONTRACT_FIELDS = ("bound_name", "parameters", "exponent", "lhs_log", "rhs_log"
 def revalidate(obj: BoundCertificate | dict | str) -> bool:
     """Re-read a certificate, serialized or not, and confirm the verdict follows from it.
 
-    The stored margin must match lhs_log - rhs_log, and the verdict must be
-    the one implied by the logs.  In exact mode a stored PASS/FAIL is also
-    accepted when the logs sit inside the float-indistinguishable band.
+    The stored margin must equal lhs_log - rhs_log exactly (JSON round-trips
+    floats exactly), and the verdict must be the one implied by the logs.
+    In exact mode a stored PASS/FAIL is also accepted when the logs sit
+    inside the float-indistinguishable band.
     """
     if type(obj) is BoundCertificate:
         obj = obj.to_json_dict()
@@ -400,7 +405,7 @@ def revalidate(obj: BoundCertificate | dict | str) -> bool:
         return False
     lhs, rhs = data["lhs_log"], data["rhs_log"]
     margin = data["margin"]
-    if not math.isclose(margin, lhs - rhs, rel_tol=1e-12, abs_tol=1e-12):
+    if margin != lhs - rhs:
         return False
     implied = verdict_from_logs(lhs, rhs, data["mode"])
     if data["verdict"] == implied:

@@ -44,8 +44,8 @@ exponent stage of ``degree``) into a certified ball ``DegreeBall``: a
 lower value ``m * 2**s`` and a radius ``rad`` with
 ``m * 2**s <= f <= (m + rad) * 2**s``, after the model of Johansson's Arb
 (IEEE Trans. Computers 2017).  The bounds read only a bracket of
-``log2 f``, ``f.bit_length()`` and ``math.log(f)``, and the ball gives all
-three; ``exact()`` builds ``f`` from the same powers on demand.
+``log2 f`` and ``math.log(f)``, and the ball gives both; ``exact()``
+builds ``f`` from the same powers on demand.
 
 Radius.  With ``eps = 2**(1 - P)`` (``P = _BALL_BITS``), every value the
 product stage holds is an integer ``c``, a scale ``t`` and a count ``k``
@@ -76,12 +76,10 @@ monotone, so when both ends of the ball round to the same value, so does
 ``f``, and ``math.log`` of that value rebuilt as an integer equals
 ``math.log(f)`` bit for bit; a ball that holds a rounding midpoint builds
 ``f``.  So ``log_degree`` is ``degree_ball(p).log()``, and builds ``f``
-only on such a midpoint.  ``bit_length`` reads the ends of the ball the
-same way and builds ``f`` only when they straddle a power of two.
-Two degrees are compared by ``certificates.powers_ge``, which brackets
-both balls and reads equal prime powers (a shape and its conjugate or
-itself) as equal degrees, so only an overlap of different degrees builds
-them.
+only on such a midpoint.  Two degrees are compared by
+``certificates.powers_ge``, which brackets both balls and reads equal
+prime powers (a shape and its conjugate or itself) as equal degrees, so
+only an overlap of different degrees builds them.
 
 ``count_syt_bruteforce`` grows every standard filling with no
 memoization and no hooks, so the two share nothing; the identity suites
@@ -333,15 +331,6 @@ class DegreeBall:
             n, exponents = self._key
             self._exact = _exact(n, exponents, _prime_list(n))
         return self._exact
-
-    def bit_length(self) -> int:
-        """``f.bit_length()``, from the ball unless it straddles a power of two."""
-        if self._exact is not None:
-            return self._exact.bit_length()
-        lo = self.m.bit_length()
-        if (self.m + self.rad).bit_length() == lo:
-            return lo + self.s
-        return self.exact().bit_length()
 
     def log(self) -> float:
         """``math.log(f)``, bit for bit: the log of ``f`` rounded to 53 bits.

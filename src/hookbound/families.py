@@ -35,9 +35,9 @@ def _staircase_parts(c: int, delta: int) -> tuple[int, ...]:
     return tuple(range(c + delta - 1, c - 1, -1))
 
 
-def staircase_core_size(delta: int, c: int | None = None) -> int:
-    c = delta + 1 if c is None else c
-    return delta * c + delta * (delta - 1) // 2
+def staircase_core_size(delta: int) -> int:
+    """Cells of the minimal strict staircase (2*delta, ..., delta + 1)."""
+    return delta * (delta + 1) + delta * (delta - 1) // 2
 
 
 def largest_staircase_delta(n: int) -> int:

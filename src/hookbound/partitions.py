@@ -294,12 +294,10 @@ def _table(rem: int, cap: int, slots: int) -> int:
     one at c = rem.  Every other one is entry ``min(c, r)`` of the sub-row
     ``(r, min(slots-1, r))``, r = rem-c, normalised inline and read straight
     from that row; only a sub-row too short to hold it recurses, once per
-    part, so the depth is at most min(rem, slots).
+    part, so the depth is at most min(rem, slots).  All three arguments are
+    at least 1: ``_guarded_count`` returns early otherwise, and a recursive
+    call has r >= 1, k >= 1 and, as it runs only for slots >= 2, s >= 1.
     """
-    if rem == 0:
-        return 1
-    if cap <= 0 or slots <= 0:
-        return 0
     cap = min(cap, rem)
     slots = min(slots, rem)
     row = _count(rem, slots)

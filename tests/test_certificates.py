@@ -370,6 +370,13 @@ class TestSerialization:
         data["margin"] = 123.0
         assert not revalidate(data)
 
+    def test_revalidate_rejects_a_margin_one_ulp_off(self):
+        # JSON round-trips floats exactly, so the stored margin is lhs_log - rhs_log
+        data = json.loads(self._cert(True).to_json())
+        assert revalidate(data)
+        data["margin"] = math.nextafter(data["margin"], math.inf)
+        assert not revalidate(data)
+
     def test_revalidate_rejects_missing_field(self):
         data = self._cert(True).to_json_dict()
         del data["mode"]

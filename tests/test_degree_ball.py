@@ -8,7 +8,13 @@ import pytest
 import hookbound.bounds
 import hookbound.degrees
 from hookbound.bounds import theorem_classify
-from hookbound.certificates import _log2_power, exact_power_ge, log2_bracket, powers_ge
+from hookbound.certificates import (
+    _log2_power,
+    exact_power_ge,
+    log2_bracket,
+    power_compare_bits,
+    powers_ge,
+)
 from hookbound.degrees import (
     DegreeBall,
     _ball_product,
@@ -57,7 +63,9 @@ def assert_ball_of(ball: DegreeBall, f: int) -> None:
     lo, hi = _log2_power(ball, 1)
     assert lo <= math.log2(f) <= hi
     assert ball.log() == math.log(f)
-    assert ball.bit_length() == f.bit_length()
+    # the bit estimate reads the upper end: an upper bound, exact on an exact ball
+    bits = power_compare_bits(((ball, 1),), ())
+    assert bits >= f.bit_length() and (bits == f.bit_length() or ball.rad > 0)
     assert ball.exact() == f
 
 
@@ -86,10 +94,11 @@ def test_benchmark_shapes(shape):
     # every benchmark shape is past the exact size, so its ball is truncated,
     # and no reading of it needs the exact degree
     assert ball.rad > 0 and ball.s > 0
-    f_log, f_bits = ball.log(), ball.bit_length()
+    f_log = ball.log()
+    power_compare_bits(((ball, 1),), ())
     assert ball._exact is None
     f = degree(shape)
-    assert (f_log, f_bits) == (math.log(f), f.bit_length())
+    assert f_log == math.log(f)
     assert_ball_of(ball, f)
 
 
@@ -199,7 +208,7 @@ class TestNearPowersOfTwo:
 
 
 class TestFallbacks:
-    """The exact degree is built only on a near-tie, a midpoint or a straddle."""
+    """The exact degree is built only on a near-tie or a rounding midpoint."""
 
     def test_near_tie_builds_the_degree(self):
         ball = degree_ball(staircase(3000, ALPHA))
@@ -229,14 +238,15 @@ class TestFallbacks:
         assert ball._exact == degree(p)
 
     @pytest.mark.parametrize("precision", [(8, 0)], indirect=True, ids=str)
-    def test_power_of_two_straddle_builds_the_degree(self, precision):
+    def test_power_of_two_straddle_bit_estimate_builds_nothing(self, precision):
         straddles = 0
         for n in range(20, 60):
             for p in (balanced(n), staircase(n, Fraction(3, 2))):
                 ball = degree_ball(p)
                 straddle = (ball.m + ball.rad).bit_length() != ball.m.bit_length()
-                assert ball.bit_length() == degree(p).bit_length()
-                assert (ball._exact is not None) == (straddle or ball.rad == 0)
+                bits = power_compare_bits(((ball, 1),), ())
+                assert (ball._exact is not None) == (ball.rad == 0)
+                assert degree(p).bit_length() in ((bits - 1, bits) if straddle else (bits,))
                 straddles += straddle
         assert straddles > 0
 

@@ -1,16 +1,21 @@
 import hashlib
 import math
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hookbound.bounds
+import hookbound.celltyping
 from hookbound.bounds import (
     CLASS_M1,
     CLASS_M2,
     CLASS_M3,
     _class_rule,
     _degree,
+    _tilde,
     classify,
     general_bound,
     reduce_diagram,
@@ -18,7 +23,7 @@ from hookbound.bounds import (
     strip_bound,
     theorem_classify,
 )
-from hookbound.celltyping import check_widths
+from hookbound.celltyping import check_typing_hypotheses, check_widths
 from hookbound.certificates import MODE_EXACT, PASS, certificate_from_json, revalidate
 import hookbound.degrees
 from hookbound.degrees import DegreeBall, degree, degree_ball, log_degree
@@ -107,6 +112,119 @@ class TestTilde:
         if tr.s == tr.delta:
             expected = tr.n1
         assert tr.n2 == expected
+
+
+def tilde_by_levels(lam: Partition, delta: int) -> Partition:
+    """The staircased diagram as the rules read: one tail row per level below the square."""
+    conj = lam.conjugate()
+    rows = [max(lam.part(i) - (i - 1), delta) for i in range(1, delta + 1)]
+    cols = [max(conj.part(j) - (j - 1), delta) for j in range(1, delta + 1)]
+    parts = list(rows)
+    level = delta + 1
+    while True:
+        width = sum(1 for c in cols if c >= level)
+        if width == 0:
+            break
+        parts.append(width)
+        level += 1
+    return Partition(tuple(parts))
+
+
+def last_above(p: Partition, delta: int) -> int:
+    """The last of the first delta rows longer than delta, 0 if none."""
+    return max((i for i in range(1, delta + 1) if p.part(i) > delta), default=0)
+
+
+@st.composite
+def reducible(draw):
+    """A diagram with delta >= 18*alpha, its first row at the width cap or not, maybe conjugated."""
+    alpha = draw(st.sampled_from([Fraction(11, 10), Fraction(3, 2), Fraction(2), Fraction(3)]))
+    delta = math.ceil(18 * alpha) + draw(st.integers(0, 8))
+    spread = draw(st.sampled_from([1, 4, 20]))
+    extra = draw(st.lists(st.integers(0, spread * delta), min_size=delta, max_size=delta))
+    top = sorted((delta + e for e in extra), reverse=True)
+    tail = sorted(draw(st.lists(st.integers(1, delta), max_size=spread * delta)), reverse=True)
+    if draw(st.booleans()):
+        # lambda_1 near n/alpha, where the reduced diagram may fail the width gate
+        rest = sum(top[1:]) + sum(tail)
+        top[0] = max(top[1], math.floor(rest / (alpha - 1)) - draw(st.integers(0, 2 * delta)))
+    lam = Partition(tuple(top) + tuple(tail))
+    return (lam.conjugate() if draw(st.booleans()) else lam), alpha
+
+
+WIDE = Partition((1560,) + (40,) * 39)
+
+
+@pytest.fixture
+def gate_calls(monkeypatch):
+    """The diagrams given to the typing gate, through every module binding of it."""
+    calls = []
+    gate = hookbound.celltyping.check_typing_hypotheses
+
+    def counted(lam, alpha):
+        calls.append(lam)
+        return gate(lam, alpha)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hookbound") and getattr(module, "check_typing_hypotheses", None) is gate:
+            monkeypatch.setattr(module, "check_typing_hypotheses", counted)
+    return calls
+
+
+class TestOneTypingGate:
+    """``reduce_diagram`` leaves the typing gate of mu to ``strict_bound``."""
+
+    @pytest.mark.parametrize(
+        "lam",
+        [staircase(21, 20), family_staircase(3000, ALPHA), Partition((600,) * 20)],
+        ids=["staircase-610", "staircase-3000", "rectangle-600"],
+    )
+    def test_general_bound_gates_mu_once(self, gate_calls, lam):
+        mu = reduce_diagram(lam, ALPHA).mu
+        assert gate_calls == []
+        general_bound(lam, ALPHA)
+        assert gate_calls == [mu]
+
+    def test_wide_witness(self):
+        # mu loses 741 cells but keeps the first row, so it is past the cap 2379 // 2
+        tr = reduce_diagram(WIDE, Fraction(2))
+        assert tr.lam_tilde == Partition((1560,) + (40,) * 39)
+        assert (tr.s, tr.t, tr.conjugated) == (1, 0, False)
+        assert tr.mu == Partition((1560, 40) + tuple(range(39, 1, -1)))
+        assert (tr.n1, tr.n2, tr.delta, tr.delta_mu, tr.rho_mu) == (3120, 2379, 40, 21, 441)
+        message = "hypothesis violated: lambda_1 <= n/alpha (lambda_1=1560, n=2379)"
+        with pytest.raises(HypothesisError) as err:
+            general_bound(WIDE, Fraction(2))
+        assert str(err.value) == message
+        for lam in (WIDE, WIDE.conjugate()):
+            cert = theorem_classify(lam, Fraction(2), Fraction(3, 2))
+            assert (cert.aux["class"], cert.verdict) == (CLASS_M2, PASS)
+
+    @settings(max_examples=150, deadline=None)
+    @given(reducible())
+    @example((WIDE, Fraction(2)))
+    @example((WIDE.conjugate(), Fraction(2)))
+    @example((staircase(40, 20).conjugate(), ALPHA))  # t = delta: every column staircased long
+    def test_reduction_matches_the_level_rules(self, case):
+        lam, alpha = case
+        try:
+            tr = reduce_diagram(lam, alpha)
+        except HypothesisError:
+            return
+        delta = tr.delta
+        tilde = tilde_by_levels(lam, delta)
+        assert _tilde(lam, lam.conjugate(), delta) == tilde
+        s, t = last_above(tilde, delta), last_above(tilde.conjugate(), delta)
+        swapped = s < t
+        if swapped:
+            tilde, s, t = tilde.conjugate(), t, s
+        assert (tr.lam_tilde, tr.s, tr.t, tr.conjugated) == (tilde, s, t, swapped)
+        try:
+            check_typing_hypotheses(tr.mu, alpha)
+        except HypothesisError as gate:
+            with pytest.raises(HypothesisError) as err:
+                general_bound(lam, alpha)
+            assert str(err.value) == str(gate)
 
 
 class TestGeneralBound:
@@ -375,7 +493,7 @@ class TestDispatchCaches:
         _degree.cache_clear()
         for d in range(1, 61):
             ball, f = _degree(Partition((d,) * d)), degree(Partition((d,) * d))
-            assert (ball.bit_length(), ball.log()) == (f.bit_length(), math.log(f))
+            assert (ball.exact().bit_length(), ball.log()) == (f.bit_length(), math.log(f))
             assert ball.exact() == f
 
     def test_square_cache_is_bounded(self):
