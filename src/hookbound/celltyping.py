@@ -16,24 +16,32 @@ a type and a number N, 1..n:
            column segment (increasing row);
   type 4   everything else, numbered last in row-major order.
 
-The construction works on flat row arrays: a running list of row lengths,
-peeled at the rows that end in a corner, and one list of numbers N per row.
-Every round, shell and the type-4 block takes consecutive numbers, so the
-type and color of a cell are read off its number.  Type-1 rounds peel cell
+The construction works on row arrays: a running list of row lengths,
+peeled at the rows that end in a corner, and one zero-filled
+``array('q')`` of numbers N and one of colors per row.  Every round, shell
+and the type-4 block takes consecutive numbers.  Type-1 rounds peel cell
 by cell only while some nonempty row of the running diagram is not a
 corner.  Once every nonempty row is one (strictly decreasing rows, as in
 the top delta rows), each round peels every nonempty row and the rows stay
 strict, so round r peels k_r = #{i : w_i >= r} cells, the conjugate of the
 running rows w, and the rounds run while k_r >= ceil(2*alpha).  The cell
 that round r peels from row i (counted from 1) is numbered
-c + k_1 + ... + k_(r-1) + i, c the count before the first such round, and
-each row's numbers are one ``map`` over these prefix sums.  The typing
-keeps its cells once, as the ``table``: a ``certificates.CellTable`` of
-row-major typed columns of types, colors, numbers and hooks (of the
-original diagram), packed straight from the per-row numbers.  It is the
-form a typing-backed certificate keeps, it is the typing's one
-representation of its cells, and it iterates as plain ``(row, col,
-cell_type, color, number, hook)`` tuples; ``eq1_violations``,
+c + k_1 + ... + k_(r-1) + i, c the count before the first such round.  So
+each row's numbers there are a slice of the reversed prefix sums plus the
+row index, and its colors a slice of the falling round numbers.  The
+per-cell phases (the cell-by-cell rounds, type 2 and the type-3 column
+cells) write single entries; the rest is written a row slice at a time,
+each sum one big-integer add over the row's bytes (``_row_sum``): these
+stretches, the type-3 row segments and the type-4 ranges, and each row's
+hooks (of the original diagram), a slice of the falling widths plus a
+prefix of the conjugate.  Every phase peels from the right end of a row,
+so a row's types are its type-4, 3, 2 and 1 cells left to right, byte
+runs cut at the running rows after types 3, 2 and 1.  The typing keeps
+its cells once, as the ``table``: a ``certificates.CellTable`` of
+row-major typed columns of types, colors, numbers and hooks, packed from
+the joined rows.  It is the form a typing-backed certificate keeps, it is
+the typing's one representation of its cells, and it iterates as plain
+``(row, col, cell_type, color, number, hook)`` tuples; ``eq1_violations``,
 ``grid_lines`` and ``to_json_dict`` read it.
 
 The returned typing has been checked against the invariants that make the
@@ -46,8 +54,9 @@ check raises ConsistencyError.  Every check is exact in integers: with
 alpha = p/q, alpha*h <= N reads p*h <= q*N.  The check reads the columns
 by number: one pass scatters each cell's hook to slot N of a list, and the
 numbering is a bijection onto 1..n when every number lies in 1..n and no
-slot is left empty.  The type of each number, looked up in the runs that
-the counts cut 1..n into, must then equal the types column, byte for byte.
+slot is left empty.  The types column, scattered by number, must then
+read as the runs that the counts cut 1..n into, byte for byte: the column
+is cut from the rows, the runs from the counts, so each checks the other.
 The type-1/2/3 cells are the numbers 1..t, so the per-cell clauses compare
 hook slices against ranges of N, and the type-4 product reads the slice
 past t.  Only a failed per-cell clause walks the cells, to name the first
@@ -71,12 +80,13 @@ permutation of the numbers.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, compress, islice, repeat
-from operator import add, eq, le, mul, setitem
+from itertools import accumulate, compress, islice, repeat
+from operator import eq, le, mul, setitem
 from typing import Sequence
 
 from .certificates import CellTable, powers_ge
@@ -223,15 +233,21 @@ def cell_typing(lam: Partition, alpha: Fraction) -> CellTyping:
     rho_val = rho(delta, alpha)
     p, q_ = alpha.numerator, alpha.denominator
 
-    # nums[i][j] is the number N of cell (i+1, j+1); peeling takes the last
-    # cell of row i+1 of the running diagram, at index work[i] - 1.  Each
-    # round, shell and the type-4 block takes consecutive numbers, so
-    # type_of[N] and color_of[N] (index 0 unused) grow a run at a time.
+    # nums[i][j] and colors[i][j] are the number N and the color of cell
+    # (i+1, j+1), 0 until numbered; peel takes the last cell of row i+1 of
+    # the running diagram, at index work[i] - 1, and writes both
     work = list(lam.parts)
-    nums: list[list[int]] = [[0] * row for row in work]
-    type_of = [0]
-    color_of = [0]
+    zero = array("q", [0])
+    nums = [zero * row for row in work]
+    colors = [zero * row for row in work]
     counter = 0
+
+    def peel(rows: Sequence[int], color: int) -> None:
+        nonlocal counter
+        for i in rows:  # top to bottom
+            counter += 1
+            work[i] -= 1
+            nums[i][work[i]], colors[i][work[i]] = counter, color
 
     # type 1: full corner-peeling rounds while at least 2*alpha corners
     # remain, that is at least m2 = ceil(2*alpha); cell by cell only while
@@ -241,34 +257,31 @@ def cell_typing(lam: Partition, alpha: Fraction) -> CellTyping:
     corners = corner_rows(work)
     while len(corners) >= m2 and len(corners) <= corners[-1]:
         s_rounds.append(len(corners))
-        type_of += [1] * len(corners)
-        color_of += [len(s_rounds)] * len(corners)
-        for i in corners:  # top to bottom
-            counter += 1
-            work[i] -= 1
-            nums[i][work[i]] = counter
+        peel(corners, len(s_rounds))
         corners = corner_rows(work)
     # Now every nonempty row is a corner, and stays one as each round peels
     # them all: round r peels k_r = #{i : w_i >= r} cells of the running
     # rows w, while k_r >= m2, that is for r <= w[m2-1].  Row i's cell of
     # round r gets the number counter + k_1 + ... + k_(r-1) + i + 1, so
-    # starts[r-1] + i.
+    # starts[r-1] + i, and the color len(s_rounds) + r: a row peels its last
+    # `peeled` cells, read off the ends of the reversed starts and colors.
     rounds = work[m2 - 1] if len(corners) >= m2 else 0
     if rounds:
         ks: list[int] = []  # ks[r-1] = k_r, the running rows' conjugate
         for i in range(len(corners), 0, -1):
             ks += [i] * (min(work[i - 1], rounds) - len(ks))
         starts = list(accumulate(ks, initial=counter + 1))
+        firsts = memoryview(array("q", starts[-2::-1]))
+        falling = array("q", range(len(s_rounds) + rounds, len(s_rounds), -1))
         for i, w in enumerate(work[: ks[0]]):
             peeled = min(w, rounds)
-            nums[i][w - peeled : w] = map(i.__add__, starts[peeled - 1 :: -1])
+            nums[i][w - peeled : w] = array("q", _row_sum(i, firsts[-peeled:]))
+            colors[i][w - peeled : w] = falling[-peeled:]
             work[i] = w - peeled
-        colors = range(len(s_rounds) + 1, len(s_rounds) + rounds + 1)
-        color_of += chain.from_iterable(map(repeat, colors, ks))
         s_rounds += ks
-        type_of += [1] * (starts[-1] - 1 - counter)
         counter = starts[-1] - 1
     r = len(s_rounds)
+    after1 = work[:]
 
     # type 2: peel only corners outside the delta x delta square while >= alpha
     t_rounds: list[int] = []
@@ -277,13 +290,9 @@ def cell_typing(lam: Partition, alpha: Fraction) -> CellTyping:
         if len(outside) * q_ < p:
             break
         t_rounds.append(len(outside))
-        type_of += [2] * len(outside)
-        color_of += [r + len(t_rounds)] * len(outside)
-        for i in outside:
-            counter += 1
-            work[i] -= 1
-            nums[i][work[i]] = counter
+        peel(outside, r + len(t_rounds))
     q = len(t_rounds)
+    after2 = work[:]
 
     mu = Partition(tuple(w for w in work if w > 0))
     mu_conj = mu.conjugate()
@@ -291,9 +300,10 @@ def cell_typing(lam: Partition, alpha: Fraction) -> CellTyping:
     # type 3: shells of mu outside the (delta+rho) square, outermost first.
     # A column segment takes the last cell left in each of its rows: the
     # outer shells took the columns past m, and no row up to delta is the
-    # row segment of a shell (m > delta).
+    # row segment of a shell (m > delta)
     k_max = max(mu.part(1), mu_conj.part(1)) if mu else 0
     inner = delta + rho_val
+    ascending = memoryview(array("q", range(1, lam.part(1) + 1)))
     for m in range(k_max, inner, -1):
         row_len, col_len = mu.part(m), mu_conj.part(m)
         if row_len > delta or col_len > delta:
@@ -301,38 +311,35 @@ def cell_typing(lam: Partition, alpha: Fraction) -> CellTyping:
                 f"shell {m} reaches past column/row delta; diagram has a cell "
                 f"with both coordinates above delta"
             )
-        type_of += [3] * (row_len + col_len)
-        color_of += [m] * (row_len + col_len)
         if row_len:
-            nums[m - 1][:row_len] = range(counter + 1, counter + row_len + 1)
+            nums[m - 1][:row_len] = array("q", _row_sum(counter, ascending[:row_len]))
+            colors[m - 1][:row_len] = array("q", [m]) * row_len
             counter += row_len
             work[m - 1] = 0
-        for i in range(col_len):
-            counter += 1
-            work[i] -= 1
-            nums[i][work[i]] = counter
+        peel(range(col_len), m)
 
     # type 4: whatever remains, numbered last in row-major order
     t123 = counter
     for i, w in enumerate(work):
-        nums[i][:w] = range(counter + 1, counter + w + 1)
-        counter += w
+        if w:
+            nums[i][:w] = array("q", _row_sum(counter, ascending[:w]))
+            counter += w
     if counter != n:
         raise ConsistencyError(f"numbered {counter} cells of {n}")
-    type_of += [4] * (n - t123)
-    color_of += [0] * (n - t123)
 
-    # each type is one run of numbers; the hook of cell (i, j) is
-    # (lambda_i - j) + (lambda'_j - i) + 1.  The columns are packed from
-    # lists, the types from bytes and the hooks from an array filled a row
-    # at a time: an array fills from a list in one pass, from bytes or an
-    # array by one copy, and from an iterator about three times slower than
-    # from a list
-    cols = lam.conjugate().parts
-    hooks = array("q")
-    for i, row in enumerate(lam.parts, start=1):
-        hooks.fromlist(list(map(add, range(row - i, -i, -1), cols[:row])))
-    numbers = list(chain.from_iterable(nums))
+    # every phase peels from the right end of a row, so a row holds its
+    # type-4, 3, 2 and 1 cells left to right, cut at the rows after types
+    # 3, 2 and 1.  Each column's rows are freed once joined.  The hook of
+    # cell (i, j) is (lambda_i - j + 1) + (lambda'_j - i)
+    types = b"".join(
+        b"\4" * w3 + b"\3" * (w2 - w3) + b"\2" * (w1 - w2) + b"\1" * (row - w1)
+        for row, w1, w2, w3 in zip(lam.parts, after1, after2, work)
+    )
+    colors = b"".join(colors)
+    nums = b"".join(nums)
+    widths = memoryview(array("q", range(lam.part(1), 0, -1)))
+    cols = memoryview(array("q", lam.conjugate().parts))
+    hooks = b"".join(_row_sum(-i, widths[-row:], cols[:row]) for i, row in enumerate(lam.parts, 1))
     t1, t2 = sum(s_rounds), sum(t_rounds)
     typing = CellTyping(
         partition=lam,
@@ -345,20 +352,38 @@ def cell_typing(lam: Partition, alpha: Fraction) -> CellTyping:
         s_rounds=tuple(s_rounds),
         t_rounds=tuple(t_rounds),
         counts=(t1, t2, t123 - t1 - t2, n - t123),
-        table=CellTable(
-            lam.parts,
-            bytes(map(type_of.__getitem__, numbers)),
-            list(map(color_of.__getitem__, numbers)),
-            numbers,
-            hooks,
-        ),
+        table=CellTable(lam.parts, types, colors, nums, hooks),
         mu=mu,
     )
-    # the table now holds every cell: free the construction's lists before
-    # the check scatters the hooks to a list of its own
-    del nums, numbers, type_of, color_of, hooks
+    # the table now holds every cell: free the construction's columns
+    # before the check scatters the hooks to a list of its own
+    del types, colors, nums, hooks
     _check_typing(typing, t123)
     return typing
+
+
+def _row_sum(offset: int, *rows: memoryview) -> bytes:
+    """The bytes of the ``array('q')`` of the rows' entrywise sums plus ``offset``.
+
+    The rows are ``array('q')`` buffers of one length.  Each is read as one
+    integer over its bytes in ``sys.byteorder``, so each entry is a digit
+    in base 2**64, at the same place in every row, and ``offset`` times the
+    integer whose digits are all 1 adds ``offset`` to every digit.  Integer
+    arithmetic is exact, so the total is the sum over the places k of
+    (e_k + offset) * 2**(64k), e_k the sum of the rows' entries at k; only
+    reading and writing need the entries' range.  An entry in [0, 2**63)
+    reads the same unsigned as signed.  When every result e_k + offset
+    lies in [0, 2**63) too, each is a digit, no place carries into or
+    borrows from the next, and the total's bytes are the results, read
+    back as the same signed values.  Every entry and result that the
+    typing adds is a cell number, a row or column length or a hook, in
+    1..n.
+    """
+    order, count = sys.byteorder, len(rows[0])
+    total = offset * int.from_bytes(array("q", [1]) * count, order)
+    for row in rows:
+        total += int.from_bytes(row, order)
+    return total.to_bytes(8 * count, order)
 
 
 def _check_typing(ct: CellTyping, t123: int) -> None:
@@ -385,11 +410,12 @@ def _check_typing(ct: CellTyping, t123: int) -> None:
     if sum(ct.counts) != n:
         raise ConsistencyError("types do not partition the diagram")
     # 1..n cut into runs of counts[0] 1s, counts[1] 2s, counts[2] 3s and
-    # counts[3] 4s: every cell must have the type of the run of its number
-    runs = [0]
-    for cell_type, size in zip((1, 2, 3, 4), ct.counts):
-        runs += [cell_type] * size
-    if bytes(map(runs.__getitem__, numbers)) != table.types.tobytes():
+    # counts[3] 4s: every cell must have the type of the run of its number,
+    # so the types scattered to slot N (slot 0 unused) must be these runs
+    runs = bytes(1) + b"".join(map(bytes.__mul__, (b"\1", b"\2", b"\3", b"\4"), ct.counts))
+    type_of = bytearray(n + 1)
+    any(map(setitem, repeat(type_of), numbers, table.types))
+    if type_of != runs:
         types = table.types
         by_type = ((t, list(compress(numbers, map(eq, types, repeat(t))))) for t in (1, 2, 3, 4))
         present = [(t, nums) for t, nums in by_type if nums]
@@ -415,8 +441,8 @@ def _check_typing(ct: CellTyping, t123: int) -> None:
     # aggregate product that the degree bound uses.
     t = n - ct.counts[3]
     below = min(-(-p // q) - 1, t)
-    scaled = map(mul, repeat(p), hook_of[below + 1 : t + 1])
-    if not all(map(le, hook_of[1 : below + 1], range(1, below + 1))) or not all(
+    scaled = map(mul, repeat(p), islice(hook_of, below + 1, t + 1))
+    if not all(map(le, islice(hook_of, 1, below + 1), range(1, below + 1))) or not all(
         map(le, scaled, range((below + 1) * q, (t + 1) * q, q))
     ):
         _raise_first_bad_cell(ct.table, p, q)

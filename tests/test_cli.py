@@ -162,6 +162,10 @@ class TestCertifyCommand:
 
 
 PINNED_P = ",".join(map(str, range(40, 10, -1)))
+# a staircase whose every type-1 round is a strict-stretch round, and a
+# strict top over rows of 5, where the first rounds peel cell by cell
+PINNED_STAIR = staircase(3000, parse_rational("11/10")).format()
+PINNED_TAIL = STAIR + ",5,5,5,5"
 
 
 @pytest.mark.parametrize(
@@ -193,8 +197,26 @@ PINNED_P = ",".join(map(str, range(40, 10, -1)))
             "21b9ae69b9f2e110c6b149da59e0d780a5b002b16297af60304310943d3391a8",
             [],
         ),
+        (
+            ("typing", PINNED_STAIR, "--alpha", "11/10", "--format", "json"),
+            "86cedb163a0bba799eb456fef20b063636ee2ee05227dc872fdaf4bb5f5a965f",
+            [],
+        ),
+        (
+            ("typing", PINNED_TAIL, "--alpha", "11/10", "--format", "json"),
+            "6f340a7f2587efc6bbc94048ca1421501fab5736ac7aefe1afbe8fc77912f5b4",
+            [],
+        ),
     ],
-    ids=["certify-strict", "certify-general", "certify-theorem", "typing-json", "typing-grid"],
+    ids=[
+        "certify-strict",
+        "certify-general",
+        "certify-theorem",
+        "typing-json",
+        "typing-grid",
+        "typing-json-staircase",
+        "typing-json-cell-rounds",
+    ],
 )
 def test_pinned_stdout(capsys, argv, digest, exact_paths):
     _, out, _ = run(capsys, *argv)
