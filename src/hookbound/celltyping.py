@@ -17,9 +17,11 @@ a type and a number N, 1..n:
   type 4   everything else, numbered last in row-major order.
 
 The construction works on row arrays: a running list of row lengths,
-peeled at the rows that end in a corner, and one zero-filled
-``array('q')`` of numbers N and one of colors per row.  Every round, shell
-and the type-4 block takes consecutive numbers.  Type-1 rounds peel cell
+peeled at the rows that end in a corner, and one zero-filled array of
+numbers N and one of colors per row, in the lane ``lane_code(n)``: the
+narrowest signed array code that holds n (16 bits below n = 2**15, 32
+below 2**31, else 64), since no number, color or hook exceeds n.  Every
+round, shell and the type-4 block takes consecutive numbers.  Type-1 rounds peel cell
 by cell only while some nonempty row of the running diagram is not a
 corner.  Once every nonempty row is one (strictly decreasing rows, as in
 the top delta rows), each round peels every nonempty row and the rows stay
@@ -38,9 +40,10 @@ prefix of the conjugate.  Every phase peels from the right end of a row,
 so a row's types are its type-4, 3, 2 and 1 cells left to right, byte
 runs cut at the running rows after types 3, 2 and 1.  The typing keeps
 its cells once, as the ``table``: a ``certificates.CellTable`` of
-row-major typed columns of types, colors, numbers and hooks, packed from
-the joined rows.  It is the form a typing-backed certificate keeps, it is
-the typing's one representation of its cells, and it iterates as plain
+row-major typed columns of types (one byte) and colors, numbers and
+hooks (in the lane), packed from the joined rows.  It is the form a
+typing-backed certificate keeps, it is the typing's one representation of
+its cells, and it iterates as plain
 ``(row, col, cell_type, color, number, hook)`` tuples; ``eq1_violations``,
 ``grid_lines`` and ``to_json_dict`` read it.
 
@@ -51,21 +54,28 @@ cell, the round lower bounds, the type-1 mass inequality, the type-4
 budget, the type-4 falling-factorial product bound, and the aggregate
 product over type-1/2/3 cells that the degree bound rests on.  A failed
 check raises ConsistencyError.  Every check is exact in integers: with
-alpha = p/q, alpha*h <= N reads p*h <= q*N.  The check reads the columns
-by number: one pass scatters each cell's hook to slot N of a list, and the
-numbering is a bijection onto 1..n when every number lies in 1..n and no
-slot is left empty.  The types column, scattered by number, must then
-read as the runs that the counts cut 1..n into, byte for byte: the column
-is cut from the rows, the runs from the counts, so each checks the other.
-The type-1/2/3 cells are the numbers 1..t, so the per-cell clauses compare
-hook slices against ranges of N, and the type-4 product reads the slice
-past t.  Only a failed per-cell clause walks the cells, to name the first
-bad one.  The aggregate product ``prod N * q^t >= p^t * prod h`` follows
-from the counter inequality, each of whose factors q*N/(p*h) is at least
-1, once the exact factors of a few cells from N = t down cover the
-shortfall of the cells below alpha; only when they do not is it passed to
+alpha = p/q, alpha*h <= N reads p*h <= q*N.  One pass scatters each
+cell's hook to slot N of a list, and the numbering is a bijection onto
+1..n when every number lies in 1..n and no slot is left empty.  The other
+per-cell clauses are lane tests over the row-major columns (SWAR: small
+integers in guarded lanes of one big integer; Lamport, "Multiple byte
+processing with full-word instructions", CACM 1975).  Every cell's type
+must be the run of its number, of the runs that the counts cut 1..n into:
+1 plus three threshold compares of the numbers, read as one integer,
+against the types column widened to the numbers' lanes (the column is
+cut from the rows, the runs from the counts, so each checks the other).
+The type-1/2/3 cells are the numbers 1..t: those below alpha are held to
+h <= N by a hook slice against a range of N, and the rest to the counter
+inequality by one test of ``q*N - p*h >= 0`` in lanes wide enough that
+nothing carries; the type-4 product reads the slice past t.  Only a
+failed per-cell clause walks the cells, to name the first bad one.  The
+aggregate product ``prod N * q^t >= p^t * prod h`` follows from the
+counter inequality, each of whose factors q*N/(p*h) is at least 1, once
+the exact factors of a few cells from N = t down cover the shortfall of
+the cells below alpha; only when they do not is it passed to
 ``certificates.powers_ge``, as ``t! * q^t`` against ``p^t`` and the hook
-multiset, with no bit budget.
+multiset, with no bit budget and ``t!`` as a ``degrees.factorial_ball``,
+so that only a near-tie builds it.
 
 The per-cell inequality alpha*h <= N cannot hold for the cells numbered
 below alpha (the very first peeled corner has N = 1 and hook 1, and
@@ -86,11 +96,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, islice, repeat
-from operator import eq, le, mul, setitem
+from operator import eq, le, setitem
 from typing import Sequence
 
-from .certificates import CellTable, powers_ge
-from .degrees import _product_tree
+from .certificates import CellTable, lane_code, powers_ge
+from .degrees import _product_tree, factorial_ball
 from .errors import ConsistencyError, HypothesisError
 from .partitions import Partition, corner_rows, format_rational
 
@@ -237,7 +247,8 @@ def cell_typing(lam: Partition, alpha: Fraction) -> CellTyping:
     # (i+1, j+1), 0 until numbered; peel takes the last cell of row i+1 of
     # the running diagram, at index work[i] - 1, and writes both
     work = list(lam.parts)
-    zero = array("q", [0])
+    code = lane_code(n)
+    zero = array(code, [0])
     nums = [zero * row for row in work]
     colors = [zero * row for row in work]
     counter = 0
@@ -271,11 +282,11 @@ def cell_typing(lam: Partition, alpha: Fraction) -> CellTyping:
         for i in range(len(corners), 0, -1):
             ks += [i] * (min(work[i - 1], rounds) - len(ks))
         starts = list(accumulate(ks, initial=counter + 1))
-        firsts = memoryview(array("q", starts[-2::-1]))
-        falling = array("q", range(len(s_rounds) + rounds, len(s_rounds), -1))
+        firsts = memoryview(array(code, starts[-2::-1]))
+        falling = array(code, range(len(s_rounds) + rounds, len(s_rounds), -1))
         for i, w in enumerate(work[: ks[0]]):
             peeled = min(w, rounds)
-            nums[i][w - peeled : w] = array("q", _row_sum(i, firsts[-peeled:]))
+            nums[i][w - peeled : w] = array(code, _row_sum(i, firsts[-peeled:]))
             colors[i][w - peeled : w] = falling[-peeled:]
             work[i] = w - peeled
         s_rounds += ks
@@ -303,7 +314,7 @@ def cell_typing(lam: Partition, alpha: Fraction) -> CellTyping:
     # row segment of a shell (m > delta)
     k_max = max(mu.part(1), mu_conj.part(1)) if mu else 0
     inner = delta + rho_val
-    ascending = memoryview(array("q", range(1, lam.part(1) + 1)))
+    ascending = memoryview(array(code, range(1, lam.part(1) + 1)))
     for m in range(k_max, inner, -1):
         row_len, col_len = mu.part(m), mu_conj.part(m)
         if row_len > delta or col_len > delta:
@@ -312,8 +323,8 @@ def cell_typing(lam: Partition, alpha: Fraction) -> CellTyping:
                 f"with both coordinates above delta"
             )
         if row_len:
-            nums[m - 1][:row_len] = array("q", _row_sum(counter, ascending[:row_len]))
-            colors[m - 1][:row_len] = array("q", [m]) * row_len
+            nums[m - 1][:row_len] = array(code, _row_sum(counter, ascending[:row_len]))
+            colors[m - 1][:row_len] = array(code, [m]) * row_len
             counter += row_len
             work[m - 1] = 0
         peel(range(col_len), m)
@@ -322,7 +333,7 @@ def cell_typing(lam: Partition, alpha: Fraction) -> CellTyping:
     t123 = counter
     for i, w in enumerate(work):
         if w:
-            nums[i][:w] = array("q", _row_sum(counter, ascending[:w]))
+            nums[i][:w] = array(code, _row_sum(counter, ascending[:w]))
             counter += w
     if counter != n:
         raise ConsistencyError(f"numbered {counter} cells of {n}")
@@ -337,8 +348,8 @@ def cell_typing(lam: Partition, alpha: Fraction) -> CellTyping:
     )
     colors = b"".join(colors)
     nums = b"".join(nums)
-    widths = memoryview(array("q", range(lam.part(1), 0, -1)))
-    cols = memoryview(array("q", lam.conjugate().parts))
+    widths = memoryview(array(code, range(lam.part(1), 0, -1)))
+    cols = memoryview(array(code, lam.conjugate().parts))
     hooks = b"".join(_row_sum(-i, widths[-row:], cols[:row]) for i, row in enumerate(lam.parts, 1))
     t1, t2 = sum(s_rounds), sum(t_rounds)
     typing = CellTyping(
@@ -363,27 +374,106 @@ def cell_typing(lam: Partition, alpha: Fraction) -> CellTyping:
 
 
 def _row_sum(offset: int, *rows: memoryview) -> bytes:
-    """The bytes of the ``array('q')`` of the rows' entrywise sums plus ``offset``.
+    """The bytes of the rows' entrywise sums plus ``offset``, in the rows' lane.
 
-    The rows are ``array('q')`` buffers of one length.  Each is read as one
-    integer over its bytes in ``sys.byteorder``, so each entry is a digit
-    in base 2**64, at the same place in every row, and ``offset`` times the
-    integer whose digits are all 1 adds ``offset`` to every digit.  Integer
-    arithmetic is exact, so the total is the sum over the places k of
-    (e_k + offset) * 2**(64k), e_k the sum of the rows' entries at k; only
-    reading and writing need the entries' range.  An entry in [0, 2**63)
-    reads the same unsigned as signed.  When every result e_k + offset
-    lies in [0, 2**63) too, each is a digit, no place carries into or
-    borrows from the next, and the total's bytes are the results, read
-    back as the same signed values.  Every entry and result that the
-    typing adds is a cell number, a row or column length or a hook, in
-    1..n.
+    The rows are buffers of one signed array code and one length, entries
+    of w = 8 * itemsize bits.  Each is read as one integer over its bytes
+    in ``sys.byteorder``, so each entry is a digit in base 2**w, at the
+    same place in every row, and ``offset`` times the integer whose digits
+    are all 1 adds ``offset`` to every digit.  Integer arithmetic is exact,
+    so the total is the sum over the places k of (e_k + offset) * 2**(w*k),
+    e_k the sum of the rows' entries at k; only reading and writing need
+    the entries' range.  An entry in [0, 2**(w-1)) reads the same unsigned
+    as signed.  When every result e_k + offset lies in [0, 2**(w-1)) too,
+    each is a digit, no place carries into or borrows from the next, and
+    the total's bytes are the results, read back as the same signed
+    values.  Every entry and result that the typing adds is a cell number,
+    a row or column length or a hook, in 1..n, and its lane
+    ``lane_code(n)`` has n < 2**(w-1).
     """
-    order, count = sys.byteorder, len(rows[0])
-    total = offset * int.from_bytes(array("q", [1]) * count, order)
+    order, count, size = sys.byteorder, len(rows[0]), rows[0].itemsize
+    total = offset * _lane_ones(count, size)
     for row in rows:
         total += int.from_bytes(row, order)
-    return total.to_bytes(8 * count, order)
+    return total.to_bytes(size * count, order)
+
+
+def _lane_ones(count: int, size: int) -> int:
+    """The integer whose ``count`` digits of ``size`` bytes are all 1."""
+    return int.from_bytes((b"\1" + bytes(size - 1)) * count, "little")
+
+
+def _widen(column, size: int, order: str) -> int:
+    """The entries of ``column``, read unsigned in byte order ``order``, as ``size``-byte digits.
+
+    ``column`` is an array of entries of ``column.itemsize < size`` bytes.
+    Each byte place of an entry is one strided copy into the zeroed lanes:
+    the low end of a lane is its first byte little-endian and its last
+    byte big-endian.  Entry k is digit k little-endian, and digit
+    ``len(column) - 1 - k`` big-endian.
+    """
+    width = column.itemsize
+    # a strided copy from bytes runs several times faster than from a view
+    lanes, data = bytearray(size * len(column)), column.tobytes()
+    low = 0 if order == "little" else size - width
+    for j in range(width):
+        lanes[low + j :: size] = data[j::width]
+    return int.from_bytes(lanes, order)
+
+
+def _above(lanes: int, bound: int, ones: int, bits: int) -> int:
+    """The digits ``[e > bound]`` of the ``bits``-bit digits e of ``lanes``.
+
+    With every digit e and ``bound`` in [0, 2**(bits-1)), the digit
+    e + 2**(bits-1) - 1 - bound lies in [0, 2**bits), so nothing carries,
+    and it reaches the top bit of its lane exactly when e > bound.
+    """
+    guard = bits - 1
+    return (lanes + ((1 << guard) - 1 - bound) * ones) >> guard & ones
+
+
+def _types_follow_runs(numbers, types, bounds: Sequence[int], order: str) -> bool:
+    """Whether every cell's type is 1 plus the number of ``bounds`` below its number N.
+
+    ``numbers`` and ``types`` are the row-major columns, read in byte order
+    ``order``; every N and every bound lies in [0, 2**(w-1)), w the bits
+    of a number.  The numbers are read as one integer, each bound is one
+    ``_above`` of it, and the types are widened to the numbers' lanes.
+    """
+    size = numbers.itemsize
+    ones = _lane_ones(len(numbers), size)
+    nums = int.from_bytes(numbers, order)
+    runs = ones + sum(_above(nums, bound, ones, 8 * size) for bound in bounds)
+    return runs == _widen(types, size, order)
+
+
+def _counter_holds(numbers, hooks, below: int, t: int, n: int, p: int, q: int, order: str) -> bool:
+    """Whether ``p*h <= q*N`` for every cell numbered ``below < N <= t``.
+
+    ``numbers`` and ``hooks`` are row-major columns of one array code, as
+    a ``CellTable`` keeps them.  Every N lies in 1..n, and
+    ``0 <= below <= t <= n``; a hook h is read unsigned, in [0, H) with
+    H = 2**(8 * its itemsize).  In lanes of
+    ``bits`` bits, 2**(bits-1) > q*n + p*H, each cell's digit is
+    ``q*N - p*h + 2**(bits-1)``, plus ``p*H`` for a cell outside
+    ``below+1..t``: it lies in [0, 2**bits), so nothing carries, and its
+    top bit is set exactly when the cell is outside or meets the clause.
+    """
+    hook_bits = 8 * hooks.itemsize
+    size = (q * n + (p << hook_bits)).bit_length() // 8 + 1
+    bits = 8 * size
+    ones = _lane_ones(len(numbers), size)
+    nums = _widen(numbers, size, order)
+    outside = _above(nums, t, ones, bits) - _above(nums, below, ones, bits) + ones
+    # built a term at a time, so that few integers of the lanes' size live at once
+    lanes = (p << hook_bits) * outside
+    del outside
+    lanes += q * nums
+    del nums
+    lanes -= p * _widen(hooks, size, order)
+    top = ones << bits - 1
+    lanes += top
+    return lanes & top == top
 
 
 def _check_typing(ct: CellTyping, t123: int) -> None:
@@ -391,17 +481,22 @@ def _check_typing(ct: CellTyping, t123: int) -> None:
     p, q = ct.alpha.numerator, ct.alpha.denominator
     table = ct.table
     numbers = table.numbers
+    order = sys.byteorder
 
-    if not len(table.types) == len(table.colors) == len(numbers) == len(table.hooks) == n:
+    # the lane tests below need every number of 1..n to fit its lane
+    if not len(table.types) == len(table.colors) == len(numbers) == len(table.hooks) == n or (
+        n >> 8 * numbers.itemsize - 1
+    ):
         raise ConsistencyError("typing columns do not hold one entry per cell")
     # hook_of[N] is the hook of the cell numbered N (slot 0 unused); with
     # every number in 0..n, the numbering is a bijection onto 1..n when no
     # slot 1..n is left empty.  Read as unsigned, a number below 0 lies past
     # n like one above n, and the scatter raises IndexError for either
     hook_of = [None] * (n + 1)
+    unsigned = memoryview(numbers).cast("B").cast(numbers.typecode.upper())
     try:
         # setitem returns None, so any() runs the whole map
-        any(map(setitem, repeat(hook_of), memoryview(numbers).cast("B").cast("Q"), table.hooks))
+        any(map(setitem, repeat(hook_of), unsigned, table.hooks))
         bijection = None not in islice(hook_of, 1, None)
     except IndexError:
         bijection = False
@@ -411,11 +506,10 @@ def _check_typing(ct: CellTyping, t123: int) -> None:
         raise ConsistencyError("types do not partition the diagram")
     # 1..n cut into runs of counts[0] 1s, counts[1] 2s, counts[2] 3s and
     # counts[3] 4s: every cell must have the type of the run of its number,
-    # so the types scattered to slot N (slot 0 unused) must be these runs
-    runs = bytes(1) + b"".join(map(bytes.__mul__, (b"\1", b"\2", b"\3", b"\4"), ct.counts))
-    type_of = bytearray(n + 1)
-    any(map(setitem, repeat(type_of), numbers, table.types))
-    if type_of != runs:
+    # 1 plus the number of the first three run ends below it
+    if min(ct.counts) < 0 or not _types_follow_runs(
+        numbers, table.types, list(accumulate(ct.counts[:3])), order
+    ):
         types = table.types
         by_type = ((t, list(compress(numbers, map(eq, types, repeat(t))))) for t in (1, 2, 3, 4))
         present = [(t, nums) for t, nums in by_type if nums]
@@ -435,15 +529,15 @@ def _check_typing(ct: CellTyping, t123: int) -> None:
             raise ConsistencyError("type-2 round ran with fewer than alpha corners")
 
     # The type-1/2/3 cells are those numbered 1..t.  The ones numbered N
-    # below alpha are held to h <= N, the rest to the counter inequality
-    # p*h <= q*N, which implies h <= N as p > q: hook slices against ranges
-    # of N.  A failure walks the cells to name the first bad one.  Then the
-    # aggregate product that the degree bound uses.
+    # below alpha are held to h <= N, a hook slice against a range of N;
+    # the rest to the counter inequality p*h <= q*N, which implies h <= N
+    # as p > q, by one lane test over the table.  A failure walks the cells
+    # to name the first bad one.  Then the aggregate product that the
+    # degree bound uses.
     t = n - ct.counts[3]
     below = min(-(-p // q) - 1, t)
-    scaled = map(mul, repeat(p), islice(hook_of, below + 1, t + 1))
-    if not all(map(le, islice(hook_of, 1, below + 1), range(1, below + 1))) or not all(
-        map(le, scaled, range((below + 1) * q, (t + 1) * q, q))
+    if not all(map(le, islice(hook_of, 1, below + 1), range(1, below + 1))) or not (
+        _counter_holds(numbers, table.hooks, below, t, n, p, q, order)
     ):
         _raise_first_bad_cell(ct.table, p, q)
     if not _aggregate_holds(hook_of, t, t123, p, q):
@@ -500,5 +594,5 @@ def _aggregate_holds(hook_of: Sequence[int], t: int, e: int, p: int, q: int) -> 
         lhs *= q * num
         rhs *= p * hook_of[num]
     return lhs >= rhs or powers_ge(
-        ((math.factorial(t), 1), (q, e)), ((p, e), *Counter(hook_of[1 : t + 1]).items()), None
+        ((factorial_ball(t), 1), (q, e)), ((p, e), *Counter(hook_of[1 : t + 1]).items()), None
     )

@@ -24,15 +24,17 @@ JSON field names (bound_name, parameters, exponent, lhs_log, rhs_log,
 margin, mode, verdict, and cells for typing-backed certificates) are a
 stable contract shared with the CLI.  A typing-backed certificate holds its
 cells as one ``CellTable``: the diagram's parts and four typed ``array``
-columns (type, color, number N, hook), about 25 bytes per cell.  It
-iterates as plain ``(row, col, type, color, N, hook)`` tuples, read off the
-row-major layout, and these rows are built only when ``to_json_dict``
-emits them as ``[row, col, type, color, N, hook]``.  A sub-certificate in
-``aux`` stays a ``BoundCertificate`` and serializes through its own
-``to_json_dict``.  ``certificate_from_json`` rebuilds both: the cells as a
-table, checked to be the row-major cells of a partition, and every ``aux``
-value that carries all the contract fields as a nested certificate, so a
-reload serializes to the same bytes.
+columns (type, color, number N, hook).  The type is one byte, and the
+other three take the narrowest signed code that holds n (``lane_code``),
+so a table keeps 7 bytes a cell below n = 2**15, 13 below 2**31 and 25
+past that.  It iterates as plain ``(row, col, type, color, N, hook)``
+tuples, read off the row-major layout, and these rows are built only when
+``to_json_dict`` emits them as ``[row, col, type, color, N, hook]``.  A
+sub-certificate in ``aux`` stays a ``BoundCertificate`` and serializes
+through its own ``to_json_dict``.  ``certificate_from_json`` rebuilds
+both: the cells as a table, checked to be the row-major cells of a
+partition, and every ``aux`` value that carries all the contract fields as
+a nested certificate, so a reload serializes to the same bytes.
 """
 from __future__ import annotations
 
@@ -225,24 +227,32 @@ def verdict_from_logs(lhs_log: float, rhs_log: float, mode: str) -> str:
     return PASS if margin >= 0 else FAIL
 
 
+def lane_code(n: int) -> str:
+    """The narrowest signed ``array`` code that holds 0..n: ``'h'``, ``'i'`` or ``'q'``."""
+    return "h" if n < 1 << 15 else "i" if n < 1 << 31 else "q"
+
+
 class CellTable:
     """The cells of a typed diagram: its parts and four typed columns.
 
     ``types`` is an ``array('b')`` and ``colors``, ``numbers`` and
-    ``hooks`` are ``array('q')``, one entry per cell in row-major order;
-    each cell's row and column come from ``parts``.  The table iterates as
-    plain ``(row, col, type, color, N, hook)`` tuples and compares equal to
-    any sequence of such rows, lists included.
+    ``hooks`` are arrays of ``lane_code(n)``, n the sum of the parts, one
+    entry per cell in row-major order; each cell's row and column come
+    from ``parts``.  An entry past its column's code raises
+    ``OverflowError``.  The table iterates as plain ``(row, col, type,
+    color, N, hook)`` tuples and compares equal to any sequence of such
+    rows, lists included.
     """
 
     __slots__ = ("parts", "types", "colors", "numbers", "hooks")
 
     def __init__(self, parts, types, colors, numbers, hooks):
         self.parts = tuple(parts)
+        code = lane_code(sum(self.parts))
         self.types = array("b", types)
-        self.colors = array("q", colors)
-        self.numbers = array("q", numbers)
-        self.hooks = array("q", hooks)
+        self.colors = array(code, colors)
+        self.numbers = array(code, numbers)
+        self.hooks = array(code, hooks)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> CellTable:

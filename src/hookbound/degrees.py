@@ -45,7 +45,9 @@ lower value ``m * 2**s`` and a radius ``rad`` with
 ``m * 2**s <= f <= (m + rad) * 2**s``, after the model of Johansson's Arb
 (IEEE Trans. Computers 2017).  The bounds read only a bracket of
 ``log2 f`` and ``math.log(f)``, and the ball gives both; ``exact()``
-builds ``f`` from the same powers on demand.
+builds ``f`` from the same powers on demand.  ``factorial_ball`` builds
+the same ball for ``m!`` from Legendre's formula, for the cell typing's
+aggregate product.
 
 Radius.  With ``eps = 2**(1 - P)`` (``P = _BALL_BITS``), every value the
 product stage holds is an integer ``c``, a scale ``t`` and a count ``k``
@@ -406,7 +408,31 @@ def degree_ball(p: Partition) -> DegreeBall:
     bits.  So does a truncated product that never outgrew its cap: its
     count ``k`` and its scale are 0, and so is its radius.
     """
-    n, exponents, primes = _prime_powers(p)
+    return _ball(*_prime_powers(p))
+
+
+def factorial_ball(m: int) -> DegreeBall:
+    """``m!`` as a certified ball, for ``m >= 0``, by Legendre's formula.
+
+    The exponent of a prime ``q <= isqrt(m)`` is ``sum_j m // q**j``; a
+    prime above ``isqrt(m)`` has ``q*q > m``, so its exponent is ``m // q``,
+    which ``_runs`` reads as it reads the primes above a diagram's largest
+    hook.  ``m * m.bit_length() <= 2 * _EXACT_BITS`` bounds ``m!`` below
+    ``2**(2 * _EXACT_BITS)``, and such a ball is exact.
+    """
+    primes = _prime_list(m)
+    exponents = []
+    for q in primes[: bisect_right(primes, math.isqrt(m))]:
+        e, qj = 0, q
+        while qj <= m:
+            e += m // qj
+            qj *= q
+        exponents.append(e)
+    return _ball(m, exponents, primes)
+
+
+def _ball(n: int, exponents: list[int], primes: list[int]) -> DegreeBall:
+    """The ball of the prime powers ``exponents`` and ``_runs(n, ...)``: exact when small."""
     if n * n.bit_length() > 2 * _EXACT_BITS:
         m, s, k = _ball_product(n, exponents, primes)
         bits = _BALL_BITS

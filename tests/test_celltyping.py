@@ -3,6 +3,7 @@ import gc
 import hashlib
 import json
 import math
+import sys
 import tracemalloc
 from array import array
 from fractions import Fraction
@@ -26,7 +27,9 @@ from hookbound.celltyping import (
     CellTyping,
     _aggregate_holds,
     _check_typing,
+    _counter_holds,
     _row_sum,
+    _types_follow_runs,
     cell_typing,
     check_typing_hypotheses,
     rho,
@@ -37,9 +40,10 @@ from hookbound.certificates import (
     PASS,
     CellTable,
     certificate_from_json,
+    lane_code,
     powers_ge,
 )
-from hookbound.degrees import degree
+from hookbound.degrees import DegreeBall, degree
 from hookbound.errors import ConsistencyError, HypothesisError
 from hookbound.families import staircase, staircase_with_tail
 from hookbound.partitions import Partition, corner_rows
@@ -349,6 +353,30 @@ class TestAggregateClause:
         check()
         assert routes == {False, True}
 
+    def test_fallback_reads_t_factorial_as_a_ball(self, monkeypatch):
+        # alpha = 3: the cells numbered 1 and 2 lie below alpha with h = N,
+        # a shortfall of 3**2, and the cells from N = t down are tight
+        # (h = N // 3), so 8 of them cover less than 9 and the product goes
+        # to powers_ge; far from a tie, its brackets decide with no build
+        t, p, q = 3000, 3, 1
+        hook_of = [None, 1, 2] + [num // 3 for num in range(3, t + 1)]
+        assert math.factorial(t) * q**t >= p**t * math.prod(hook_of[1:])
+        fallbacks = []
+
+        def counted(*args):
+            fallbacks.append(args)
+            return powers_ge(*args)
+
+        def build(*args):
+            pytest.fail("an exact product was built")
+
+        monkeypatch.setattr(hookbound.celltyping, "powers_ge", counted)
+        monkeypatch.setattr(hookbound.degrees, "_exact", build)
+        assert _aggregate_holds(hook_of, t, t, p, q)
+        assert len(fallbacks) == 1
+        factorial = fallbacks[0][0][0][0]
+        assert type(factorial) is DegreeBall and factorial.rad > 0 and factorial._exact is None
+
     def test_reduced_staircases_take_the_few_cell_route(self, monkeypatch):
         def unexpected(*args):
             pytest.fail("the aggregate product fell back to powers_ge")
@@ -472,9 +500,9 @@ def _swap_numbers_past_alpha(ct):
     return _swap_numbers(ct, a[NUMBER], a[HOOK])
 
 
-def _relabel_last_cell(ct, cell_type):
+def _relabel(ct, number, cell_type):
     cells = list(map(list, ct.table))
-    next(r for r in cells if r[NUMBER] == ct.n)[TYPE] = cell_type
+    next(r for r in cells if r[NUMBER] == number)[TYPE] = cell_type
     return _with_cells(ct, cells)
 
 
@@ -520,8 +548,18 @@ CORRUPTIONS = {
         "types do not partition the diagram",
     ),
     "type overlap": (
-        lambda ct: _relabel_last_cell(ct, 3),
+        lambda ct: _relabel(ct, ct.n, 3),
         "type-3 numbers overlap type-4 numbers",
+    ),
+    "type outside 1..4": (
+        lambda ct: _relabel(ct, ct.n, -1),
+        "types do not partition the diagram",
+    ),
+    "negative count": (
+        # the run ends 153, 152, 152 would type N = 153 as 3; the runs of
+        # 153 1s and 3 4s hold 156 numbers, one more than n
+        lambda ct: dataclasses.replace(_relabel(ct, 153, 3), counts=(153, -1, 0, 3)),
+        "types do not partition the diagram",
     ),
     "first round": (
         lambda ct: dataclasses.replace(ct, s_rounds=(9,) + ct.s_rounds[1:]),
@@ -548,7 +586,9 @@ CORRUPTIONS = {
         "|T4|=3 exceeds delta^2 + alpha*rho",
     ),
     "type-4 falling factorial": (
-        lambda ct: _set_hook(ct, 4, 10**6),
+        # the type-4 hooks 29, 28, 27 become 4831, 28, 27: 3,652,236 is the
+        # least such product over 155*154*153 = 3,652,110, in the 'h' lane
+        lambda ct: _set_hook(ct, 4, 4831),
         "type-4 hook product exceeds the falling factorial",
     ),
 }
@@ -638,6 +678,23 @@ def test_cell_below_alpha_binds_at_one_past_its_number(stair_typing):
     with pytest.raises(ConsistencyError) as err:
         _check_typing(_swap_numbers(ct, 1, 20), sum(ct.counts[:3]))
     assert str(err.value) == "h <= N fails at cell (10,10) with N=1, h=2"
+
+
+def test_columns_too_narrow_for_n_are_rejected():
+    # 2**15 cells in 'h' columns, their numbers and hooks past 2**15 - 1
+    # stored as negatives: read unsigned they would pass the bijection, but
+    # no 16-bit lane holds n = 2**15, so the lane tests cannot read them
+    lam = Partition(tuple(range(300, 200, -1)) + (100,) * 77 + (18,))
+    ct = cell_typing(lam, ALPHA)
+    assert (lam.n, ct.table.numbers.typecode) == (2**15, "i")
+    columns = (ct.table.types, ct.table.colors, ct.table.numbers, ct.table.hooks)
+    wrapped = [[v - 2**16 if v >= 2**15 else v for v in col] for col in columns]
+    # the table's own parts (one cell) set its code
+    bad = dataclasses.replace(ct, table=CellTable((1,), *wrapped))
+    assert bad.table.numbers.typecode == "h"
+    with pytest.raises(ConsistencyError) as err:
+        _check_typing(bad, sum(ct.counts[:3]))
+    assert str(err.value) == "typing columns do not hold one entry per cell"
 
 
 @pytest.mark.parametrize(
@@ -803,37 +860,149 @@ def test_random_diagrams_match_reference(case):
     assert ct.counts == tuple(sum(1 for c in cells if c[2] == t) for t in (1, 2, 3, 4))
 
 
-@given(st.data(), st.integers(0, 12), st.integers(1, 2))
-def test_row_sum_matches_entrywise_sums(data, size, count):
-    entries = st.lists(st.integers(0, 2**62), min_size=size, max_size=size)
+LANES = ("h", "i", "q")
+
+
+@given(st.data(), st.sampled_from(LANES), st.integers(0, 12), st.integers(1, 2))
+def test_row_sum_matches_entrywise_sums(data, code, size, count):
+    top = 1 << 8 * array(code).itemsize - 1  # the lane holds [0, top)
+    entries = st.lists(st.integers(0, top // 2), min_size=size, max_size=size)
     rows = [data.draw(entries) for _ in range(count)]
     sums = list(map(sum, zip(*rows)))
-    # any offset that keeps every result in [0, 2**63), of either sign
-    low, high = -min(sums, default=2**62), 2**63 - 1 - max(sums, default=2**62)
+    # any offset that keeps every result in [0, top), of either sign
+    low, high = -min(sums, default=top // 2), top - 1 - max(sums, default=top // 2)
     assume(low <= high)
     offset = data.draw(st.integers(low, high))
-    packed = _row_sum(offset, *(memoryview(array("q", row)) for row in rows))
-    assert array("q", packed).tolist() == [e + offset for e in sums]
+    packed = _row_sum(offset, *(memoryview(array(code, row)) for row in rows))
+    assert array(code, packed).tolist() == [e + offset for e in sums]
 
 
-@pytest.mark.parametrize(
-    "offset, rows, expected",
-    [
-        (2**62 - 1, ([2**62],), [2**63 - 1]),
-        (-5, ([2**62, 5, 0], [2**62 + 4, 0, 5]), [2**63 - 1, 0, 0]),
+def _row_sum_ends(bits):
+    """(offset, rows, expected) at the ends of the ``bits``-bit lane's results."""
+    half, top = 1 << bits - 2, (1 << bits - 1) - 1
+    return [
+        (half - 1, ([half],), [top]),
+        (-5, ([half, 5, 0], [half + 4, 0, 5]), [top, 0, 0]),
         (-5, ([],), []),
-    ],
-)
+        (-top, ([top, 1, top], [0, top - 1, 0]), [0, 0, 0]),
+    ]
+
+
+@pytest.mark.parametrize("offset, rows, expected", _row_sum_ends(64))
 def test_row_sum_at_the_ends_of_the_range(offset, rows, expected):
     packed = _row_sum(offset, *(memoryview(array("q", row)) for row in rows))
     assert array("q", packed).tolist() == expected
 
 
+@pytest.mark.parametrize("code", ["h", "i"])
+def test_row_sum_at_the_ends_of_the_narrow_lanes(code):
+    for offset, rows, expected in _row_sum_ends(8 * array(code).itemsize):
+        packed = _row_sum(offset, *(memoryview(array(code, row)) for row in rows))
+        assert array(code, packed).tolist() == expected
+
+
+def _ordered(column, order):
+    """``column`` with its entries' bytes in byte order ``order``."""
+    if order == sys.byteorder:
+        return column
+    swapped = array(column.typecode, column)
+    swapped.byteswap()
+    return swapped
+
+
+def _runs_reference(numbers, types, bounds):
+    return all(t == 1 + sum(num > b for b in bounds) for num, t in zip(numbers, types))
+
+
+def _counter_reference(numbers, hooks, below, t, p, q, unsigned):
+    return all(p * (h % unsigned) <= q * num for num, h in zip(numbers, hooks) if below < num <= t)
+
+
+@st.composite
+def typed_columns(draw):
+    """A shuffled numbering 1..n in a lane, the types of its runs, hooks up to the counter bound."""
+    code = draw(st.sampled_from(LANES))
+    n = draw(st.integers(1, 60))
+    numbers = draw(st.permutations(range(1, n + 1)))
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=3, max_size=3)))
+    types = [1 + sum(num > c for c in cuts) for num in numbers]
+    # at 128/127 the counter lanes' bound has a whole number of bytes in every lane
+    p, q = draw(st.sampled_from([(11, 10), (3, 2), (2, 1), (7, 1), (128, 127), (10**6 + 1, 10**6)]))
+    t = cuts[-1]
+    below = min(-(-p // q) - 1, t)
+    hooks = [draw(st.integers(1, q * num // p)) if below < num <= t else draw(st.integers(0, n))
+             for num in numbers]
+    return code, n, numbers, types, cuts, hooks, below, t, p, q
+
+
+@pytest.mark.parametrize("order", ["little", "big"])
+@settings(max_examples=150, deadline=None)
+@given(case=typed_columns(), fault=st.integers(0, 2), bump=st.integers(1, 3))
+def test_lane_checks_match_the_entrywise_reference(order, case, fault, bump):
+    code, n, numbers, types, cuts, hooks, below, t, p, q = case
+    unsigned = 1 << 8 * array(code).itemsize
+
+    def run(numbers, types, hooks):
+        nums = _ordered(array(code, numbers), order)
+        follows = _types_follow_runs(nums, _ordered(array("b", types), order), cuts, order)
+        holds = _counter_holds(nums, _ordered(array(code, hooks), order), below, t, n, p, q, order)
+        assert follows == _runs_reference(numbers, types, cuts)
+        assert holds == _counter_reference(numbers, hooks, below, t, p, q, unsigned)
+        return follows, holds
+
+    assert run(numbers, types, hooks) == (True, True)
+    # one fault in the first, a middle or the last lane
+    k = (0, len(numbers) // 2, len(numbers) - 1)[fault]
+    bad_types = types[:]
+    bad_types[k] = (types[k] + bump - 1) % 4 + 1
+    assert run(numbers, bad_types, hooks) == (False, True)
+    num = numbers[k]
+    bad_hooks = hooks[:]
+    bad_hooks[k] = q * num // p + bump
+    assert run(numbers, types, bad_hooks) == (True, not below < num <= t)
+    # a hook read past the lane's top, as a negative entry is
+    bad_hooks[k] = -bump
+    assert run(numbers, types, bad_hooks) == (True, not below < num <= t)
+
+
+@pytest.mark.parametrize("order", ["little", "big"])
+@pytest.mark.parametrize("code", LANES)
+def test_counter_lanes_skip_type4_and_cells_below_alpha(code, order):
+    # alpha = 3: N = 1, 2 lie below alpha, N = 3..5 are type 1/2/3 and
+    # N = 6, 7 type 4; row-major, the last lane holds N = 5
+    p, q, n, below, t = 3, 1, 7, 2, 5
+    numbers = [6, 1, 3, 7, 4, 2, 5]
+    hooks = {num: 1 for num in numbers}
+
+    def holds(**changed):
+        column = [changed.get(f"h{num}", hooks[num]) for num in numbers]
+        nums = _ordered(array(code, numbers), order)
+        return _counter_holds(nums, _ordered(array(code, column), order), below, t, n, p, q, order)
+
+    assert holds()
+    # a type-4 cell past the counter bound, and cells below alpha with
+    # 3*h > N (h <= N is left to the hook slice), all pass
+    assert holds(h6=6, h7=7, h1=1, h2=2)
+    assert holds(h6=(1 << 8 * array(code).itemsize - 1) - 1)
+    # N = 3 (a middle lane), 4 and 5 (the last lane) at one past 3*h <= N
+    assert holds(h3=1, h4=1, h5=1)
+    for num in (3, 4, 5):
+        bound = q * num // p
+        assert holds(**{f"h{num}": bound}) and not holds(**{f"h{num}": bound + 1})
+
+
+def test_lane_width_follows_n():
+    assert [lane_code(n) for n in (0, 2**15 - 1, 2**15, 2**31 - 1, 2**31, 2**62)] == [
+        "h", "h", "i", "i", "q", "q",
+    ]
+    assert [array(code).itemsize for code in LANES] == [2, 4, 8]
+
+
 def test_typing_frees_its_construction_before_the_check():
     # a warm typing of the 15,870 cells of the reduced (803,)*20 peaks at
-    # about 65 bytes a cell, in the check (the construction alone peaks at
-    # about 57); with the construction's columns kept through the check, at
-    # about 90
+    # about 59.4 bytes a cell (56.4 on CPython 3.10), in the check's counter
+    # lanes; with the construction's 7 bytes a cell of 'h' columns kept
+    # through the check, at about 66.4 (63.4 on 3.10)
     alpha = Fraction(11, 10)
     mu = reduce_diagram(Partition((803,) * 20), alpha).mu
     cell_typing(mu, alpha)
@@ -844,7 +1013,7 @@ def test_typing_frees_its_construction_before_the_check():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 77 * mu.n
+    assert peak <= 62 * mu.n
 
 
 def test_reduced_rectangle_typing_digest():

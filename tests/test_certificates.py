@@ -423,12 +423,20 @@ class TestCellTable:
         assert type(table) is CellTable
         assert table.parts == STAIR.parts
         assert table.types.typecode == "b"
-        assert {col.typecode for col in (table.colors, table.numbers, table.hooks)} == {"q"}
+        assert {col.typecode for col in (table.colors, table.numbers, table.hooks)} == {"h"}
         ct = cell_typing(STAIR, ALPHA)
         columns = list(zip(*ct.table))[2:]
         assert (tuple(table.types), tuple(table.colors), tuple(table.numbers),
                 tuple(table.hooks)) == tuple(columns)
         assert dataclasses.replace(ct, table=CellTable(STAIR.parts, *columns)) == ct
+
+    @pytest.mark.parametrize("n, code", [(2**15 - 1, "h"), (2**15, "i")])
+    def test_columns_take_the_narrowest_lane_that_holds_n(self, n, code):
+        # one row of n cells; the step to 'q' at 2**31 is lane_code's alone
+        table = CellTable((n,), bytes(n), range(n), range(1, n + 1), range(n, 0, -1))
+        assert table.types.typecode == "b"
+        assert [col.typecode for col in (table.colors, table.numbers, table.hooks)] == [code] * 3
+        assert (table.numbers[-1], table.hooks[0]) == (n, n)
 
     def test_from_rows_round_trips(self):
         table = cell_typing(STAIR, ALPHA).table
@@ -455,7 +463,11 @@ class TestCellTable:
         with pytest.raises(ValueError, match=f"cell {index} "):
             CellTable.from_rows(rows)
 
-    @pytest.mark.parametrize("column, entry", [(2, 128), (2, 1.5), (5, 2**63), (5, "1")])
+    @pytest.mark.parametrize(
+        "column, entry",
+        # a one-cell table takes the 'h' lane, [-2**15, 2**15)
+        [(2, 128), (2, 1.5), (3, 2**15), (4, -(2**15) - 1), (5, 2**15), (5, 2**63), (5, "1")],
+    )
     def test_from_rows_rejects_entries_outside_the_columns(self, column, entry):
         row = [1] * 6
         row[column] = entry

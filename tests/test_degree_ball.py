@@ -23,6 +23,7 @@ from hookbound.degrees import (
     _round53,
     degree,
     degree_ball,
+    factorial_ball,
 )
 from hookbound.families import balanced, staircase
 from hookbound.partitions import Partition, enumerate_partitions
@@ -86,6 +87,18 @@ def test_sweep_sized_shapes(precision):
     for n in range(40, 1300, 61):
         for p in (balanced(n), staircase(n, ALPHA)):
             assert_ball_of(degree_ball(p), degree(p))
+
+
+@pytest.mark.parametrize("precision", PRECISIONS, indirect=True, ids=str)
+def test_factorial_ball_holds_the_factorial(precision):
+    # Legendre's exponents up to isqrt(m), then the runs of the primes
+    # above it; exact at the default precision while m * m.bit_length()
+    # <= 16384 (through m = 1489)
+    for m in (*range(40), 97, 1000, 1489, 1490, 5000):
+        ball = factorial_ball(m)
+        if precision == 128:
+            assert (ball.rad > 0) == (m > 1489)
+        assert_ball_of(ball, math.factorial(m))
 
 
 @pytest.mark.parametrize("shape", BENCHMARK_SHAPES, ids=lambda p: f"n{p.n}-k{len(p)}")
