@@ -13,11 +13,11 @@ and powers, falling back to the log domain past the budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from operator import add
+from typing import NamedTuple
 
 from .celltyping import _require_alpha, cell_typing, check_widths, rho
 from .certificates import (
@@ -111,9 +111,11 @@ def strip_bound(lam: Partition, k: int, l: int, alpha: Fraction) -> BoundCertifi
             f"part {wk + 1} of the working diagram is {work.part(wk + 1)} > {wl}",
         )
 
-    t = [cols[s] if s < len(cols) else 0 for s in range(wl)] + [
-        max(work.part(s) - wl, 0) for s in range(1, wk + 1)
-    ]
+    # t_s is the length of column s <= wl, then the overhang past wl of
+    # row s <= wk, each read as 0 past the diagram
+    top = work.parts[:wk]
+    t = [*cols[:wl], *[0] * (wl - len(cols)), *[max(p - wl, 0) for p in top],
+         *[0] * (wk - len(top))]
     if sum(t) != n:
         raise ConsistencyError(f"t-sequence sums to {sum(t)}, not n={n}")
 
@@ -345,8 +347,7 @@ def strict_bound(lam: Partition, alpha: Fraction) -> BoundCertificate:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(NamedTuple):
     """Record of the staircasing reduction lam -> lam~ -> mu.
 
     ``lam_tilde`` and ``s``/``t`` are reported after the conjugate swap

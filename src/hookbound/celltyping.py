@@ -93,11 +93,10 @@ import math
 import sys
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, islice, repeat
 from operator import eq, le, setitem
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .certificates import CellTable, lane_code, powers_ge
 from .degrees import _product_tree, factorial_ball
@@ -129,8 +128,7 @@ def rho(delta: int, alpha: Fraction) -> int:
     return delta * delta * q // (p % q) + 1
 
 
-@dataclass(frozen=True)
-class CellTyping:
+class CellTyping(NamedTuple):
     partition: Partition
     alpha: Fraction
     delta: int

@@ -44,10 +44,10 @@ import os
 import warnings
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, count, repeat
 from operator import eq, itemgetter
+from typing import NamedTuple
 
 from .degrees import DegreeBall
 from .partitions import format_rational, parse_rational
@@ -301,8 +301,7 @@ class CellTable:
         return len(other) == len(self) and all(map(eq, self, map(tuple, other)))
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
+class _CertificateFields(NamedTuple):
     bound_name: str
     parameters: dict[str, Fraction]
     exponent: Fraction | None
@@ -310,8 +309,32 @@ class BoundCertificate:
     rhs_log: float
     mode: str
     verdict: str
-    aux: dict = field(default_factory=dict)
-    cells: CellTable | None = None
+    aux: dict
+    cells: CellTable | None
+
+
+class BoundCertificate(_CertificateFields):
+    """One certified comparison; ``aux`` defaults to a new empty dict."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        bound_name: str,
+        parameters: dict[str, Fraction],
+        exponent: Fraction | None,
+        lhs_log: float,
+        rhs_log: float,
+        mode: str,
+        verdict: str,
+        aux: dict | None = None,
+        cells: CellTable | None = None,
+    ) -> "BoundCertificate":
+        return tuple.__new__(
+            cls,
+            (bound_name, parameters, exponent, lhs_log, rhs_log, mode, verdict,
+             {} if aux is None else aux, cells),
+        )
 
     @property
     def margin(self) -> float:

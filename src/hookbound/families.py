@@ -41,11 +41,16 @@ def staircase_core_size(delta: int) -> int:
 
 
 def largest_staircase_delta(n: int) -> int:
-    """Largest delta whose minimal strict staircase (c = delta+1) fits in n."""
-    d = 0
-    while staircase_core_size(d + 1) <= n:
-        d += 1
-    return d
+    """Largest delta whose minimal strict staircase (c = delta+1) fits in n.
+
+    The core holds (3 delta^2 + delta)/2 cells, which is at most n exactly
+    when delta <= (sqrt(24n + 1) - 1)/6.  As floor(floor(x)/6) = floor(x/6)
+    for real x, the largest such delta is exactly
+    ``(isqrt(24n + 1) - 1) // 6``; below n = 2 no core fits.
+    """
+    if n < 2:
+        return 0
+    return (math.isqrt(24 * n + 1) - 1) // 6
 
 
 def staircase(n: int, alpha: Fraction) -> Partition:

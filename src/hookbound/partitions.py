@@ -46,7 +46,6 @@ import re
 import sys
 import threading
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, compress, count, islice, repeat
@@ -55,25 +54,50 @@ from typing import Iterator, Sequence
 from .errors import DepthLimitError, EmptySampleSpaceError, HookBoundError
 
 
-@dataclass(frozen=True)
 class Partition:
-    """A partition of n, identified with its Young diagram of left-justified rows."""
+    """A partition of n, identified with its Young diagram of left-justified rows.
 
-    parts: tuple[int, ...] = ()
+    Immutable: ``parts`` and its sum ``n`` are stored once, at construction.
+    """
 
-    def __post_init__(self):
-        parts = tuple(map(int, self.parts))
+    __slots__ = ("parts", "n")
+
+    parts: tuple[int, ...]
+    n: int
+
+    def __init__(self, parts: Sequence[int] = ()):
+        parts = tuple(map(int, parts))
+        if parts and not (parts[-1] >= 1 and all(map(operator.ge, parts, parts[1:]))):
+            # only an invalid input gets here: find its first bad part for the message
+            prev = None
+            for p in parts:
+                if p < 1:
+                    raise HookBoundError(f"parts must be positive, got {p} in {parts}")
+                if prev is not None and p > prev:
+                    raise HookBoundError(f"parts must be weakly decreasing, got {parts}")
+                prev = p
         object.__setattr__(self, "parts", parts)
-        if not parts or (parts[-1] >= 1 and all(map(operator.ge, parts, parts[1:]))):
-            return
-        # only an invalid input gets here: find its first bad part for the message
-        prev = None
-        for p in parts:
-            if p < 1:
-                raise HookBoundError(f"parts must be positive, got {p} in {parts}")
-            if prev is not None and p > prev:
-                raise HookBoundError(f"parts must be weakly decreasing, got {parts}")
-            prev = p
+        object.__setattr__(self, "n", sum(parts))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Partition, (self.parts,)
+
+    def __repr__(self) -> str:
+        return f"Partition(parts={self.parts!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
 
     # -- construction and text format ------------------------------------
 
@@ -105,10 +129,6 @@ class Partition:
         return bool(self.parts)
 
     # -- basic structure ---------------------------------------------------
-
-    @property
-    def n(self) -> int:
-        return sum(self.parts)
 
     def part(self, i: int) -> int:
         """1-based part access; 0 beyond the stored parts."""

@@ -11,9 +11,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, fields
 from fractions import Fraction
-from operator import attrgetter
+from typing import NamedTuple
 
 from . import families
 from .bounds import theorem_classify
@@ -24,8 +23,7 @@ from .partitions import Partition, enumerate_partitions, format_rational
 ENUMERATE_CAP = 30
 
 
-@dataclass(frozen=True)
-class GrowthRow:
+class GrowthRow(NamedTuple):
     n: int
     partition: Partition
     cls: str
@@ -40,13 +38,11 @@ class GrowthRow:
 
 # the CSV header and the JSON row keys: the fields of GrowthRow in order,
 # with ``cls`` written as "class"
-_FIELDS = tuple(f.name for f in fields(GrowthRow))
+_FIELDS = GrowthRow._fields
 CSV_COLUMNS = tuple("class" if name == "cls" else name for name in _FIELDS)
-_row_values = attrgetter(*_FIELDS)
 
 
-@dataclass(frozen=True)
-class GrowthReport:
+class GrowthReport(NamedTuple):
     family: str
     alpha: Fraction
     beta: Fraction
@@ -110,12 +106,12 @@ def build_growth_report(
     skipped: list[tuple[int, str]] = []
     for n in range(n_from, n_to + 1):
         try:
-            candidates = sorted(
-                _candidates(family, n, alpha, samples, seed), key=lambda p: p.format()
-            )
+            candidates = list(_candidates(family, n, alpha, samples, seed))
         except HookBoundError as err:
             skipped.append((n, str(err)))
             continue
+        if len(candidates) > 1:
+            candidates.sort(key=Partition.format)
         for lam in candidates:
             try:
                 cert = theorem_classify(lam, alpha, beta)
@@ -156,7 +152,7 @@ def _fmt(x: float) -> str:
 
 def _values(row: GrowthRow) -> list:
     """The row's values in column order, the partition as its text."""
-    return [v.format() if type(v) is Partition else v for v in _row_values(row)]
+    return [v.format() if type(v) is Partition else v for v in row]
 
 
 def render_csv(report: GrowthReport) -> str:

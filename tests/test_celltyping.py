@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import hashlib
 import json
@@ -65,8 +64,8 @@ def _with_cells(ct, cells):
     numbers and hooks may differ from the rows of ``ct.table``)."""
     assert [tuple(cell[:2]) for cell in cells] == list(ct.partition.cells())
     _, _, types, colors, numbers, hooks = zip(*cells)
-    return dataclasses.replace(
-        ct, table=CellTable(ct.partition.parts, types, colors, numbers, hooks)
+    return ct._replace(
+        table=CellTable(ct.partition.parts, types, colors, numbers, hooks)
     )
 
 
@@ -522,8 +521,7 @@ def _set_number(ct, index, number):
 # as little as the clause allows where it compares counts
 CORRUPTIONS = {
     "column length": (
-        lambda ct: dataclasses.replace(
-            ct,
+        lambda ct: ct._replace(
             table=CellTable(
                 ct.table.parts,
                 ct.table.types,
@@ -539,12 +537,12 @@ CORRUPTIONS = {
         "numbering is not a bijection onto 1..n",
     ),
     "types partition": (
-        lambda ct: dataclasses.replace(ct, counts=(152, 0, 0, 4)),
+        lambda ct: ct._replace(counts=(152, 0, 0, 4)),
         "types do not partition the diagram",
     ),
     "counts disagree with the types": (
         # the types still run in number order, in runs of 152 and 3
-        lambda ct: dataclasses.replace(ct, counts=(151, 0, 1, 3)),
+        lambda ct: ct._replace(counts=(151, 0, 1, 3)),
         "types do not partition the diagram",
     ),
     "type overlap": (
@@ -558,19 +556,19 @@ CORRUPTIONS = {
     "negative count": (
         # the run ends 153, 152, 152 would type N = 153 as 3; the runs of
         # 153 1s and 3 4s hold 156 numbers, one more than n
-        lambda ct: dataclasses.replace(_relabel(ct, 153, 3), counts=(153, -1, 0, 3)),
+        lambda ct: _relabel(ct, 153, 3)._replace(counts=(153, -1, 0, 3)),
         "types do not partition the diagram",
     ),
     "first round": (
-        lambda ct: dataclasses.replace(ct, s_rounds=(9,) + ct.s_rounds[1:]),
+        lambda ct: ct._replace(s_rounds=(9,) + ct.s_rounds[1:]),
         "first round removed 9 < delta corners",
     ),
     "type-1 round": (
-        lambda ct: dataclasses.replace(ct, s_rounds=ct.s_rounds[:1] + (2,) + ct.s_rounds[2:]),
+        lambda ct: ct._replace(s_rounds=ct.s_rounds[:1] + (2,) + ct.s_rounds[2:]),
         "type-1 round ran with fewer than 2*alpha corners",
     ),
     "type-2 round": (
-        lambda ct: dataclasses.replace(ct, t_rounds=(1,)),
+        lambda ct: ct._replace(t_rounds=(1,)),
         "type-2 round ran with fewer than alpha corners",
     ),
     "counter inequality": (
@@ -578,11 +576,11 @@ CORRUPTIONS = {
         "alpha*h <= N fails at cell (1,3) with N=27, h=27",
     ),
     "type-1 mass": (
-        lambda ct: dataclasses.replace(ct, r=65),  # 11/10 * (2*65 + 10) = 154 > 152
+        lambda ct: ct._replace(r=65),  # 11/10 * (2*65 + 10) = 154 > 152
         "|T1|=152 below 2*alpha*r + alpha*delta with r=65, delta=10",
     ),
     "type-4 budget": (
-        lambda ct: dataclasses.replace(ct, delta=1, rho=1),  # 1 + 11/10 < 3
+        lambda ct: ct._replace(delta=1, rho=1),  # 1 + 11/10 < 3
         "|T4|=3 exceeds delta^2 + alpha*rho",
     ),
     "type-4 falling factorial": (
@@ -649,7 +647,7 @@ class TestCheckTypingBoundaries:
         ct = cell_typing(Partition(tuple(range(40, 10, -1))), Fraction(3, 2))
         assert (ct.delta, ct.rho, ct.counts) == (20, 801, (762, 0, 0, 3))
         with pytest.raises(ConsistencyError) as err:
-            _check_typing(dataclasses.replace(ct, delta=1, rho=1), sum(ct.counts[:3]))
+            _check_typing(ct._replace(delta=1, rho=1), sum(ct.counts[:3]))
         assert str(err.value) == "|T4|=3 exceeds delta^2 + alpha*rho"
 
     def test_overlap_by_one_number(self):
@@ -690,7 +688,7 @@ def test_columns_too_narrow_for_n_are_rejected():
     columns = (ct.table.types, ct.table.colors, ct.table.numbers, ct.table.hooks)
     wrapped = [[v - 2**16 if v >= 2**15 else v for v in col] for col in columns]
     # the table's own parts (one cell) set its code
-    bad = dataclasses.replace(ct, table=CellTable((1,), *wrapped))
+    bad = ct._replace(table=CellTable((1,), *wrapped))
     assert bad.table.numbers.typecode == "h"
     with pytest.raises(ConsistencyError) as err:
         _check_typing(bad, sum(ct.counts[:3]))

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import json
 import math
@@ -428,7 +427,7 @@ class TestCellTable:
         columns = list(zip(*ct.table))[2:]
         assert (tuple(table.types), tuple(table.colors), tuple(table.numbers),
                 tuple(table.hooks)) == tuple(columns)
-        assert dataclasses.replace(ct, table=CellTable(STAIR.parts, *columns)) == ct
+        assert ct._replace(table=CellTable(STAIR.parts, *columns)) == ct
 
     @pytest.mark.parametrize("n, code", [(2**15 - 1, "h"), (2**15, "i")])
     def test_columns_take_the_narrowest_lane_that_holds_n(self, n, code):

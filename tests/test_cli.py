@@ -90,6 +90,21 @@ def test_python_dash_m_matches_cli_module():
     assert runs[0].stdout == runs[1].stdout == f"16\n{format(math.log(16), '.15g')}\n"
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # every CLI run and benchmark probe pays this import; a bare interpreter
+    # (-S, no site packages) sees only what hookbound itself pulls in
+    src = str(Path(hookbound.cli.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import hookbound.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
+
+
 class TestCertifyCommand:
     def test_alpha_must_exceed_one(self, capsys):
         code, _, err = run(

@@ -1,10 +1,14 @@
 import hashlib
 import inspect
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import hookbound
 from hookbound.celltyping import check_typing_hypotheses
 from hookbound.errors import HookBoundError
 from hookbound.families import (
@@ -53,6 +57,20 @@ class TestStaircase:
         assert largest_staircase_delta(155) == 10
         assert largest_staircase_delta(609) == 19
         assert largest_staircase_delta(610) == 20
+
+    def test_largest_delta_matches_its_definition(self):
+        # the largest delta with staircase_core_size(delta) <= n, walking n
+        # up: the core sizes grow by at least 2, so delta moves by one at most
+        d = 0
+        for n in range(-3, 10**5 + 1):
+            if staircase_core_size(d + 1) <= n:
+                d += 1
+            assert largest_staircase_delta(n) == d
+
+    def test_largest_delta_at_10_to_30(self):
+        n = 10**30
+        d = largest_staircase_delta(n)
+        assert staircase_core_size(d) <= n < staircase_core_size(d + 1)
 
     def test_exact_size_and_shape(self):
         for n in (155, 160, 200, 610, 700):
@@ -125,6 +143,21 @@ class TestConstrainedSample:
             sys.setrecursionlimit(limit)
 
 
+def _cli_sweep_digest(family, alpha, beta, n_from, n_to):
+    """sha256 of the stdout of ``python -m hookbound sweep`` in a fresh process."""
+    env = dict(os.environ)
+    src = str(Path(hookbound.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    argv = [family, "--alpha", str(alpha), "--beta", str(beta),
+            "--n-from", str(n_from), "--n-to", str(n_to)]
+    run = subprocess.run(
+        [sys.executable, "-m", "hookbound", "sweep", *argv],
+        capture_output=True, env=env, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    return hashlib.sha256(run.stdout).hexdigest()
+
+
 class TestSweep:
     def test_balanced_small_range(self):
         report = build_growth_report("balanced", Fraction(2), Fraction(3, 2), 40, 45)
@@ -180,14 +213,29 @@ class TestSweep:
                 "staircase", Fraction(11, 10), Fraction(21, 20), 600, 620,
                 "f6c9971b1ff7ef0a08b05a12d89ed9e25b18d0b35a822ce97469fd772447da5f",
             ),
+            # the benchmark's staircase sweep at its least shift
+            (
+                "staircase", Fraction(11, 10), Fraction(21, 20), 400, 1200,
+                "237cbd5c3caf7f5692bc2c491ce7623926bb6242d2b55761aef5ae9a658e6faa",
+            ),
         ],
-        ids=["balanced", "staircase"],
+        ids=["balanced", "staircase", "staircase-400-1200"],
     )
     def test_family_pinned_digest(self, family, alpha, beta, n_from, n_to, digest):
         # each range crosses from the strip dispatch (M1) to the square one (M2)
         report = build_growth_report(family, alpha, beta, n_from, n_to)
         assert {r.cls for r in report.rows} == {"M1", "M2"}
         assert hashlib.sha256(render_csv(report).encode()).hexdigest() == digest
+        assert _cli_sweep_digest(family, alpha, beta, n_from, n_to) == digest
+
+    def test_balanced_strip_range_pinned_digest(self):
+        # the benchmark's balanced sweep at its least shift: every row is M1
+        args = ("balanced", Fraction(2), Fraction(3, 2), 40, 400)
+        report = build_growth_report(*args)
+        assert {r.cls for r in report.rows} == {"M1"}
+        digest = "614d60e562f26a9c4429cd4c78b29221daecc4aa195dac0233e838835c552f12"
+        assert hashlib.sha256(render_csv(report).encode()).hexdigest() == digest
+        assert _cli_sweep_digest(*args) == digest
 
     def test_sample_family_skips_n_past_recursion_limit(self, cold_table):
         # at alpha 3 the box (3000, 1000, 1000) is tight and fills its rows
