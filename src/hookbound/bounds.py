@@ -561,19 +561,6 @@ def _class_rule(
     return CLASS_M3, rho_val, threshold
 
 
-def classify(lam: Partition, alpha: Fraction, beta: Fraction) -> str:
-    """Place n into M1/M2/M3 from delta, rho and the pair (alpha, beta).
-
-    The rule is ``_class_rule``, the one ``theorem_classify`` applies, and
-    it is exact: no tolerance decides a tie.
-    """
-    alpha = _require_alpha(alpha)
-    if type(beta) is not Fraction:
-        beta = Fraction(beta)
-    _dispatch_constants(alpha, beta)  # checks 1 < beta < alpha
-    return _class_rule(lam.diagonal(), lam.n, alpha, beta)[0]
-
-
 def theorem_classify(lam: Partition, alpha: Fraction, beta: Fraction) -> BoundCertificate:
     """Certify f(lam) >= beta^n by dispatching on the M1/M2/M3 classification.
 

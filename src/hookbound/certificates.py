@@ -303,7 +303,7 @@ class CellTable:
 
 class _CertificateFields(NamedTuple):
     bound_name: str
-    parameters: dict[str, Fraction]
+    parameters: dict[str, Fraction | int]
     exponent: Fraction | None
     lhs_log: float
     rhs_log: float
@@ -321,7 +321,7 @@ class BoundCertificate(_CertificateFields):
     def __new__(
         cls,
         bound_name: str,
-        parameters: dict[str, Fraction],
+        parameters: dict[str, Fraction | int],
         exponent: Fraction | None,
         lhs_log: float,
         rhs_log: float,
@@ -387,7 +387,7 @@ def _jsonify(value):
 
 def make_certificate(
     bound_name: str,
-    parameters: dict[str, Fraction],
+    parameters: dict[str, Fraction | int],
     exponent: Fraction | None,
     lhs_log: float,
     rhs_log: float,
@@ -395,7 +395,11 @@ def make_certificate(
     aux: dict | None = None,
     cells: CellTable | None = None,
 ) -> BoundCertificate:
-    """Assemble a certificate; ``exact_result`` of None means log-domain mode."""
+    """Assemble a certificate; ``exact_result`` of None means log-domain mode.
+
+    ``parameters`` and ``exponent`` are stored as given: an int parameter
+    stays an int, and a reload reads it back as an equal ``Fraction``.
+    """
     if exact_result is None:
         mode = MODE_LOG
         verdict = verdict_from_logs(lhs_log, rhs_log, mode)
@@ -404,12 +408,8 @@ def make_certificate(
         verdict = PASS if exact_result else FAIL
     return BoundCertificate(
         bound_name=bound_name,
-        parameters={
-            k: v if type(v) is Fraction else Fraction(v) for k, v in parameters.items()
-        },
-        exponent=(
-            exponent if exponent is None or type(exponent) is Fraction else Fraction(exponent)
-        ),
+        parameters=parameters,
+        exponent=exponent,
         lhs_log=lhs_log,
         rhs_log=rhs_log,
         mode=mode,
@@ -429,15 +429,18 @@ def revalidate(obj: BoundCertificate | dict | str) -> bool:
     The stored margin must equal lhs_log - rhs_log exactly (JSON round-trips
     floats exactly), and the verdict must be the one implied by the logs.
     In exact mode a stored PASS/FAIL is also accepted when the logs sit
-    inside the float-indistinguishable band.
+    inside the float-indistinguishable band.  A document that is not a JSON
+    object, or whose logs or margin are not numbers, is rejected; text that
+    is not JSON raises ``json.JSONDecodeError``.
     """
     if type(obj) is BoundCertificate:
         obj = obj.to_json_dict()
     data = json.loads(obj) if isinstance(obj, str) else obj
-    if not all(map(data.__contains__, _CONTRACT_FIELDS)):
+    if not isinstance(data, dict) or not all(map(data.__contains__, _CONTRACT_FIELDS)):
         return False
-    lhs, rhs = data["lhs_log"], data["rhs_log"]
-    margin = data["margin"]
+    lhs, rhs, margin = data["lhs_log"], data["rhs_log"], data["margin"]
+    if not all(type(x) in (int, float) for x in (lhs, rhs, margin)):
+        return False
     if margin != lhs - rhs:
         return False
     implied = verdict_from_logs(lhs, rhs, data["mode"])

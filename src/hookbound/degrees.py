@@ -4,11 +4,10 @@
 evaluated by prime exponents, with no big division.  The bounds read
 ``degree_ball`` instead, a certified ball built from the same exponents.
 
-``hook_counts`` gives the multiset of hook lengths as a list indexed by
-length, read from the parts alone by ``_hook_counts``, which stops at the
-largest hook ``top = lambda_1 + k - 1``; the public list pads it to
-``n + 1`` entries.  With beta numbers
-``l_i = lambda_i + k - i``, row ``i`` holds the hooks ``{1..l_i}`` less
+``_hook_counts`` gives the multiset of hook lengths as a list indexed by
+length, read from the parts alone, up to the largest hook
+``top = lambda_1 + k - 1``.  With beta numbers ``l_i = lambda_i + k - i``,
+row ``i`` holds the hooks ``{1..l_i}`` less
 ``{l_i - l_j : j > i}`` (James and Kerber, *The Representation Theory of
 the Symmetric Group*, 2.7), so ``counts[h]`` is ``#{i : l_i >= h}`` less
 the number of pairs of beta numbers ``h`` apart.  That histogram is the
@@ -29,7 +28,9 @@ hook, and ``top >= 2*sqrt(n) - 1`` makes ``q*q > n``, so its exponent is
 ``n // q``; the primes that share one ``v = n // q`` enter as one
 ``prod(q) ** v``, at most ``n/top`` powers in all.  The primes come from
 one bytearray sieve per process, re-run to twice its reach when a larger
-``n`` arrives.  ``_exact``, the one exact build, multiplies these powers:
+``n`` arrives, up to ``SIEVE_CAP = 2**26``; a larger ``n`` raises
+``GuardExceededError`` before anything is sieved.  ``_exact``, the one
+exact build, multiplies these powers:
 by one running product while ``n * n.bit_length() <= 2 * _EXACT_BITS``,
 where the degree has at most ``_EXACT_BITS`` bits (``f**2 <= n! <
 2**(n * n.bit_length())``) and a tree saves nothing below the Karatsuba
@@ -83,8 +84,9 @@ only on such a midpoint.  Two degrees are compared by
 prime powers (a shape and its conjugate or itself) as equal degrees, so
 only an overlap of different degrees builds them.
 
-``count_syt_bruteforce`` grows every standard filling with no
-memoization and no hooks, so the two share nothing; the identity suites
+``standard_tableaux`` grows every standard filling with no memoization
+and no hooks, and ``count_syt_bruteforce`` counts them, so the count and
+``degree`` share nothing; the identity suites
 (``sum_squares_identity``, the conjugation symmetry, the tableau remark)
 cross-check the whole pipeline against classical facts.
 
@@ -110,13 +112,6 @@ REMARK_GUARD = 10
 SUM_SQUARES_GUARD = 12
 
 Tableau = tuple[tuple[int, ...], ...]
-
-
-def hook_counts(p: Partition) -> list[int]:
-    """``counts[h]`` is the number of cells with hook length ``h``, for 0 <= h <= n."""
-    counts = _hook_counts(p.parts)
-    counts += [0] * (p.n + 1 - len(counts))
-    return counts
 
 
 def _hook_counts(parts: tuple[int, ...]) -> list[int]:
@@ -178,18 +173,23 @@ def _primes_upto(n: int) -> list[int]:
 
 # (reach, the primes <= reach): rebound whole, never mutated, so threads may share it
 _sieved: tuple[int, list[int]] = (1, [])
+# the largest n sieved for (its time and memory: README, "Size cap")
+SIEVE_CAP = 2**26
 
 
 def _prime_list(n: int) -> list[int]:
     """The ascending primes through at least ``n``, sieved once per process.
 
-    A larger ``n`` re-sieves to at least twice the old reach; callers cut
-    the list at ``n`` with ``bisect``.
+    A larger ``n`` re-sieves to at least twice the old reach, but never
+    past ``SIEVE_CAP``; an ``n`` past the cap raises ``GuardExceededError``
+    before anything is sieved.  Callers cut the list at ``n`` with ``bisect``.
     """
     global _sieved
+    if n > SIEVE_CAP:
+        raise GuardExceededError("prime sieve", n, SIEVE_CAP)
     reach, primes = _sieved
     if n > reach:
-        reach = max(n, 2 * reach)
+        reach = min(max(n, 2 * reach), SIEVE_CAP)
         primes = _primes_upto(reach)
         _sieved = (reach, primes)
     return primes
@@ -213,13 +213,13 @@ def _prime_powers(p: Partition) -> tuple[int, list[int], list[int]]:
     ``q`` above ``top`` has exponent ``n // q`` (``_runs``).
     """
     n = p.n
+    primes = _prime_list(n)  # first, so that a shape past the cap allocates nothing
     top = _largest_hook(p.parts)
     counts = _hook_counts(p.parts)
     # No hook exceeds the corner hook top, so the slice sums below read only
     # up to it and the primes above it divide no hook.
     if len(counts) != top + 1:
         raise ArithmeticError(f"hook counts of {p} reach past its largest hook {top}")
-    primes = _prime_list(n)
     exponents = []
     for q in primes[: bisect_right(primes, top)]:
         e = 0
@@ -461,7 +461,7 @@ def standard_tableaux(p: Partition) -> Iterator[Tableau]:
 
     def rec(v: int) -> Iterator[Tableau]:
         if v > n:
-            yield tuple(tuple(r) for r in rows)
+            yield tuple([tuple(r) for r in rows])
             return
         for i in range(len(parts)):
             if len(rows[i]) < parts[i] and (i == 0 or len(rows[i - 1]) > len(rows[i])):
@@ -472,43 +472,11 @@ def standard_tableaux(p: Partition) -> Iterator[Tableau]:
     yield from rec(1)
 
 
-def is_standard_tableau(p: Partition, t: Tableau) -> bool:
-    if tuple(len(r) for r in t) != p.parts:
-        return False
-    entries = [v for row in t for v in row]
-    if sorted(entries) != list(range(1, p.n + 1)):
-        return False
-    for row in t:
-        if any(a >= b for a, b in zip(row, row[1:])):
-            return False
-    for up, down in zip(t, t[1:]):
-        if any(a >= b for a, b in zip(up, down)):
-            return False
-    return True
-
-
 def count_syt_bruteforce(p: Partition) -> int:
-    """Count standard tableaux by exhaustive growth; hard guard at n <= 12."""
+    """Count the tableaux ``standard_tableaux`` grows; hard guard at n <= 12."""
     if p.n > SYT_COUNT_GUARD:
         raise GuardExceededError("count_syt_bruteforce", p.n, SYT_COUNT_GUARD)
-    parts = p.parts
-    if not parts:
-        return 1
-    n = p.n
-    fills = [0] * len(parts)
-
-    def rec(v: int) -> int:
-        if v > n:
-            return 1
-        total = 0
-        for i in range(len(parts)):
-            if fills[i] < parts[i] and (i == 0 or fills[i - 1] > fills[i]):
-                fills[i] += 1
-                total += rec(v + 1)
-                fills[i] -= 1
-        return total
-
-    return rec(1)
+    return sum(1 for _ in standard_tableaux(p))
 
 
 def verify_remark_N_ge_h(p: Partition) -> bool:

@@ -10,7 +10,9 @@ class EmptySampleSpaceError(HookBoundError):
 
 
 class GuardExceededError(HookBoundError):
-    """A brute-force oracle was asked to run beyond its hard size guard."""
+    """An input passed a hard size guard: a brute-force oracle's, or the prime
+    sieve's ``degrees.SIEVE_CAP``, which every degree, degree ball and
+    factorial ball reads up to its n."""
 
     def __init__(self, what, n, limit):
         self.n = n

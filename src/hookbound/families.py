@@ -4,9 +4,7 @@ The balanced family is the unique partition of n into ceil(sqrt(n)) parts
 differing by at most one.  The staircase family stacks the largest strict
 staircase with all rows past the diagonal (the shape the typing bounds
 want), pays the remainder out as a flat tail below it, and is the
-deterministic hypothesis-satisfying input for a given n.  Tailed staircase
-variants attach an exact-uniform sampled tail instead, which is how the
-certification suite mass-produces distinct hypothesis-satisfying inputs.
+deterministic hypothesis-satisfying input for a given n.
 """
 from __future__ import annotations
 
@@ -29,10 +27,6 @@ def balanced(n: int) -> Partition:
         k += 1
     q, r = divmod(n, k)
     return Partition((q + 1,) * r + (q,) * (k - r))
-
-
-def _staircase_parts(c: int, delta: int) -> tuple[int, ...]:
-    return tuple(range(c + delta - 1, c - 1, -1))
 
 
 def staircase_core_size(delta: int) -> int:
@@ -66,7 +60,7 @@ def staircase(n: int, alpha: Fraction) -> Partition:
     if delta < 1:
         raise HookBoundError(f"no strict staircase fits inside n={n}")
     core = staircase_core_size(delta)
-    parts = list(_staircase_parts(delta + 1, delta))
+    parts = list(range(2 * delta, delta, -1))
     rest = n - core
     while rest > 0:
         row = min(delta, rest)
@@ -82,23 +76,6 @@ def staircase(n: int, alpha: Fraction) -> Partition:
             f"staircase family for n={n} violates the width constraint at alpha={alpha}"
         )
     return lam
-
-
-def staircase_with_tail(delta: int, c: int, tail_n: int, seed: int) -> Partition:
-    """Strict staircase (c+delta-1, ..., c) over an exact-uniform sampled tail.
-
-    The tail is a uniform partition of ``tail_n`` with parts <= min(delta, c-1)
-    and at most ``tail_n`` rows, so the assembled diagram keeps diagonal
-    ``delta`` and strictly decreasing first rows.
-    """
-    if c < delta + 1:
-        raise HookBoundError("c must be at least delta+1 for a strict staircase")
-    parts = list(_staircase_parts(c, delta))
-    if tail_n > 0:
-        cap = min(delta, c - 1)
-        tail = sample_partition(tail_n, cap, tail_n, seed)
-        parts.extend(tail.parts)
-    return Partition(tuple(parts))
 
 
 def constrained_sample(n: int, alpha: Fraction, seed: int) -> Partition:

@@ -136,12 +136,6 @@ class Partition:
             raise HookBoundError(f"part index must be >= 1, got {i}")
         return self.parts[i - 1] if i <= len(self.parts) else 0
 
-    def cells(self) -> Iterator[tuple[int, int]]:
-        """All cells ``(row, col)`` in row-major order."""
-        for i, row in enumerate(self.parts, start=1):
-            for j in range(1, row + 1):
-                yield i, j
-
     # -- diagram operations -------------------------------------------------
 
     def conjugate(self) -> "Partition":

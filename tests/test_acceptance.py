@@ -40,9 +40,11 @@ from hookbound.degrees import (
     verify_remark_N_ge_h,
 )
 from hookbound.errors import HookBoundError, HypothesisError
-from hookbound.families import staircase, staircase_with_tail
+from hookbound.families import staircase
 from hookbound.partitions import Partition, enumerate_partitions
 from hookbound.sweep import build_growth_report, render_csv
+
+from diagrams import staircase_with_tail
 
 ALPHA_TYPING = Fraction(11, 10)
 

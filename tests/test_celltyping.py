@@ -44,8 +44,10 @@ from hookbound.certificates import (
 )
 from hookbound.degrees import DegreeBall, degree
 from hookbound.errors import ConsistencyError, HypothesisError
-from hookbound.families import staircase, staircase_with_tail
+from hookbound.families import staircase
 from hookbound.partitions import Partition, corner_rows
+
+from diagrams import cells_of, staircase_with_tail
 
 ALPHA = Fraction(11, 10)
 STAIR = Partition(tuple(range(20, 10, -1)))  # (20,...,11) |- 155, delta = 10
@@ -62,7 +64,7 @@ def _with_cells(ct, cells):
     """``ct`` with its table rebuilt from ``cells``, rows ``(row, col, type,
     color, N, hook)`` in the diagram's row-major order (only types, colors,
     numbers and hooks may differ from the rows of ``ct.table``)."""
-    assert [tuple(cell[:2]) for cell in cells] == list(ct.partition.cells())
+    assert [tuple(cell[:2]) for cell in cells] == cells_of(ct.partition)
     _, _, types, colors, numbers, hooks = zip(*cells)
     return ct._replace(
         table=CellTable(ct.partition.parts, types, colors, numbers, hooks)
@@ -760,11 +762,11 @@ def _reference_typing(lam, alpha):
         for cell in row_seg + col_seg:
             counter += 1
             assigned[cell] = (3, m, counter)
-    for cell in mu.cells():
+    for cell in cells_of(mu):
         if cell not in assigned:
             counter += 1
             assigned[cell] = (4, 0, counter)
-    cells = [[*c, *assigned[c], hooks[c]] for c in lam.cells()]
+    cells = [[*c, *assigned[c], hooks[c]] for c in cells_of(lam)]
     return tuple(s_rounds), tuple(t_rounds), mu, cells
 
 

@@ -44,6 +44,8 @@ from hookbound.degrees import DegreeBall, degree, degree_ball
 from hookbound.families import balanced, staircase
 from hookbound.partitions import Partition
 
+from diagrams import cells_of
+
 
 class TestExactPower:
     def test_integer_exponent(self):
@@ -381,6 +383,44 @@ class TestSerialization:
         del data["mode"]
         assert not revalidate(data)
 
+    @pytest.mark.parametrize("text", ["3", "null", "[]", '"PASS"', "true"])
+    def test_revalidate_rejects_a_document_that_is_not_an_object(self, text):
+        assert revalidate(text) is False
+
+    def test_revalidate_rejects_a_list(self):
+        assert revalidate([self._cert(True).to_json_dict()]) is False
+
+    @pytest.mark.parametrize("field", ["lhs_log", "rhs_log", "margin"])
+    @pytest.mark.parametrize("value", ["10.0", None, [10.0], {"log": 10.0}])
+    def test_revalidate_rejects_logs_that_are_not_numbers(self, field, value):
+        data = self._cert(True).to_json_dict()
+        data[field] = value
+        assert revalidate(data) is False
+        assert revalidate(json.dumps(data)) is False
+
+    def test_revalidate_rejects_boolean_logs(self):
+        # JSON true and false are not numbers, though Python's bool is an int
+        data = self._cert(True).to_json_dict()
+        data.update(lhs_log=True, rhs_log=False, margin=True)
+        assert revalidate(data) is False
+
+    def test_revalidate_raises_on_text_that_is_not_json(self):
+        with pytest.raises(json.JSONDecodeError):
+            revalidate("{not json")
+
+    def test_int_parameters_are_stored_as_given(self):
+        lam = Partition((9, 6, 4, 2, 2, 1))
+        for cert in (
+            strip_bound(lam, 4, 3, Fraction(2)),
+            rectangle_bound(2, 3),
+            theorem_classify(Partition((500,) * 20), Fraction(11, 10), Fraction(21, 20)),
+        ):
+            assert type(cert.parameters["n"]) is int
+            assert type(cert.exponent) is Fraction
+            back = certificate_from_json(cert.to_json())
+            assert back == cert
+            assert back.to_json() == cert.to_json()
+
     def test_marginal_verdict_roundtrip(self):
         cert = make_certificate("demo", {}, None, 5.0, 5.0 + 1e-12, None)
         assert cert.verdict == MARGINAL
@@ -403,7 +443,7 @@ class TestCellTable:
         table = ct.table
         assert len(table) == STAIR.n
         assert all(type(row) is tuple for row in table)
-        assert [row[:2] for row in table] == list(STAIR.cells())
+        assert [row[:2] for row in table] == cells_of(STAIR)
         hooks = STAIR.hook_grid()
         assert [row[5] for row in table] == [hooks[row[:2]] for row in table]
 

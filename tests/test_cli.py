@@ -372,6 +372,22 @@ class TestSweepCommand:
 
 
 @pytest.mark.parametrize(
+    "argv, n",
+    [
+        (["certify", "rectangle", "--a", "100000", "--b", "100000"], 10**10),
+        (["degree", "100000000,100000000"], 2 * 10**8),
+    ],
+    ids=["rectangle", "degree"],
+)
+def test_past_the_sieve_cap_is_one_error_line(capsys, argv, n):
+    # the cap is checked on n before anything is sieved or counted
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE == 1
+    assert out == ""
+    assert err == f"prime sieve: n={n} exceeds guard n<={hookbound.degrees.SIEVE_CAP}\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["certify", "rectangle", "--a", "2", "--b", "2"],

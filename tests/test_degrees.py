@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
@@ -20,9 +21,9 @@ from hookbound.degrees import (
     _truncate,
     count_syt_bruteforce,
     degree,
-    hook_counts,
+    degree_ball,
+    factorial_ball,
     hook_product,
-    is_standard_tableau,
     log_degree,
     standard_tableaux,
     sum_squares_identity,
@@ -92,7 +93,7 @@ class TestPrimeExponentPath:
     def test_hook_counts_match_hook_grid_up_to_12(self):
         for n in range(13):
             for p in enumerate_partitions(n):
-                counts = hook_counts(p)
+                counts = padded_counts(p)
                 assert len(counts) == n + 1
                 grid = Counter(p.hook_grid().values())
                 assert {h: c for h, c in enumerate(counts) if c} == dict(grid)
@@ -190,11 +191,14 @@ def shapes(draw, max_n=300):
 
 
 def assert_unpadded(p):
-    """The private counts stop at the largest hook, where the public ones are padded to n."""
+    """The counts stop at the largest hook."""
+    assert len(_hook_counts(p.parts)) == _largest_hook(p.parts) + 1
+
+
+def padded_counts(p):
+    """The hook counts of ``p`` padded with zeros to ``n + 1`` entries."""
     counts = _hook_counts(p.parts)
-    top = _largest_hook(p.parts)
-    assert len(counts) == top + 1
-    assert counts == hook_counts(p)[: top + 1]
+    return counts + [0] * (p.n + 1 - len(counts))
 
 
 def grid_counts(p):
@@ -220,7 +224,7 @@ class TestSlotWidth:
         # cells of hook 256.  A column's counts are at most 1, but its pairs
         # one apart number k - 1, which needs the four-byte slots at 65537 rows.
         assert len(shape) == rows
-        assert hook_counts(shape) == grid_counts(shape)
+        assert padded_counts(shape) == grid_counts(shape)
         assert_unpadded(shape)
 
 
@@ -266,6 +270,44 @@ class TestPrimeList:
         assert _prime_list(2000) is _prime_list(2) == _primes_upto(2000)
 
 
+class TestSieveCap:
+    @pytest.fixture
+    def cap(self, monkeypatch):
+        monkeypatch.setattr(hookbound.degrees, "_sieved", (1, []))
+        monkeypatch.setattr(hookbound.degrees, "SIEVE_CAP", 100)
+        return 100
+
+    def test_at_the_cap(self, cap):
+        assert _prime_list(60) == _primes_upto(60)
+        # the doubling to 120 stops at the cap
+        assert _prime_list(70) == _primes_upto(cap)
+        assert hookbound.degrees._sieved[0] == cap
+        assert degree(Partition((cap,))) == 1
+        assert degree_ball(Partition((50, 50))).exact() == degree(Partition((50, 50)))
+        assert factorial_ball(cap).exact() == factorial(cap)
+
+    def test_past_the_cap(self, cap, monkeypatch):
+        message = f"prime sieve: n={cap + 1} exceeds guard n<={cap}"
+        with pytest.raises(GuardExceededError, match=message):
+            _prime_list(cap + 1)
+        assert hookbound.degrees._sieved == (1, [])
+        # the check reads n, not the reach of an earlier sieve
+        monkeypatch.setattr(hookbound.degrees, "_sieved", (2 * cap, _primes_upto(2 * cap)))
+        with pytest.raises(GuardExceededError, match=message):
+            _prime_list(cap + 1)
+
+    def test_shapes_past_the_cap_build_no_bead_string(self, cap, monkeypatch):
+        def no_counts(parts):
+            raise AssertionError("hook counts built past the sieve cap")
+
+        monkeypatch.setattr(hookbound.degrees, "_hook_counts", no_counts)
+        for call in (degree, degree_ball, log_degree):
+            with pytest.raises(GuardExceededError):
+                call(Partition((cap + 1,)))
+        with pytest.raises(GuardExceededError):
+            factorial_ball(cap + 1)
+
+
 class TestLogDegree:
     def test_examples(self):
         assert abs(log_degree(Partition((2, 1))) - math.log(2)) < 1e-12
@@ -304,6 +346,21 @@ class TestLogDegree:
         assert abs(got - ref) < 1e-12 * ref
 
 
+def is_standard_tableau(p, t):
+    if tuple(len(r) for r in t) != p.parts:
+        return False
+    entries = [v for row in t for v in row]
+    if sorted(entries) != list(range(1, p.n + 1)):
+        return False
+    for row in t:
+        if any(a >= b for a, b in zip(row, row[1:])):
+            return False
+    for up, down in zip(t, t[1:]):
+        if any(a >= b for a, b in zip(up, down)):
+            return False
+    return True
+
+
 class TestBruteForce:
     def test_known(self):
         assert count_syt_bruteforce(Partition((2, 2))) == 2
@@ -321,6 +378,20 @@ class TestBruteForce:
         assert len(set(tabs)) == len(tabs)
         for t in tabs:
             assert is_standard_tableau(p, t)
+
+    def test_counting_keeps_no_tableaux(self):
+        # a tableau built as tuple(generator) is resized, and the resized
+        # tuples pile up in the interpreter's free lists: about 600 KiB over
+        # the shapes of n <= 10, which the benchmark runner counts first
+        tracemalloc.start()
+        try:
+            for n in range(11):
+                for p in enumerate_partitions(n):
+                    count_syt_bruteforce(p)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 100_000
 
     def test_empty_shape(self):
         assert list(standard_tableaux(Partition(()))) == [()]

@@ -17,10 +17,11 @@ from hookbound.families import (
     largest_staircase_delta,
     staircase,
     staircase_core_size,
-    staircase_with_tail,
 )
 from hookbound.partitions import Partition, count_partitions
 from hookbound.sweep import CSV_COLUMNS, build_growth_report, render_csv, render_json
+
+from diagrams import staircase_with_tail
 
 ALPHA = Fraction(11, 10)
 

@@ -16,7 +16,6 @@ from hookbound.bounds import (
     _class_rule,
     _degree,
     _tilde,
-    classify,
     general_bound,
     reduce_diagram,
     rho,
@@ -263,16 +262,21 @@ class TestGeneralBound:
         assert cert.exponent > 0
 
 
+def _class(lam, alpha, beta):
+    """The class ``theorem_classify`` gives ``lam``, by its rule alone."""
+    return _class_rule(lam.diagonal(), lam.n, alpha, beta)[0]
+
+
 class TestClassify:
     def test_m1_small_diagonal(self):
         lam = Partition((10,) * 10)
-        assert classify(lam, Fraction(2), Fraction(3, 2)) == CLASS_M1
+        assert _class(lam, Fraction(2), Fraction(3, 2)) == CLASS_M1
 
     def test_m2_m3_threshold(self):
         m2 = Partition((500,) * 20)  # gamma*n = 4881 <= 5401
         m3 = Partition((600,) * 20)  # gamma*n = 5857 > 5401
-        assert classify(m2, ALPHA, BETA) == CLASS_M2
-        assert classify(m3, ALPHA, BETA) == CLASS_M3
+        assert _class(m2, ALPHA, BETA) == CLASS_M2
+        assert _class(m3, ALPHA, BETA) == CLASS_M3
 
     def test_tie_goes_to_m2(self):
         # at (4, 2) gamma = 1/2 exactly and T = 13/2 delta^2, so n = 13 delta^2 is a tie
@@ -283,14 +287,14 @@ class TestClassify:
     def test_beta_range_gate(self):
         lam = Partition((10,) * 10)
         with pytest.raises(HypothesisError):
-            classify(lam, Fraction(2), Fraction(2))
+            theorem_classify(lam, Fraction(2), Fraction(2))
 
     def test_near_tie_is_m3(self):
         # gamma*n - T = +6.9e-9 while T = 8424: a float rule with a 1e-9
         # relative slack calls this M2, and its square bound then fails
         lam = Partition((400,) * 36)
         alpha, beta = Fraction(2), Fraction(810074, 536305)
-        assert classify(lam, alpha, beta) == CLASS_M3
+        assert _class(lam, alpha, beta) == CLASS_M3
         cert = theorem_classify(lam, alpha, beta)
         assert cert.aux["class"] == CLASS_M3
         sub = cert.aux["sub_certificate"]
@@ -302,7 +306,7 @@ class TestClassify:
     def test_exact_tie_shapes(self, width, cls):
         lam = Partition((width,) * 72)  # n = 13 * 72^2 at width 936
         alpha, beta = Fraction(4), Fraction(2)
-        assert classify(lam, alpha, beta) == cls
+        assert _class(lam, alpha, beta) == cls
         assert theorem_classify(lam, alpha, beta).aux["class"] == cls
 
     @pytest.mark.parametrize(
@@ -583,7 +587,7 @@ class TestIntegerGates:
         for n in range(600, 621):
             lam = family_staircase(n, ALPHA)
             cert = theorem_classify(lam, ALPHA, BETA)
-            assert classify(lam, ALPHA, BETA) == cert.aux["class"]
+            assert _class(lam, ALPHA, BETA) == cert.aux["class"]
 
 
 def _digest(certs) -> str:

@@ -20,6 +20,8 @@ from hookbound.errors import HypothesisError
 from hookbound.families import balanced, staircase
 from hookbound.partitions import Partition, enumerate_partitions
 
+from diagrams import cells_of
+
 LAM = Partition.parse("9,6,4,2,2,1")
 ALPHA2 = Fraction(2)
 
@@ -101,7 +103,7 @@ def _per_cell_strip(lam, k, l):
     mu = Partition(tuple(p for p in range(wl + wk - 1, wl - 1, -1) if p > 0))
     hooks = work.hook_grid()
     cells_a, cells_b, cells_c, prod_bc = [], [], [], 1
-    for cell in work.cells():
+    for cell in cells_of(work):
         i, j = cell
         if j <= mu.part(i):
             cells_a.append(cell)
