@@ -509,6 +509,20 @@ CLASS_M2 = "M2"
 CLASS_M3 = "M3"
 
 
+def _require_pair(alpha: Fraction, beta: Fraction) -> tuple[Fraction, Fraction]:
+    """``(alpha, beta)`` as ``Fraction``s, gated by alpha > 1, then 1 < beta < alpha.
+
+    The gates read the pair alone, so a sweep runs them once, before its
+    first row, and the dispatch once per pair, in ``_dispatch_constants``.
+    """
+    alpha = _require_alpha(alpha)
+    if type(beta) is not Fraction:
+        beta = Fraction(beta)
+    if not (1 < beta < alpha):
+        raise HypothesisError("1 < beta < alpha", f"beta={beta}, alpha={alpha}")
+    return alpha, beta
+
+
 @lru_cache(maxsize=64)
 def _dispatch_constants(
     alpha: Fraction, beta: Fraction
@@ -520,10 +534,10 @@ def _dispatch_constants(
     the record: the dispatch decides its class exactly (``_class_rule``)
     and never tests eps.  ``eps`` is returned as the rational a certificate
     records, ``Fraction(eps).limit_denominator(10**12)``, and ``beta_log``
-    is ``log beta / eps`` on the float eps.
+    is ``log beta / eps`` on the float eps.  A pair that fails
+    ``_require_pair`` raises, and is not cached.
     """
-    if not (1 < beta < alpha):
-        raise HypothesisError("1 < beta < alpha", f"beta={beta}, alpha={alpha}")
+    _require_pair(alpha, beta)
     log_alpha = log_fraction(alpha)
     log_beta = log_fraction(beta)
     gamma = (log_alpha - log_beta) / log_alpha

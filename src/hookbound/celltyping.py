@@ -34,12 +34,14 @@ row index, and its colors a slice of the falling round numbers.  The
 per-cell phases (the cell-by-cell rounds, type 2 and the type-3 column
 cells) write single entries; the rest is written a row slice at a time,
 each sum one big-integer add over the row's bytes (``_row_sum``): these
-stretches, the type-3 row segments and the type-4 ranges, and each row's
-hooks (of the original diagram), a slice of the falling widths plus a
-prefix of the conjugate.  Every phase peels from the right end of a row,
-so a row's types are its type-4, 3, 2 and 1 cells left to right, byte
-runs cut at the running rows after types 3, 2 and 1.  The typing keeps
-its cells once, as the ``table``: a ``certificates.CellTable`` of
+stretches, the type-3 row segments and the type-4 ranges.  The hooks (of
+the original diagram) are one such sum over the whole diagram
+(``_hook_column``): a slice of the falling widths plus a prefix of the
+conjugate less the row index, each term joined over the rows into one
+column of one entry per cell.  Every phase peels from the right end of a
+row, so a row's types are its type-4, 3, 2 and 1 cells left to right,
+byte runs cut at the running rows after types 3, 2 and 1.  The typing
+keeps its cells once, as the ``table``: a ``certificates.CellTable`` of
 row-major typed columns of types (one byte) and colors, numbers and
 hooks (in the lane), packed from the joined rows.  It is the form a
 typing-backed certificate keeps, it is the typing's one representation of
@@ -55,11 +57,14 @@ budget, the type-4 falling-factorial product bound, and the aggregate
 product over type-1/2/3 cells that the degree bound rests on.  A failed
 check raises ConsistencyError.  Every check is exact in integers: with
 alpha = p/q, alpha*h <= N reads p*h <= q*N.  One pass scatters each
-cell's hook to slot N of a list, and the numbering is a bijection onto
-1..n when every number lies in 1..n and no slot is left empty.  The other
-per-cell clauses are lane tests over the row-major columns (SWAR: small
-integers in guarded lanes of one big integer; Lamport, "Multiple byte
-processing with full-word instructions", CACM 1975).  Every cell's type
+cell's hook to slot N of a list of zeros, and one ``min`` of slots 1..n
+decides two clauses at once: it is at least 1 exactly when every number
+lies in 1..n, none is left out (so none repeats) and every hook is at
+least 1.  Only a failure walks the cells, to name the first hook below 1
+or else the least number left out.  The other per-cell clauses are lane
+tests over the row-major columns (SWAR: small integers in guarded lanes
+of one big integer; Lamport, "Multiple byte processing with full-word
+instructions", CACM 1975).  Every cell's type
 must be the run of its number, of the runs that the counts cut 1..n into:
 1 plus three threshold compares of the numbers, read as one integer,
 against the types column widened to the numbers' lanes (the column is
@@ -312,7 +317,6 @@ def cell_typing(lam: Partition, alpha: Fraction) -> CellTyping:
     # row segment of a shell (m > delta)
     k_max = max(mu.part(1), mu_conj.part(1)) if mu else 0
     inner = delta + rho_val
-    ascending = memoryview(array(code, range(1, lam.part(1) + 1)))
     for m in range(k_max, inner, -1):
         row_len, col_len = mu.part(m), mu_conj.part(m)
         if row_len > delta or col_len > delta:
@@ -321,7 +325,7 @@ def cell_typing(lam: Partition, alpha: Fraction) -> CellTyping:
                 f"with both coordinates above delta"
             )
         if row_len:
-            nums[m - 1][:row_len] = array(code, _row_sum(counter, ascending[:row_len]))
+            nums[m - 1][:row_len] = array(code, range(counter + 1, counter + row_len + 1))
             colors[m - 1][:row_len] = array(code, [m]) * row_len
             counter += row_len
             work[m - 1] = 0
@@ -331,24 +335,23 @@ def cell_typing(lam: Partition, alpha: Fraction) -> CellTyping:
     t123 = counter
     for i, w in enumerate(work):
         if w:
-            nums[i][:w] = array(code, _row_sum(counter, ascending[:w]))
+            nums[i][:w] = array(code, range(counter + 1, counter + w + 1))
             counter += w
     if counter != n:
         raise ConsistencyError(f"numbered {counter} cells of {n}")
 
     # every phase peels from the right end of a row, so a row holds its
     # type-4, 3, 2 and 1 cells left to right, cut at the rows after types
-    # 3, 2 and 1.  Each column's rows are freed once joined.  The hook of
-    # cell (i, j) is (lambda_i - j + 1) + (lambda'_j - i)
+    # 3, 2 and 1.  Each column's rows are freed once joined
     types = b"".join(
         b"\4" * w3 + b"\3" * (w2 - w3) + b"\2" * (w1 - w2) + b"\1" * (row - w1)
         for row, w1, w2, w3 in zip(lam.parts, after1, after2, work)
     )
     colors = b"".join(colors)
     nums = b"".join(nums)
-    widths = memoryview(array(code, range(lam.part(1), 0, -1)))
-    cols = memoryview(array(code, lam.conjugate().parts))
-    hooks = b"".join(_row_sum(-i, widths[-row:], cols[:row]) for i, row in enumerate(lam.parts, 1))
+    widths = array(code, range(lam.part(1), 0, -1)).tobytes()
+    cols = array(code, lam.conjugate().parts).tobytes()
+    hooks = _hook_column(lam.parts, widths, cols, zero.itemsize, sys.byteorder)
     t1, t2 = sum(s_rounds), sum(t_rounds)
     typing = CellTyping(
         partition=lam,
@@ -386,14 +389,33 @@ def _row_sum(offset: int, *rows: memoryview) -> bytes:
     each is a digit, no place carries into or borrows from the next, and
     the total's bytes are the results, read back as the same signed
     values.  Every entry and result that the typing adds is a cell number,
-    a row or column length or a hook, in 1..n, and its lane
-    ``lane_code(n)`` has n < 2**(w-1).
+    in 1..n, and its lane ``lane_code(n)`` has n < 2**(w-1).
     """
     order, count, size = sys.byteorder, len(rows[0]), rows[0].itemsize
     total = offset * _lane_ones(count, size)
     for row in rows:
         total += int.from_bytes(row, order)
     return total.to_bytes(size * count, order)
+
+
+def _hook_column(parts: Sequence[int], widths: bytes, cols: bytes, size: int, order: str) -> bytes:
+    """The hooks of the diagram ``parts``, row-major, in the lane of ``widths`` and ``cols``.
+
+    ``widths`` holds lambda_1 down to 1 and ``cols`` the conjugate's parts,
+    as ``size``-byte entries in byte order ``order``.  The hook of cell
+    (i, j) is (lambda_i - j + 1) + (lambda'_j - i): row i's last lambda_i
+    widths, plus its first lambda_i column lengths, less its index.  Each
+    term is joined over the rows into one column of one entry per cell and
+    read as one integer, its entries the digits, as in ``_row_sum``; every
+    hook lies in 1..n, in the lane, so the sum's bytes are the hooks.  Each
+    term is freed as it is summed.
+    """
+    total = int.from_bytes(b"".join([widths[len(widths) - size * row :] for row in parts]), order)
+    total += int.from_bytes(b"".join([cols[: size * row] for row in parts]), order)
+    total -= int.from_bytes(
+        b"".join([i.to_bytes(size, order) * row for i, row in enumerate(parts, 1)]), order
+    )
+    return total.to_bytes(size * sum(parts), order)
 
 
 def _lane_ones(count: int, size: int) -> int:
@@ -487,19 +509,25 @@ def _check_typing(ct: CellTyping, t123: int) -> None:
     ):
         raise ConsistencyError("typing columns do not hold one entry per cell")
     # hook_of[N] is the hook of the cell numbered N (slot 0 unused); with
-    # every number in 0..n, the numbering is a bijection onto 1..n when no
-    # slot 1..n is left empty.  Read as unsigned, a number below 0 lies past
-    # n like one above n, and the scatter raises IndexError for either
-    hook_of = [None] * (n + 1)
+    # every number in 0..n and every hook at least 1, the numbering is a
+    # bijection onto 1..n when no slot 1..n is left at 0, so one min decides
+    # both.  Read as unsigned, a number below 0 lies past n like one above
+    # n, and the scatter raises IndexError for either
+    hook_of = [0] * (n + 1)
     unsigned = memoryview(numbers).cast("B").cast(numbers.typecode.upper())
     try:
         # setitem returns None, so any() runs the whole map
         any(map(setitem, repeat(hook_of), unsigned, table.hooks))
-        bijection = None not in islice(hook_of, 1, None)
     except IndexError:
-        bijection = False
-    if not bijection:
-        raise ConsistencyError("numbering is not a bijection onto 1..n")
+        raise ConsistencyError("numbering is not a bijection onto 1..n") from None
+    if min(islice(hook_of, 1, None), default=1) < 1:
+        # a hook below 1, or a slot left at 0 by a number that no cell takes
+        for row, col, _, _, num, h in table:
+            if h < 1:
+                raise ConsistencyError(f"h >= 1 fails at cell ({row},{col}) with N={num}, h={h}")
+        raise ConsistencyError(
+            f"numbering is not a bijection onto 1..n: no cell is numbered {hook_of.index(0, 1)}"
+        )
     if sum(ct.counts) != n:
         raise ConsistencyError("types do not partition the diagram")
     # 1..n cut into runs of counts[0] 1s, counts[1] 2s, counts[2] 3s and
@@ -559,11 +587,16 @@ _T123 = frozenset((1, 2, 3))
 
 
 def _raise_first_bad_cell(table: CellTable, p: int, q: int) -> None:
-    """Raise for the first type-1/2/3 cell, in cell order, with h > N or alpha*h > N >= alpha."""
+    """Raise for the first type-1/2/3 cell, in cell order, with h > N or alpha*h > N >= alpha.
+
+    Called when a lane test of those clauses failed, so a walk that finds no
+    such cell means the lane test and the walk disagree, and raises too.
+    """
     for row, col, cell_type, _, num, h in table:
         if cell_type in _T123 and (h > num or num * q >= p and p * h > q * num):
             clause = "h <= N" if h > num else "alpha*h <= N"
             raise ConsistencyError(f"{clause} fails at cell ({row},{col}) with N={num}, h={h}")
+    raise ConsistencyError("a per-cell clause failed its lane test, but no cell fails it")
 
 
 # how many cells numbered from t down may cover the shortfall of the cells

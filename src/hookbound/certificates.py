@@ -456,9 +456,10 @@ def certificate_from_json(obj: dict | str) -> BoundCertificate:
     """Rebuild a certificate from its JSON, nested certificates and cell table included.
 
     Every ``aux`` value that is an object carrying all the contract fields
-    is rebuilt as a nested ``BoundCertificate``, and ``cells`` as a
-    ``CellTable`` (``CellTable.from_rows``), so the result serializes to the
-    bytes it was read from.
+    is rebuilt as a nested ``BoundCertificate``, a rational ``aux`` value
+    (the strict bound's ``sharp_exponent``) as a ``Fraction``, and ``cells``
+    as a ``CellTable`` (``CellTable.from_rows``), so the result equals the
+    certificate written and serializes to the bytes it was read from.
     """
     data = json.loads(obj) if isinstance(obj, str) else obj
     return BoundCertificate(
@@ -469,11 +470,19 @@ def certificate_from_json(obj: dict | str) -> BoundCertificate:
         rhs_log=data["rhs_log"],
         mode=data["mode"],
         verdict=data["verdict"],
-        aux={
-            k: certificate_from_json(v)
-            if isinstance(v, dict) and all(map(v.__contains__, _CONTRACT_FIELDS))
-            else v
-            for k, v in data.get("aux", {}).items()
-        },
+        aux={k: _aux_from_json(k, v) for k, v in data.get("aux", {}).items()},
         cells=None if data.get("cells") is None else CellTable.from_rows(data["cells"]),
     )
+
+
+# the aux keys that hold a rational, written as its "p/q" text
+_RATIONAL_AUX = frozenset(("sharp_exponent",))
+
+
+def _aux_from_json(key: str, value):
+    """An ``aux`` value as a certificate holds it: a nested certificate, a rational or as read."""
+    if isinstance(value, dict) and all(map(value.__contains__, _CONTRACT_FIELDS)):
+        return certificate_from_json(value)
+    if key in _RATIONAL_AUX:
+        return parse_rational(value)
+    return value

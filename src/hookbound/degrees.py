@@ -27,10 +27,14 @@ power up to ``top`` (no hook is larger).  A prime ``q > top`` divides no
 hook, and ``top >= 2*sqrt(n) - 1`` makes ``q*q > n``, so its exponent is
 ``n // q``; the primes that share one ``v = n // q`` enter as one
 ``prod(q) ** v``, at most ``n/top`` powers in all.  The primes come from
-one bytearray sieve per process, re-run to twice its reach when a larger
-``n`` arrives, up to ``SIEVE_CAP = 2**26``; a larger ``n`` raises
-``GuardExceededError`` before anything is sieved.  ``_exact``, the one
-exact build, multiplies these powers:
+one list per process, sieved over the odd numbers only.  A larger ``n``
+extends it to at least twice its reach, over the new segment alone and
+with the primes it already holds (a segmented sieve; Bays and Hudson,
+BIT 17, 1977), so each prime is sieved once; only a reach at least the
+square of the old one sieves afresh.  The list stops at
+``SIEVE_CAP = 2**26``; a larger ``n`` raises ``GuardExceededError``
+before anything is sieved.  ``_exact``, the one exact build, multiplies
+these powers:
 by one running product while ``n * n.bit_length() <= 2 * _EXACT_BITS``,
 where the degree has at most ``_EXACT_BITS`` bits (``f**2 <= n! <
 2**(n * n.bit_length())``) and a tree saves nothing below the Karatsuba
@@ -99,7 +103,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
-from itertools import compress
+from itertools import compress, islice
 from math import factorial
 from operator import add, mul, ne
 from typing import Iterator
@@ -163,12 +167,26 @@ def hook_product(p: Partition) -> int:
 
 
 def _primes_upto(n: int) -> list[int]:
-    """The primes ``q <= n``, by a bytearray sieve of Eratosthenes."""
-    is_prime = bytearray([0, 0]) + bytearray([1]) * (n - 1)
-    for q in range(2, math.isqrt(n) + 1):
-        if is_prime[q]:
-            is_prime[q * q :: q] = bytes(len(range(q * q, n + 1, q)))
-    return list(compress(range(n + 1), is_prime))
+    """The primes ``q <= n``: 2, then the odd ones, struck by the primes through ``isqrt(n)``."""
+    return [2, *_primes_between(2, n, _primes_upto(math.isqrt(n)))] if n > 1 else []
+
+
+def _primes_between(low: int, high: int, primes: list[int]) -> Iterator[int]:
+    """The primes ``low < q <= high``, for ``low >= 2`` and ``primes`` through ``isqrt(high)``.
+
+    A segmented sieve of Eratosthenes (Bays and Hudson, BIT 17, 1977) over
+    the odd numbers only: slot ``i`` stands for ``first + 2*i``, ``first``
+    the least odd number past ``low``, and each odd prime ``q`` strikes
+    every ``q``-th slot from its least odd multiple past both ``q*q`` and
+    ``low``.
+    """
+    first = low + 1 | 1
+    odd = bytearray([1]) * max((high - first) // 2 + 1, 0)
+    for q in islice(primes, 1, bisect_right(primes, math.isqrt(high))):
+        start = -(-max(q * q, first) // q) * q
+        i = (start + q * (start % 2 == 0) - first) // 2
+        odd[i::q] = bytes(len(range(i, len(odd), q)))
+    return compress(range(first, high + 1, 2), odd)
 
 
 # (reach, the primes <= reach): rebound whole, never mutated, so threads may share it
@@ -178,20 +196,27 @@ SIEVE_CAP = 2**26
 
 
 def _prime_list(n: int) -> list[int]:
-    """The ascending primes through at least ``n``, sieved once per process.
+    """The ascending primes through at least ``n``, each sieved once per process.
 
-    A larger ``n`` re-sieves to at least twice the old reach, but never
-    past ``SIEVE_CAP``; an ``n`` past the cap raises ``GuardExceededError``
-    before anything is sieved.  Callers cut the list at ``n`` with ``bisect``.
+    A larger ``n`` extends the list to at least twice the old reach, but
+    never past ``SIEVE_CAP``: over the new segment alone, with the primes
+    already held.  It sieves afresh when the new reach is at least the
+    square of the old one, so that the primes through its square root are
+    held, and the segment starts past 2.  An ``n`` past the cap raises
+    ``GuardExceededError`` before anything is sieved.  Callers cut the list
+    at ``n`` with ``bisect``.
     """
     global _sieved
     if n > SIEVE_CAP:
         raise GuardExceededError("prime sieve", n, SIEVE_CAP)
     reach, primes = _sieved
     if n > reach:
-        reach = min(max(n, 2 * reach), SIEVE_CAP)
-        primes = _primes_upto(reach)
-        _sieved = (reach, primes)
+        new = min(max(n, 2 * reach), SIEVE_CAP)
+        if math.isqrt(new) >= reach:
+            primes = _primes_upto(new)
+        else:
+            primes = [*primes, *_primes_between(reach, new, primes)]
+        _sieved = (new, primes)
     return primes
 
 

@@ -202,6 +202,10 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction | int) -> str:
+    # an int formats as itself; a bool or other int subclass goes through
+    # Fraction, so True still formats as "1"
+    if type(value) is int:
+        return str(value)
     if type(value) is not Fraction:
         value = Fraction(value)
     if value.denominator == 1:

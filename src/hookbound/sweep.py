@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import families
-from .bounds import theorem_classify
+from .bounds import _require_pair, theorem_classify
 from .celltyping import _width_cap
 from .errors import HookBoundError, HypothesisError
 from .partitions import Partition, enumerate_partitions, format_rational
@@ -77,7 +77,7 @@ def _candidates(family, n, alpha, samples, seed):
     elif family == "staircase":
         yield families.staircase(n, alpha)
     elif family == "enumerate":
-        cap = _width_cap(n, Fraction(alpha))
+        cap = _width_cap(n, alpha)
         for lam in enumerate_partitions(n, max_part=cap, max_parts=cap):
             yield lam
     elif family == "sample":
@@ -102,6 +102,8 @@ def build_growth_report(
         raise HookBoundError(
             f"enumerate family is capped at n <= {ENUMERATE_CAP}; use the sample family"
         )
+    # every row would fail the same gates of the pair: raise before the first
+    alpha, beta = _require_pair(alpha, beta)
     rows: list[GrowthRow] = []
     skipped: list[tuple[int, str]] = []
     for n in range(n_from, n_to + 1):
@@ -135,8 +137,8 @@ def build_growth_report(
             )
     return GrowthReport(
         family=family,
-        alpha=Fraction(alpha),
-        beta=Fraction(beta),
+        alpha=alpha,
+        beta=beta,
         n_from=n_from,
         n_to=n_to,
         samples=samples,

@@ -27,6 +27,7 @@ from hookbound.celltyping import (
     _aggregate_holds,
     _check_typing,
     _counter_holds,
+    _hook_column,
     _row_sum,
     _types_follow_runs,
     cell_typing,
@@ -535,8 +536,9 @@ CORRUPTIONS = {
         "typing columns do not hold one entry per cell",
     ),
     "bijection": (
+        # cell (1,1) takes the number of cell (1,2), and 153 is left out
         lambda ct: _set_number(ct, 0, ct.table.numbers[1]),
-        "numbering is not a bijection onto 1..n",
+        "numbering is not a bijection onto 1..n: no cell is numbered 153",
     ),
     "types partition": (
         lambda ct: ct._replace(counts=(152, 0, 0, 4)),
@@ -698,20 +700,53 @@ def test_columns_too_narrow_for_n_are_rejected():
 
 
 @pytest.mark.parametrize(
-    "renumber",
+    "renumber, left_out",
     [
-        lambda num, n: 0,  # fills the unused slot 0
-        lambda num, n: num - n - 1,  # as a list index, the slot of num itself
-        lambda num, n: n + 1,
+        (lambda num, n: 0, ": no cell is numbered 153"),  # fills the unused slot 0
+        # as a list index, the slot of num itself
+        (lambda num, n: num - n - 1, ""),
+        (lambda num, n: n + 1, ""),
     ],
     ids=["zero", "negative-alias", "past-n"],
 )
-def test_numbers_outside_one_to_n_are_not_a_bijection(stair_typing, renumber):
+def test_numbers_outside_one_to_n_are_not_a_bijection(stair_typing, renumber, left_out):
     ct = stair_typing
+    assert ct.table.numbers[0] == 153
     bad = _set_number(ct, 0, renumber(ct.table.numbers[0], ct.n))
     with pytest.raises(ConsistencyError) as err:
         _check_typing(bad, sum(ct.counts[:3]))
-    assert str(err.value) == "numbering is not a bijection onto 1..n"
+    assert str(err.value) == "numbering is not a bijection onto 1..n" + left_out
+
+
+@pytest.fixture(scope="module")
+def reduced_stair_typing():
+    """The typing of the reduced staircase(2000, 11/10): 1,488 cells, types 1 and 4."""
+    ct = cell_typing(reduce_diagram(staircase(2000, ALPHA), ALPHA).mu, ALPHA)
+    assert ct.counts == (1482, 0, 0, 6)
+    return ct
+
+
+@pytest.mark.parametrize("cell_type", [1, 4])
+@pytest.mark.parametrize("hook", [0, -1])
+def test_hook_below_one_is_rejected(reduced_stair_typing, cell_type, hook):
+    # the min over the scattered hooks rejects a hook below 1 with the
+    # bijection; a 0 or -1 on the first type-1 or type-4 cell once passed
+    # every clause (the counter walk read -1 signed and found no bad cell)
+    ct = reduced_stair_typing
+    bad = _set_hook(ct, cell_type, hook)
+    row, col, _, _, num, _ = next(r for r in bad.table if r[TYPE] == cell_type)
+    with pytest.raises(ConsistencyError) as err:
+        _check_typing(bad, sum(ct.counts[:3]))
+    assert str(err.value) == f"h >= 1 fails at cell ({row},{col}) with N={num}, h={hook}"
+
+
+def test_failed_lane_test_with_no_bad_cell_raises(stair_typing, monkeypatch):
+    # the walk that names the bad cell finds none: the lane test and the
+    # walk disagree, which is itself a fault
+    monkeypatch.setattr(hookbound.celltyping, "_counter_holds", lambda *args: False)
+    with pytest.raises(ConsistencyError) as err:
+        _check_typing(stair_typing, sum(stair_typing.counts[:3]))
+    assert str(err.value) == "a per-cell clause failed its lane test, but no cell fails it"
 
 
 def _reference_typing(lam, alpha):
@@ -989,6 +1024,19 @@ def test_counter_lanes_skip_type4_and_cells_below_alpha(code, order):
     for num in (3, 4, 5):
         bound = q * num // p
         assert holds(**{f"h{num}": bound}) and not holds(**{f"h{num}": bound + 1})
+
+
+@pytest.mark.parametrize("order", ["little", "big"])
+@pytest.mark.parametrize("code", LANES)
+@settings(max_examples=40, deadline=None)
+@given(parts=st.lists(st.integers(1, 40), min_size=1, max_size=25))
+def test_hook_column_matches_the_hook_grid(order, code, parts):
+    lam = Partition(tuple(sorted(parts, reverse=True)))
+    size = array(code).itemsize
+    widths = _ordered(array(code, range(lam.part(1), 0, -1)), order).tobytes()
+    cols = _ordered(array(code, lam.conjugate().parts), order).tobytes()
+    column = _ordered(array(code, _hook_column(lam.parts, widths, cols, size, order)), order)
+    assert column.tolist() == list(lam.hook_grid().values())
 
 
 def test_lane_width_follows_n():

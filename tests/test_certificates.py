@@ -552,6 +552,19 @@ class TestNestedCertificates:
         assert type(sub.aux["mu_certificate"]) is BoundCertificate
         assert type(sub.aux["mu_certificate"].cells) is CellTable
 
+    def test_general_reloads_equal(self, general, theorem_m3):
+        # the strict certificate's sharp exponent reloads as a Fraction, not
+        # as its text, so the reload equals the certificate written
+        sharp = general.aux["mu_certificate"].aux["sharp_exponent"]
+        assert type(sharp) is Fraction
+        for cert in (general, theorem_m3):
+            back = certificate_from_json(cert.to_json())
+            assert back == cert
+            assert back.to_json() == cert.to_json()
+        back = certificate_from_json(general.to_json())
+        assert back.aux["mu_certificate"].aux["sharp_exponent"] == sharp
+        assert type(back.aux["mu_certificate"].aux["sharp_exponent"]) is Fraction
+
     def test_revalidate_accepts_an_object(self, general, theorem_m3):
         assert revalidate(general) and revalidate(general.aux["mu_certificate"])
         assert revalidate(theorem_m3.aux["sub_certificate"])

@@ -10,6 +10,7 @@ import pytest
 
 import hookbound.cli
 import hookbound.degrees
+import hookbound.sweep
 from hookbound.celltyping import cell_typing
 from hookbound.certificates import certificate_from_json, revalidate
 from hookbound.degrees import degree
@@ -351,6 +352,31 @@ class TestSweepCommand:
         assert code == EXIT_PASS
         assert out == ""
         assert path.read_text().startswith("n,partition")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "alpha, beta, message",
+        [
+            ("2", "2", "hypothesis violated: 1 < beta < alpha (beta=2, alpha=2)"),
+            ("2", "1", "hypothesis violated: 1 < beta < alpha (beta=1, alpha=2)"),
+            ("1", "3/2", "hypothesis violated: alpha > 1 (got 1)"),
+        ],
+        ids=["beta-at-alpha", "beta-at-one", "alpha-at-one"],
+    )
+    def test_pair_outside_the_hypotheses_exits_three_before_any_row(
+        self, capsys, monkeypatch, fmt, alpha, beta, message
+    ):
+        def no_rows(*args):
+            raise AssertionError("a row was certified")
+
+        monkeypatch.setattr(hookbound.sweep, "theorem_classify", no_rows)
+        code, out, err = run(
+            capsys, "sweep", "balanced", "--alpha", alpha, "--beta", beta,
+            "--n-from", "40", "--n-to", "42", "--format", fmt,
+        )
+        assert code == EXIT_HYPOTHESIS == 3
+        assert out == ""
+        assert err == message + "\n"
 
     def test_csv_reports_skipped_n_on_stderr(self, capsys, cold_table):
         # the box (3000, 1000, 1000) of alpha 3 is tight: its rows recurse

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 from bisect import bisect_right
 from collections import Counter
@@ -17,6 +18,7 @@ from hookbound.degrees import (
     _hook_counts,
     _largest_hook,
     _prime_list,
+    _primes_between,
     _primes_upto,
     _truncate,
     count_syt_bruteforce,
@@ -268,6 +270,81 @@ class TestPrimeList:
             assert primes[: bisect_right(primes, n)] == _primes_upto(n), n
         # 1500 re-sieved to 2000, twice the reach of 1000; nothing since has
         assert _prime_list(2000) is _prime_list(2) == _primes_upto(2000)
+
+
+def _plain_sieve(n):
+    """The primes through n by a plain bytearray sieve over every number."""
+    is_prime = bytearray([1]) * (n + 1)
+    is_prime[: min(2, n + 1)] = bytes(min(2, n + 1))
+    for q in range(2, math.isqrt(n) + 1):
+        if is_prime[q]:
+            is_prime[q * q :: q] = bytes(len(range(q * q, n + 1, q)))
+    return [q for q in range(n + 1) if is_prime[q]]
+
+
+class TestOddSieve:
+    def test_matches_the_plain_sieve(self):
+        for n in range(401):
+            assert _primes_upto(n) == _plain_sieve(n), n
+
+    def test_segments_match_the_plain_sieve(self):
+        reference = _plain_sieve(700)
+        for low in range(2, 120):
+            for high in range(low, 700, 7):
+                base = _plain_sieve(max(math.isqrt(high), 2))
+                expected = [q for q in reference if low < q <= high]
+                assert list(_primes_between(low, high, base)) == expected, (low, high)
+
+    def test_growing_reaches_match_the_plain_sieve(self, monkeypatch):
+        # each n past the reach either extends the held list over the new
+        # segment or, when the new reach is at least the old one squared,
+        # sieves afresh; a list once handed out is never changed
+        fresh = []
+        real = hookbound.degrees._primes_upto
+
+        def spy(n):
+            fresh.append(n)
+            return real(n)
+
+        monkeypatch.setattr(hookbound.degrees, "_primes_upto", spy)
+        branches = set()
+        for seed in range(30):
+            rng = random.Random(seed)
+            monkeypatch.setattr(hookbound.degrees, "_sieved", (1, []))
+            # log-uniform draws, mostly growing, so that both small and large jumps occur
+            ns = sorted(int(math.exp(rng.uniform(0, math.log(20000)))) for _ in range(8))
+            for n in ns + [rng.randrange(ns[-1] + 1)]:
+                before, held = hookbound.degrees._sieved
+                kept = list(held)
+                fresh.clear()
+                primes = _prime_list(n)
+                reach = hookbound.degrees._sieved[0]
+                assert held == kept
+                assert primes == _plain_sieve(reach), (n, reach)
+                if reach == before:
+                    assert primes is held and not fresh
+                    continue
+                assert reach == max(n, 2 * before)
+                afresh = reach in fresh
+                assert afresh == (math.isqrt(reach) >= before)
+                branches.add(afresh)
+        assert branches == {True, False}
+
+    def test_both_branches_run(self, monkeypatch):
+        monkeypatch.setattr(hookbound.degrees, "_sieved", (1, []))
+        sieved = []
+        real = hookbound.degrees._primes_between
+        monkeypatch.setattr(
+            hookbound.degrees, "_primes_between",
+            lambda low, high, primes: sieved.append((low, high)) or real(low, high, primes),
+        )
+        _prime_list(19881)  # afresh: segments (2, 19881] and below it, by recursion
+        assert sieved[-1] == (2, 19881)
+        sieved.clear()
+        _prime_list(39762)  # extended over the new segment alone
+        assert sieved == [(19881, 39762)]
+        assert _prime_list(79524) == _plain_sieve(79524)
+        assert sieved[-1] == (39762, 79524)
 
 
 class TestSieveCap:

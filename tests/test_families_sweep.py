@@ -10,7 +10,7 @@ import pytest
 
 import hookbound
 from hookbound.celltyping import check_typing_hypotheses
-from hookbound.errors import HookBoundError
+from hookbound.errors import HookBoundError, HypothesisError
 from hookbound.families import (
     balanced,
     constrained_sample,
@@ -185,6 +185,26 @@ class TestSweep:
     def test_enumerate_cap(self):
         with pytest.raises(HookBoundError):
             build_growth_report("enumerate", Fraction(2), Fraction(3, 2), 10, 200)
+
+    @pytest.mark.parametrize(
+        "alpha, beta, condition",
+        [
+            (Fraction(2), Fraction(2), "1 < beta < alpha"),
+            (Fraction(2), Fraction(1), "1 < beta < alpha"),
+            (Fraction(2), Fraction(5, 2), "1 < beta < alpha"),
+            (Fraction(1), Fraction(3, 2), "alpha > 1"),
+        ],
+    )
+    def test_pair_outside_the_hypotheses_raises(self, alpha, beta, condition):
+        # once for the pair, not one skipped row per n
+        with pytest.raises(HypothesisError) as err:
+            build_growth_report("staircase", alpha, beta, 400, 402)
+        assert err.value.condition == condition
+
+    def test_pair_is_kept_as_fractions(self):
+        report = build_growth_report("balanced", 2, "3/2", 40, 40)
+        assert (type(report.alpha), type(report.beta)) == (Fraction, Fraction)
+        assert (report.alpha, report.beta) == (2, Fraction(3, 2))
 
     def test_unknown_family(self):
         with pytest.raises(HookBoundError):

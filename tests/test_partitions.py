@@ -542,6 +542,21 @@ class TestRationalText:
     def test_format(self):
         assert format_rational(Fraction(11, 10)) == "11/10"
         assert format_rational(Fraction(4, 2)) == "2"
+        assert format_rational(Fraction(-7, 3)) == "-7/3"
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [(0, "0"), (7, "7"), (-7, "-7"), (10**40, "1" + "0" * 40), (True, "1"), (False, "0")],
+    )
+    def test_format_int(self, value, text):
+        assert format_rational(value) == text == format_rational(Fraction(value))
+
+    def test_int_formats_without_a_fraction(self, monkeypatch):
+        def no_fraction(*args):
+            raise AssertionError("an int went through Fraction")
+
+        monkeypatch.setattr(hookbound.partitions, "Fraction", no_fraction)
+        assert format_rational(12) == "12" and format_rational(-3) == "-3"
 
     @given(st.integers(-999, 999), st.integers(1, 999))
     def test_roundtrip(self, p, q):
