@@ -13,10 +13,12 @@ and powers, falling back to the log domain past the budget.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import factorial
-from operator import add
+from operator import add, sub
 from typing import NamedTuple
 
 from .celltyping import _require_alpha, cell_typing, check_widths, rho
@@ -28,7 +30,7 @@ from .certificates import (
     make_certificate,
     powers_ge,
 )
-from .degrees import DegreeBall, _product_tree, degree_ball
+from .degrees import DegreeBall, _exponents, _prime_list, degree_ball
 from .errors import ConsistencyError, HypothesisError
 from .partitions import Partition
 
@@ -91,7 +93,9 @@ def strip_bound(lam: Partition, k: int, l: int, alpha: Fraction) -> BoundCertifi
     cells of C (when positive); every row below ``K`` is B.  The
     certificate records ``k``, ``l``, ``m`` and ``n`` in ``parameters``,
     and the mass sequence ``t`` of length k+l, ``conjugated`` and the class
-    sizes in ``aux``.
+    sizes in ``aux``.  The last consistency check, ``prod(B and C hooks)
+    <= prod t_i!``, is ``_check_t_factorials``, decided by prime exponents
+    with no product built.
     """
     alpha = _require_alpha(alpha)
     if k < 0 or l < 0:
@@ -154,8 +158,7 @@ def strip_bound(lam: Partition, k: int, l: int, alpha: Fraction) -> BoundCertifi
         hooks_bc += map(add, range(row - i + 1 - j, -i, -1), cols[j - 1 : row])
     if size_a > m:
         raise ConsistencyError(f"|A|={size_a} exceeds m={m}")
-    if _product_tree(hooks_bc) > _product_tree([factorial(ti) for ti in t]):
-        raise ConsistencyError("product of B and C hooks exceeds the t-factorial product")
+    _check_t_factorials(hooks_bc, t)
 
     # f * n^m >= alpha^n, built exactly only on a near-tie
     f = _degree(lam)
@@ -175,6 +178,31 @@ def strip_bound(lam: Partition, k: int, l: int, alpha: Fraction) -> BoundCertifi
             "sizes": {"A": size_a, "B": size_b, "C": size_c},
         },
     )
+
+
+def _check_t_factorials(hooks: list[int], t: list[int]) -> None:
+    """Raise ``ConsistencyError`` unless ``prod(hooks) <= prod t_i!``.
+
+    ``gaps[h]`` is the number of hooks ``h`` less ``#{i : t_i >= h}``, the
+    factors ``h`` of ``prod t_i!``, so ``degrees._exponents(0, gaps, ...)``
+    gives the exponent ``e`` of each prime ``q`` in
+    ``prod t_i! / prod(hooks)``.  Only a prime up to the largest hook can
+    have ``e < 0``.  When none has, the quotient is an integer, at least 1,
+    and nothing is built; otherwise the primes above the largest hook join
+    them and ``powers_ge`` decides ``prod q**e >= 1`` exactly.
+    """
+    counts, ends = [0] * (max(hooks + t) + 1), [0] * (max(hooks + t) + 1)
+    for h in hooks:
+        counts[h] += 1
+    for ti in t:
+        ends[ti] += 1
+    gaps = list(map(sub, counts, [*accumulate(reversed(ends))][::-1]))
+    primes = _prime_list(len(gaps))
+    exponents = _exponents(0, gaps, primes[: bisect_right(primes, max(hooks, default=1))])
+    if min(exponents, default=0) < 0:
+        exponents += _exponents(0, gaps, primes[len(exponents) : bisect_right(primes, len(gaps) - 1)])
+        if not powers_ge(list(zip(primes, exponents)), (), None):
+            raise ConsistencyError("product of B and C hooks exceeds the t-factorial product")
 
 
 # ---------------------------------------------------------------------------

@@ -211,7 +211,6 @@ def check_typing_hypotheses(lam: Partition, alpha: Fraction) -> tuple[int, int]:
     if delta < 9 * alpha:
         raise HypothesisError("delta >= 9*alpha", f"delta={delta}, 9*alpha={9 * alpha}")
     check_widths(lam, alpha)
-    conj = lam.conjugate()
     for i in range(1, delta):
         if lam.part(i) <= lam.part(i + 1):
             raise HypothesisError(
@@ -229,13 +228,11 @@ def check_typing_hypotheses(lam: Partition, alpha: Fraction) -> tuple[int, int]:
             "row delta is a corner",
             f"lambda_delta={lam.part(delta)} <= lambda_{delta + 1}={lam.part(delta + 1)}",
         )
-    tau = 0
-    while (
-        tau < delta
-        and conj.part(tau + 1) > conj.part(tau + 2)
-        and conj.part(tau + 2) >= delta
-    ):
-        tau += 1
+    # tau: the columns c = 1, 2, ..., delta, in turn, that each end a row
+    # (lambda'_c > lambda'_(c+1): some part is c) and stand left of a
+    # column of delta cells or more (lambda'_(c+1) >= delta: lambda_delta > c)
+    sizes = set(lam.parts)
+    tau = min(delta, lam.part(delta) - 1, next(c for c in range(1, n + 2) if c not in sizes) - 1)
     return delta, tau
 
 

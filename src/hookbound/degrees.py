@@ -20,10 +20,15 @@ big-integer shift per block end: a few on a long hook, a column or a
 rectangle, where a full product would cost about ``M(top)``, and two per
 row on a staircase, whose parts are distinct.
 
-For each prime ``q <= top`` the exponent of ``q`` in ``n!/prod h`` is
-``sum_j (n // q**j - sum(counts[q**j::q**j]))``: Legendre's formula for
-``n!`` less the hooks divisible by each power of ``q``, one slice sum per
-power up to ``top`` (no hook is larger).  A prime ``q > top`` divides no
+``_exponents(m, counts, primes)`` is the one exponent routine: the
+exponent of each given prime ``q`` in ``m!/prod h**counts[h]`` is
+``sum_j (m // q**j - sum(counts[q**j::q**j]))``, Legendre's formula for
+``m!`` less the counts of the multiples of each power of ``q``, one slice
+sum per power.  It has three callers.  ``_prime_powers`` reads ``n`` and
+the hook counts, for each prime ``q <= top`` (no hook is larger).
+``factorial_ball`` reads ``m`` and no counts.  ``bounds.strip_bound``
+reads ``m = 0`` and counts of either sign, to decide its t-factorial check
+with no product built.  A prime ``q > top`` divides no
 hook, and ``top >= 2*sqrt(n) - 1`` makes ``q*q > n``, so its exponent is
 ``n // q``; the primes that share one ``v = n // q`` enter as one
 ``prod(q) ** v``, at most ``n/top`` powers in all.  The primes come from
@@ -106,7 +111,7 @@ from bisect import bisect_right
 from itertools import compress, islice
 from math import factorial
 from operator import add, mul, ne
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import GuardExceededError
 from .partitions import Partition, enumerate_partitions
@@ -230,6 +235,23 @@ def _product_tree(factors: list[int]) -> int:
     return factors[0] if factors else 1
 
 
+def _exponents(m: int, counts: Sequence[int], primes: list[int]) -> list[int]:
+    """The exponent of each of ``primes`` in ``m! / prod h**counts[h]``.
+
+    ``sum_j (m // q**j - sum(counts[q**j::q**j]))`` over the powers of
+    ``q`` up to ``m`` or the last count: Legendre's formula for ``m!``
+    less the counts of the multiples of each power.
+    """
+    exponents = []
+    for q in primes:
+        e, qj = 0, q
+        while qj <= m or qj < len(counts):
+            e += m // qj - sum(counts[qj::qj])
+            qj *= q
+        exponents.append(e)
+    return exponents
+
+
 def _prime_powers(p: Partition) -> tuple[int, list[int], list[int]]:
     """The exponent stage of ``degree``: ``n!/prod h`` as powers of primes.
 
@@ -241,23 +263,13 @@ def _prime_powers(p: Partition) -> tuple[int, list[int], list[int]]:
     primes = _prime_list(n)  # first, so that a shape past the cap allocates nothing
     top = _largest_hook(p.parts)
     counts = _hook_counts(p.parts)
-    # No hook exceeds the corner hook top, so the slice sums below read only
-    # up to it and the primes above it divide no hook.
+    # No hook exceeds the corner hook top, so the slice sums read only up to
+    # it and the primes above it divide no hook.
     if len(counts) != top + 1:
         raise ArithmeticError(f"hook counts of {p} reach past its largest hook {top}")
-    exponents = []
-    for q in primes[: bisect_right(primes, top)]:
-        e = 0
-        qj = q
-        while qj <= top:
-            e += n // qj - sum(counts[qj::qj])
-            qj *= q
-        while qj <= n:
-            e += n // qj
-            qj *= q
-        if e < 0:
-            raise ArithmeticError(f"hook product does not divide n! for {p}")
-        exponents.append(e)
+    exponents = _exponents(n, counts, primes[: bisect_right(primes, top)])
+    if min(exponents, default=0) < 0:
+        raise ArithmeticError(f"hook product does not divide n! for {p}")
     return n, exponents, primes
 
 
@@ -446,14 +458,7 @@ def factorial_ball(m: int) -> DegreeBall:
     ``2**(2 * _EXACT_BITS)``, and such a ball is exact.
     """
     primes = _prime_list(m)
-    exponents = []
-    for q in primes[: bisect_right(primes, math.isqrt(m))]:
-        e, qj = 0, q
-        while qj <= m:
-            e += m // qj
-            qj *= q
-        exponents.append(e)
-    return _ball(m, exponents, primes)
+    return _ball(m, _exponents(m, (), primes[: bisect_right(primes, math.isqrt(m))]), primes)
 
 
 def _ball(n: int, exponents: list[int], primes: list[int]) -> DegreeBall:

@@ -138,6 +138,17 @@ class TestHypothesisGate:
         assert delta == 10
         assert tau == 2  # columns 12, 11, 10 strictly decreasing, col 3 = 10 >= delta
 
+    @given(st.lists(st.integers(1, 10), max_size=30))
+    def test_tau_matches_the_column_definition(self, tail):
+        # rows 20..11 over a tail of rows <= 10: delta is 10 and every gate
+        # passes; tau is read off the conjugate as the definition states it
+        lam = Partition((*range(20, 10, -1), *sorted(tail, reverse=True)))
+        conj = lam.conjugate()
+        tau = 0
+        while tau < 10 and conj.part(tau + 1) > conj.part(tau + 2) >= 10:
+            tau += 1
+        assert check_typing_hypotheses(lam, ALPHA) == (10, tau)
+
 
 class TestTypingStructure:
     def test_counts_partition_the_diagram(self, stair_typing):

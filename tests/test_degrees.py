@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import hookbound.degrees
 from hookbound.degrees import (
+    _exponents,
     _hook_counts,
     _largest_hook,
     _prime_list,
@@ -206,6 +207,45 @@ def padded_counts(p):
 def grid_counts(p):
     grid = Counter(p.hook_grid().values())
     return [grid[h] for h in range(p.n + 1)]
+
+
+def _valuation(x: Fraction, q: int) -> int:
+    """The exponent of the prime ``q`` in the rational ``x != 0``, by trial division."""
+    e = 0
+    num, den = x.numerator, x.denominator
+    while num % q == 0:
+        num, e = num // q, e + 1
+    while den % q == 0:
+        den, e = den // q, e - 1
+    return e
+
+
+class TestExponents:
+    @given(st.integers(0, 40), st.lists(st.integers(-3, 3), max_size=30))
+    def test_factorisation_of_the_quotient(self, m, counts):
+        # m! / prod h**counts[h], counts of either sign; counts[0] is no factor
+        quotient = Fraction(factorial(m))
+        for h, c in enumerate(counts[1:], 1):
+            quotient /= Fraction(h) ** c
+        primes = _plain_sieve(max(m, len(counts) - 1))
+        exponents = _exponents(m, counts, primes)
+        assert exponents == [_valuation(quotient, q) for q in primes]
+        assert math.prod(Fraction(q) ** e for q, e in zip(primes, exponents)) == quotient
+
+    def test_the_callers_read_it(self, monkeypatch):
+        calls = []
+
+        def recorded(m, counts, primes):
+            calls.append((m, list(counts), list(primes)))
+            return _exponents(m, counts, primes)
+
+        monkeypatch.setattr(hookbound.degrees, "_exponents", recorded)
+        p = Partition((5, 3, 3, 1))  # largest hook 8
+        assert degree(p) == degree_ball(p).exact() == count_syt_bruteforce(p)
+        assert calls == [(12, _hook_counts(p.parts), [2, 3, 5, 7])] * 2
+        calls.clear()
+        assert factorial_ball(50).exact() == factorial(50)
+        assert calls == [(50, [], [2, 3, 5, 7])]
 
 
 class TestSlotWidth:

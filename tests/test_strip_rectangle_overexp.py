@@ -9,21 +9,24 @@ from hypothesis import strategies as st
 
 import hookbound.bounds
 from hookbound.bounds import (
+    _check_t_factorials,
     overexponential_bound,
     rectangle_bound,
     strip_bound,
     theorem_classify,
 )
 from hookbound.certificates import FAIL, MODE_EXACT, PASS, powers_ge
-from hookbound.degrees import DegreeBall, _product_tree, count_syt_bruteforce, degree
-from hookbound.errors import HypothesisError
+from hookbound.degrees import DegreeBall, _exponents, count_syt_bruteforce, degree
+from hookbound.errors import ConsistencyError, HypothesisError
 from hookbound.families import balanced, staircase
 from hookbound.partitions import Partition, enumerate_partitions
 
 from diagrams import cells_of
+from test_degrees import _valuation
 
 LAM = Partition.parse("9,6,4,2,2,1")
 ALPHA2 = Fraction(2)
+MESSAGE = "product of B and C hooks exceeds the t-factorial product"
 
 
 def strip_ge(f, alpha: Fraction, n: int, m: int) -> bool:
@@ -91,7 +94,7 @@ class TestStripConstruction:
 
 
 def _per_cell_strip(lam, k, l):
-    """The per-cell construction the row segments replaced: t, A, B, C, prod_bc."""
+    """The per-cell construction the row segments replaced: t, A, B, C, hooks_bc."""
     if k >= l:
         work, wk, wl = lam, k, l
     else:
@@ -102,7 +105,7 @@ def _per_cell_strip(lam, k, l):
     )
     mu = Partition(tuple(p for p in range(wl + wk - 1, wl - 1, -1) if p > 0))
     hooks = work.hook_grid()
-    cells_a, cells_b, cells_c, prod_bc = [], [], [], 1
+    cells_a, cells_b, cells_c, hooks_bc = [], [], [], []
     for cell in cells_of(work):
         i, j = cell
         if j <= mu.part(i):
@@ -110,41 +113,58 @@ def _per_cell_strip(lam, k, l):
         elif i >= wk + 1:
             cells_b.append(cell)
             assert hooks[cell] <= t[j - 1] - (i - wk)
-            prod_bc *= hooks[cell]
+            hooks_bc.append(hooks[cell])
         else:
             cells_c.append(cell)
             assert hooks[cell] <= t[wl + i - 1] - (j - mu.part(i)) + 1
-            prod_bc *= hooks[cell]
-    return t, tuple(cells_a), tuple(cells_b), tuple(cells_c), prod_bc
+            hooks_bc.append(hooks[cell])
+    return t, tuple(cells_a), tuple(cells_b), tuple(cells_c), hooks_bc
+
+
+def _is_prime(q: int) -> bool:
+    return q > 1 and all(q % d for d in range(2, math.isqrt(q) + 1))
 
 
 class TestStripRowSegments:
     def test_matches_per_cell_construction(self, monkeypatch):
-        trees = []
+        calls = []
 
-        def recorded(factors):
-            trees.append(list(factors))
-            return _product_tree(factors)
+        def recorded(m, counts, primes):
+            exponents = _exponents(m, counts, primes)
+            calls.append((m, list(counts), list(primes), exponents))
+            return exponents
 
-        monkeypatch.setattr(hookbound.bounds, "_product_tree", recorded)
+        monkeypatch.setattr(hookbound.bounds, "_exponents", recorded)
         seen = {"conjugated": 0, "B": 0, "C": 0, "B and C": 0}
         for n in range(1, 15):
             for lam in enumerate_partitions(n):
                 for k in range(5):
                     for l in range(5):
-                        trees.clear()
+                        calls.clear()
                         try:
                             sc = strip_bound(lam, k, l, ALPHA2)
                         except HypothesisError:
                             continue
-                        t, a, b, c, prod_bc = _per_cell_strip(lam, k, l)
+                        t, a, b, c, hooks_bc = _per_cell_strip(lam, k, l)
                         assert sc.aux["t"] == list(t)
                         sizes = sc.aux["sizes"]
                         assert sizes == {"A": len(a), "B": len(b), "C": len(c)}
                         assert sc.aux["conjugated"] == (k < l)
-                        # the first product tree is prod_bc, the second prod t_i!
-                        assert math.prod(trees[0]) == prod_bc
-                        assert trees[1] == [factorial(ti) for ti in t]
+                        # one exponent call: the B and C hooks h less one
+                        # factor h of prod t_i! for each t_i >= h
+                        [(m, counts, primes, exponents)] = calls
+                        assert m == 0
+                        assert max([*hooks_bc, *t]) < len(counts)
+                        bc = Counter(hooks_bc)
+                        assert counts[1:] == [
+                            bc[h] - sum(ti >= h for ti in t) for h in range(1, len(counts))
+                        ]
+                        # the primes up to the largest hook, and the factorial
+                        # side is prod t_i!
+                        top = max(hooks_bc, default=1)
+                        assert primes == [q for q in range(2, top + 1) if _is_prime(q)]
+                        quotient = Fraction(math.prod(map(factorial, t)), math.prod(hooks_bc))
+                        assert exponents == [_valuation(quotient, q) for q in primes]
                         seen["conjugated"] += sc.aux["conjugated"]
                         seen["B"] += bool(b)
                         seen["C"] += bool(c)
@@ -166,6 +186,78 @@ class TestStripRowSegments:
             assert cert.aux["sub_certificate"].bound_name == "strip"
         sc = strip_bound(LAM, 4, 3, ALPHA2)
         assert sc.aux["sizes"]["B"] == 3 and sc.aux["sizes"]["C"] == 4
+
+
+class TestTFactorialCheck:
+    """``_check_t_factorials`` on each of its routes, and through ``strip_bound``."""
+
+    @pytest.fixture
+    def compares(self, monkeypatch):
+        calls = []
+
+        def recorded(lhs, rhs, *budget):
+            calls.append((list(lhs), list(rhs), *budget))
+            return powers_ge(lhs, rhs, *budget)
+
+        monkeypatch.setattr(hookbound.bounds, "powers_ge", recorded)
+        return calls
+
+    @pytest.mark.parametrize(
+        "hooks, t",
+        [([1, 2, 3], [3]), ([2, 3], [3, 2]), ([1, 1, 2, 4], [4, 1]), ([2, 2, 2], [1, 4]), ([], [0])],
+    )
+    def test_no_negative_gap_compares_nothing(self, compares, hooks, t):
+        _check_t_factorials(hooks, t)
+        assert compares == []
+
+    def test_negative_gap_that_holds(self, compares):
+        # the hooks {4} against t = [3]: 4 <= 3! = 6, though 4 does not divide 6
+        _check_t_factorials([4], [3])
+        [(lhs, rhs, budget)] = compares
+        assert lhs == [(2, -1), (3, 1)]
+        assert rhs == [] and budget is None
+
+    def test_negative_gap_that_holds_by_a_prime_past_every_hook(self, compares):
+        # the hooks {4, 4, 3} against t = [5]: 48 <= 5! = 120, but only with
+        # the factor 5, which divides no hook: 2**-1 * 3**0 alone is below 1
+        _check_t_factorials([4, 4, 3], [5])
+        [(lhs, rhs, budget)] = compares
+        assert lhs == [(2, -1), (3, 0), (5, 1)]
+
+    def test_product_past_the_factorials_raises(self, compares):
+        # the hooks {7} against t = [3]: 7 > 3! = 6
+        with pytest.raises(ConsistencyError, match=MESSAGE):
+            _check_t_factorials([7], [3])
+        assert len(compares) == 1
+
+    def test_strip_bound_with_a_corrupted_t(self, monkeypatch):
+        # LAM's B and C hooks multiply to 18; t cut to (3, 2) leaves 3! * 2! = 12
+        seen = []
+
+        def corrupted(hooks, t):
+            seen.append(t)
+            return _check_t_factorials(hooks, [3, 2] + [0] * (len(t) - 2))
+
+        monkeypatch.setattr(hookbound.bounds, "_check_t_factorials", corrupted)
+        with pytest.raises(ConsistencyError, match=MESSAGE):
+            strip_bound(LAM, 4, 3, ALPHA2)
+        assert seen == [[6, 5, 3, 6, 3, 1, 0]]
+
+    def test_strip_bound_compares_only_the_degree(self, compares):
+        # every gap of a sound construction is >= 0: the one comparison is
+        # the bound's own, f * n**m >= alpha**n
+        for lam, k, l in [(LAM, 4, 3), (Partition((5, 5, 4, 2, 2, 1, 1)), 2, 4)]:
+            compares.clear()
+            strip_bound(lam, k, l, ALPHA2)
+            [(lhs, rhs)] = compares
+            assert type(lhs[0][0]) is DegreeBall
+
+    def test_m1_at_a_million_cells(self):
+        # two rows of 500,000: the strip check reads exponents and builds no
+        # product, so the dispatch decides exactly in well under a second
+        cert = theorem_classify(Partition((500000, 500000)), Fraction(2), Fraction(3, 2))
+        assert cert.aux["class"] == "M1"
+        assert (cert.mode, cert.verdict) == (MODE_EXACT, PASS)
 
 
 class TestStripExactFilter:
