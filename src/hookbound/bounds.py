@@ -13,7 +13,6 @@ and powers, falling back to the log domain past the budget.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -30,7 +29,7 @@ from .certificates import (
     make_certificate,
     powers_ge,
 )
-from .degrees import DegreeBall, _exponents, _prime_list, degree_ball
+from .degrees import DegreeBall, degree_ball, factorial_ball
 from .errors import ConsistencyError, HypothesisError
 from .partitions import Partition
 
@@ -93,8 +92,11 @@ def strip_bound(lam: Partition, k: int, l: int, alpha: Fraction) -> BoundCertifi
     cells of C (when positive); every row below ``K`` is B.  The
     certificate records ``k``, ``l``, ``m`` and ``n`` in ``parameters``,
     and the mass sequence ``t`` of length k+l, ``conjugated`` and the class
-    sizes in ``aux``.  The last consistency check, ``prod(B and C hooks)
-    <= prod t_i!``, is ``_check_t_factorials``, decided by prime exponents
+    sizes in ``aux``.  The row segments count the B and C hooks into a list
+    indexed by hook length, up to the corner hook.  The last consistency
+    check, ``prod(B and C hooks) <= prod t_i!``, is
+    ``_check_t_factorials``: the segment checks give each hook a distinct
+    factor of ``prod t_i!`` at least as large, so it holds by counting,
     with no product built.
     """
     alpha = _require_alpha(alpha)
@@ -133,7 +135,8 @@ def strip_bound(lam: Partition, k: int, l: int, alpha: Fraction) -> BoundCertifi
     # h - (t_j - (i-wk)) = lambda_i - j + 1 - wk falls with j; in C,
     # h - (t_{wl+i} - joff + 1) = lambda'_j - wk does not rise with j.
     size_a = size_b = size_c = 0
-    hooks_bc: list[int] = []
+    # indexed by hook, up to the corner hook, which no t_i exceeds
+    counts = [0] * (work.parts[0] + cols[0])
     for i, row in enumerate(work.parts, start=1):
         top = i <= wk
         a = min(row, wl + wk - i) if top else 0
@@ -155,10 +158,11 @@ def strip_bound(lam: Partition, k: int, l: int, alpha: Fraction) -> BoundCertifi
                     f"column-hook check fails at {(i, j)}: h={h} > t_{j}-{i - wk}"
                 )
         # hooks (row - j') + (lambda'_j' - i) + 1 for j' = j..row
-        hooks_bc += map(add, range(row - i + 1 - j, -i, -1), cols[j - 1 : row])
+        for h in map(add, range(row - i + 1 - j, -i, -1), cols[j - 1 : row]):
+            counts[h] += 1
     if size_a > m:
         raise ConsistencyError(f"|A|={size_a} exceeds m={m}")
-    _check_t_factorials(hooks_bc, t)
+    _check_t_factorials(counts, t)
 
     # f * n^m >= alpha^n, built exactly only on a near-tie
     f = _degree(lam)
@@ -180,28 +184,24 @@ def strip_bound(lam: Partition, k: int, l: int, alpha: Fraction) -> BoundCertifi
     )
 
 
-def _check_t_factorials(hooks: list[int], t: list[int]) -> None:
-    """Raise ``ConsistencyError`` unless ``prod(hooks) <= prod t_i!``.
+def _check_t_factorials(counts: list[int], t: list[int]) -> None:
+    """Raise ``ConsistencyError`` unless ``prod h**counts[h] <= prod t_i!``.
 
-    ``gaps[h]`` is the number of hooks ``h`` less ``#{i : t_i >= h}``, the
-    factors ``h`` of ``prod t_i!``, so ``degrees._exponents(0, gaps, ...)``
-    gives the exponent ``e`` of each prime ``q`` in
-    ``prod t_i! / prod(hooks)``.  Only a prime up to the largest hook can
-    have ``e < 0``.  When none has, the quotient is an integer, at least 1,
-    and nothing is built; otherwise the primes above the largest hook join
-    them and ``powers_ge`` decides ``prod q**e >= 1`` exactly.
+    ``counts`` runs past every ``t_i``.  The factors of ``prod t_i!`` at
+    least ``h`` number ``sum_i max(t_i - h + 1, 0)``.  When the hooks at
+    least ``h`` are no more for every ``h``, each hook can be matched to a
+    distinct factor at least as large (Hall's condition), so the product
+    holds and nothing is built; the segment checks of ``strip_bound`` give
+    such a matching.  Otherwise ``powers_ge`` decides the product exactly.
     """
-    counts, ends = [0] * (max(hooks + t) + 1), [0] * (max(hooks + t) + 1)
-    for h in hooks:
-        counts[h] += 1
+    ends = [0] * len(counts)
     for ti in t:
         ends[ti] += 1
-    gaps = list(map(sub, counts, [*accumulate(reversed(ends))][::-1]))
-    primes = _prime_list(len(gaps))
-    exponents = _exponents(0, gaps, primes[: bisect_right(primes, max(hooks, default=1))])
-    if min(exponents, default=0) < 0:
-        exponents += _exponents(0, gaps, primes[len(exponents) : bisect_right(primes, len(gaps) - 1)])
-        if not powers_ge(list(zip(primes, exponents)), (), None):
+    # the gaps: the factors less the hooks at least h, for h falling from the top
+    gaps = accumulate(map(sub, accumulate(reversed(ends)), reversed(counts)))
+    if min(gaps) < 0:
+        terms = [(h, c) for h, c in enumerate(counts) if c]
+        if not powers_ge([(factorial_ball(ti), 1) for ti in t], terms, None):
             raise ConsistencyError("product of B and C hooks exceeds the t-factorial product")
 
 

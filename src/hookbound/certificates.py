@@ -430,13 +430,16 @@ def revalidate(obj: BoundCertificate | dict | str) -> bool:
     floats exactly), and the verdict must be the one implied by the logs.
     In exact mode a stored PASS/FAIL is also accepted when the logs sit
     inside the float-indistinguishable band.  A document that is not a JSON
-    object, or whose logs or margin are not numbers, is rejected; text that
-    is not JSON raises ``json.JSONDecodeError``.
+    object, whose mode is neither exact nor log-domain, or whose logs or
+    margin are not numbers, is rejected; text that is not JSON raises
+    ``json.JSONDecodeError``.
     """
     if type(obj) is BoundCertificate:
         obj = obj.to_json_dict()
     data = json.loads(obj) if isinstance(obj, str) else obj
     if not isinstance(data, dict) or not all(map(data.__contains__, _CONTRACT_FIELDS)):
+        return False
+    if data["mode"] not in (MODE_EXACT, MODE_LOG):
         return False
     lhs, rhs, margin = data["lhs_log"], data["rhs_log"], data["margin"]
     if not all(type(x) in (int, float) for x in (lhs, rhs, margin)):

@@ -24,12 +24,10 @@ row on a staircase, whose parts are distinct.
 exponent of each given prime ``q`` in ``m!/prod h**counts[h]`` is
 ``sum_j (m // q**j - sum(counts[q**j::q**j]))``, Legendre's formula for
 ``m!`` less the counts of the multiples of each power of ``q``, one slice
-sum per power.  It has three callers.  ``_prime_powers`` reads ``n`` and
+sum per power.  It has two callers.  ``_prime_powers`` reads ``n`` and
 the hook counts, for each prime ``q <= top`` (no hook is larger).
-``factorial_ball`` reads ``m`` and no counts.  ``bounds.strip_bound``
-reads ``m = 0`` and counts of either sign, to decide its t-factorial check
-with no product built.  A prime ``q > top`` divides no
-hook, and ``top >= 2*sqrt(n) - 1`` makes ``q*q > n``, so its exponent is
+``factorial_ball`` reads ``m`` and no counts.  A prime ``q > top`` divides
+no hook, and ``top >= 2*sqrt(n) - 1`` makes ``q*q > n``, so its exponent is
 ``n // q``; the primes that share one ``v = n // q`` enter as one
 ``prod(q) ** v``, at most ``n/top`` powers in all.  The primes come from
 one list per process, sieved over the odd numbers only.  A larger ``n``
@@ -240,7 +238,9 @@ def _exponents(m: int, counts: Sequence[int], primes: list[int]) -> list[int]:
 
     ``sum_j (m // q**j - sum(counts[q**j::q**j]))`` over the powers of
     ``q`` up to ``m`` or the last count: Legendre's formula for ``m!``
-    less the counts of the multiples of each power.
+    less the counts of the multiples of each power.  Its two callers are
+    ``_prime_powers``, with ``n`` and the hook counts, and
+    ``factorial_ball``, with ``m`` and no counts.
     """
     exponents = []
     for q in primes:

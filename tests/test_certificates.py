@@ -383,6 +383,15 @@ class TestSerialization:
         del data["mode"]
         assert not revalidate(data)
 
+    @pytest.mark.parametrize("mode", ["bogus", "", None, "EXACT"])
+    def test_revalidate_rejects_an_unknown_mode(self, mode):
+        # the logs imply the stored PASS, so only the mode is wrong
+        data = self._cert(True).to_json_dict()
+        assert revalidate(data)
+        data["mode"] = mode
+        assert revalidate(data) is False
+        assert revalidate(json.dumps(data)) is False
+
     @pytest.mark.parametrize("text", ["3", "null", "[]", '"PASS"', "true"])
     def test_revalidate_rejects_a_document_that_is_not_an_object(self, text):
         assert revalidate(text) is False

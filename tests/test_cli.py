@@ -280,6 +280,18 @@ def test_certify_commands_reload_and_revalidate(capsys):
         assert revalidate(outputs[name]), name
 
 
+def test_m1_certificate_at_a_million_cells(capsys, tmp_path):
+    # two rows of 500,000 cells: the M1 strip at n = 10**6 in well under a
+    # second; the certificate keeps the bytes it had when the strip's
+    # t-factorial check built both of its products exactly
+    path = tmp_path / "m1.json"
+    argv = ("certify", "theorem", "500000,500000", "--alpha", "2", "--beta", "3/2")
+    code, _, _ = run(capsys, *argv, "--out", str(path))
+    assert code == EXIT_PASS
+    digest = "78ca84f622c7e7b03973009f92b80cb2990205f2ab5d43221958fa3009045e9f"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 class TestTypingCommand:
     def test_gate_exit(self, capsys):
         code, _, err = run(capsys, "typing", "2,1", "--alpha", "3/2")

@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from bisect import bisect_right
 from collections import Counter
@@ -7,6 +10,7 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from math import factorial
 from operator import sub
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -423,6 +427,29 @@ class TestSieveCap:
                 call(Partition((cap + 1,)))
         with pytest.raises(GuardExceededError):
             factorial_ball(cap + 1)
+
+    def test_sieve_to_the_cap_within_its_memory_bound(self):
+        # SIEVE_CAP is the documented extreme of every degree route: in a
+        # fresh interpreter the odd-only sieve to it peaks at about 211 MB,
+        # where the sieve over every number took 256 MB
+        pytest.importorskip("resource")
+        code = (
+            "import resource; from hookbound.degrees import SIEVE_CAP, _prime_list; "
+            "primes = _prime_list(SIEVE_CAP); "
+            "print(len(primes), primes[-1], resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+        )
+        env = dict(os.environ)
+        src = str(Path(hookbound.degrees.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        run = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert run.returncode == 0, run.stderr
+        count, last, peak = map(int, run.stdout.split())
+        # pi(2**26), and the largest prime below 2**26
+        assert (count, last) == (3957809, 2**26 - 5)
+        # ru_maxrss is in kilobytes, but in bytes on macOS
+        assert peak // (2**20 if sys.platform == "darwin" else 2**10) <= 240
 
 
 class TestLogDegree:

@@ -16,13 +16,12 @@ from hookbound.bounds import (
     theorem_classify,
 )
 from hookbound.certificates import FAIL, MODE_EXACT, PASS, powers_ge
-from hookbound.degrees import DegreeBall, _exponents, count_syt_bruteforce, degree
+from hookbound.degrees import DegreeBall, count_syt_bruteforce, degree
 from hookbound.errors import ConsistencyError, HypothesisError
 from hookbound.families import balanced, staircase
 from hookbound.partitions import Partition, enumerate_partitions
 
 from diagrams import cells_of
-from test_degrees import _valuation
 
 LAM = Partition.parse("9,6,4,2,2,1")
 ALPHA2 = Fraction(2)
@@ -121,20 +120,25 @@ def _per_cell_strip(lam, k, l):
     return t, tuple(cells_a), tuple(cells_b), tuple(cells_c), hooks_bc
 
 
-def _is_prime(q: int) -> bool:
-    return q > 1 and all(q % d for d in range(2, math.isqrt(q) + 1))
+def _counts(hooks: list[int], t: list[int]) -> list[int]:
+    """The hook counts ``_check_t_factorials`` reads: indexed by length, past every ``t_i``."""
+    bc = Counter(hooks)
+    return [bc[h] for h in range(max(hooks + t, default=0) + 1)]
 
 
 class TestStripRowSegments:
     def test_matches_per_cell_construction(self, monkeypatch):
         calls = []
 
-        def recorded(m, counts, primes):
-            exponents = _exponents(m, counts, primes)
-            calls.append((m, list(counts), list(primes), exponents))
-            return exponents
+        def recorded(counts, t):
+            calls.append((list(counts), list(t)))
+            return _check_t_factorials(counts, t)
 
-        monkeypatch.setattr(hookbound.bounds, "_exponents", recorded)
+        def no_fallback(m):
+            raise AssertionError("a sound strip's hooks are not dominated")
+
+        monkeypatch.setattr(hookbound.bounds, "_check_t_factorials", recorded)
+        monkeypatch.setattr(hookbound.bounds, "factorial_ball", no_fallback)
         seen = {"conjugated": 0, "B": 0, "C": 0, "B and C": 0}
         for n in range(1, 15):
             for lam in enumerate_partitions(n):
@@ -150,21 +154,15 @@ class TestStripRowSegments:
                         sizes = sc.aux["sizes"]
                         assert sizes == {"A": len(a), "B": len(b), "C": len(c)}
                         assert sc.aux["conjugated"] == (k < l)
-                        # one exponent call: the B and C hooks h less one
-                        # factor h of prod t_i! for each t_i >= h
-                        [(m, counts, primes, exponents)] = calls
-                        assert m == 0
-                        assert max([*hooks_bc, *t]) < len(counts)
+                        # one check: the B and C hooks counted up to the
+                        # corner hook of the working diagram, against t
+                        [(counts, t_checked)] = calls
+                        work = lam.conjugate() if k < l else lam
+                        assert len(counts) == work.part(1) + work.conjugate().part(1)
+                        assert max(t) < len(counts)
                         bc = Counter(hooks_bc)
-                        assert counts[1:] == [
-                            bc[h] - sum(ti >= h for ti in t) for h in range(1, len(counts))
-                        ]
-                        # the primes up to the largest hook, and the factorial
-                        # side is prod t_i!
-                        top = max(hooks_bc, default=1)
-                        assert primes == [q for q in range(2, top + 1) if _is_prime(q)]
-                        quotient = Fraction(math.prod(map(factorial, t)), math.prod(hooks_bc))
-                        assert exponents == [_valuation(quotient, q) for q in primes]
+                        assert counts == [bc[h] for h in range(len(counts))]
+                        assert t_checked == list(t)
                         seen["conjugated"] += sc.aux["conjugated"]
                         seen["B"] += bool(b)
                         seen["C"] += bool(c)
@@ -207,36 +205,49 @@ class TestTFactorialCheck:
         [([1, 2, 3], [3]), ([2, 3], [3, 2]), ([1, 1, 2, 4], [4, 1]), ([2, 2, 2], [1, 4]), ([], [0])],
     )
     def test_no_negative_gap_compares_nothing(self, compares, hooks, t):
-        _check_t_factorials(hooks, t)
+        _check_t_factorials(_counts(hooks, t), t)
         assert compares == []
 
     def test_negative_gap_that_holds(self, compares):
-        # the hooks {4} against t = [3]: 4 <= 3! = 6, though 4 does not divide 6
-        _check_t_factorials([4], [3])
+        # the hooks {4} against t = [3]: one hook at least 4 and no factor of
+        # 3!, a gap of -1, but 4 <= 6
+        _check_t_factorials(_counts([4], [3]), [3])
         [(lhs, rhs, budget)] = compares
-        assert lhs == [(2, -1), (3, 1)]
-        assert rhs == [] and budget is None
+        assert [(ball.exact(), e) for ball, e in lhs] == [(6, 1)]
+        assert rhs == [(4, 1)] and budget is None
 
-    def test_negative_gap_that_holds_by_a_prime_past_every_hook(self, compares):
-        # the hooks {4, 4, 3} against t = [5]: 48 <= 5! = 120, but only with
-        # the factor 5, which divides no hook: 2**-1 * 3**0 alone is below 1
-        _check_t_factorials([4, 4, 3], [5])
-        [(lhs, rhs, budget)] = compares
-        assert lhs == [(2, -1), (3, 0), (5, 1)]
+    def test_dominated_only_by_a_factor_past_every_hook(self, compares):
+        # the hooks {4, 4, 3} against t = [5]: matched to the factors 5, 4, 3
+        # of 5!, the 5 past every hook
+        _check_t_factorials(_counts([4, 4, 3], [5]), [5])
+        assert compares == []
 
     def test_product_past_the_factorials_raises(self, compares):
         # the hooks {7} against t = [3]: 7 > 3! = 6
         with pytest.raises(ConsistencyError, match=MESSAGE):
-            _check_t_factorials([7], [3])
+            _check_t_factorials(_counts([7], [3]), [3])
         assert len(compares) == 1
+
+    @given(
+        st.lists(st.integers(1, 15), max_size=8),
+        st.lists(st.integers(0, 10), max_size=4),
+    )
+    def test_decides_exactly(self, hooks, t):
+        holds = math.prod(hooks) <= math.prod(map(factorial, t))
+        try:
+            _check_t_factorials(_counts(hooks, t), t)
+        except ConsistencyError as err:
+            assert not holds and str(err) == MESSAGE
+        else:
+            assert holds
 
     def test_strip_bound_with_a_corrupted_t(self, monkeypatch):
         # LAM's B and C hooks multiply to 18; t cut to (3, 2) leaves 3! * 2! = 12
         seen = []
 
-        def corrupted(hooks, t):
+        def corrupted(counts, t):
             seen.append(t)
-            return _check_t_factorials(hooks, [3, 2] + [0] * (len(t) - 2))
+            return _check_t_factorials(counts, [3, 2] + [0] * (len(t) - 2))
 
         monkeypatch.setattr(hookbound.bounds, "_check_t_factorials", corrupted)
         with pytest.raises(ConsistencyError, match=MESSAGE):
@@ -244,7 +255,7 @@ class TestTFactorialCheck:
         assert seen == [[6, 5, 3, 6, 3, 1, 0]]
 
     def test_strip_bound_compares_only_the_degree(self, compares):
-        # every gap of a sound construction is >= 0: the one comparison is
+        # a sound construction's hooks are dominated: the one comparison is
         # the bound's own, f * n**m >= alpha**n
         for lam, k, l in [(LAM, 4, 3), (Partition((5, 5, 4, 2, 2, 1, 1)), 2, 4)]:
             compares.clear()
@@ -253,8 +264,8 @@ class TestTFactorialCheck:
             assert type(lhs[0][0]) is DegreeBall
 
     def test_m1_at_a_million_cells(self):
-        # two rows of 500,000: the strip check reads exponents and builds no
-        # product, so the dispatch decides exactly in well under a second
+        # two rows of 500,000: the strip check counts the hooks and compares
+        # nothing, so the dispatch decides exactly in well under a second
         cert = theorem_classify(Partition((500000, 500000)), Fraction(2), Fraction(3, 2))
         assert cert.aux["class"] == "M1"
         assert (cert.mode, cert.verdict) == (MODE_EXACT, PASS)
